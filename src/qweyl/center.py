@@ -12,6 +12,7 @@ from .weylcore import (
     ROOT,
     AlgebraContext,
     WeylElement,
+    _unit,
     commutator,
     mul,
 )
@@ -229,22 +230,21 @@ class CenterPoly:
             return "<CenterPoly 0>"
         bits = []
         for (a, b) in sorted(self.coeffs, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-            mono = []
-            for i, e in enumerate(a):
-                if e:
-                    mono.append(f"r{i+1}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(b):
-                if e:
-                    mono.append(f"s{i+1}" + (f"^{e}" if e > 1 else ""))
+            mono = _center_mono(a, b)
             c = self.coeffs[(a, b)]
-            bits.append(f"({c!s})" + ("*" + "*".join(mono) if mono else ""))
+            bits.append(f"({c!s})" + ("*" + mono if mono else ""))
         return "<CenterPoly " + " + ".join(bits) + ">"
 
 
-def _unit(n: int, i: int) -> Tuple[int, ...]:
-    if not 1 <= i <= n:
-        raise IndexError(f"index {i} out of range 1..{n}")
-    return tuple(1 if j == i - 1 else 0 for j in range(n))
+def _center_mono(a, b):
+    parts = []
+    for i, e in enumerate(a):
+        if e:
+            parts.append(f"r{i+1}" + (f"^{e}" if e > 1 else ""))
+    for i, e in enumerate(b):
+        if e:
+            parts.append(f"s{i+1}" + (f"^{e}" if e > 1 else ""))
+    return "*".join(parts)
 
 
 # ---------------------------------------------------------------------------

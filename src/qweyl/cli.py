@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,7 +21,7 @@ from .center import (
     theta_inverse,
 )
 from .exprio import ParseError, parse_center, parse_weyl, print_center, print_weyl
-from .hatmap import PrimeSchedule, hat, hat_endo, transport_limit
+from .hatmap import PrimeSchedule, _is_prime, hat, hat_endo, transport_limit
 from .matrep import NoExactRootError, build_rep, burnside_span_dim
 from .morphisms import (
     Endomorphism,
@@ -55,27 +54,6 @@ def _parse_primes(text: Optional[str]):
     if all(_is_prime(v) for v in levels):
         return PrimeSchedule(tuple(levels))
     return levels  # composite levels are allowed for experiments
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    k = 2
-    while k * k <= m:
-        if m % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _max_degree() -> Optional[int]:
-    env = os.environ.get("QWEYL_MAX_DEGREE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return None
 
 
 def _scalar_json(value) -> dict:
@@ -203,16 +181,52 @@ def _endo_to_json(e: Endomorphism) -> dict:
     }
 
 
-def _endo_from_json(data: dict) -> Endomorphism:
-    n = int(data["n"])
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_descriptor(data) -> None:
+    """Raise ValueError naming the first missing or malformed descriptor field."""
+    if not isinstance(data, dict):
+        raise ValueError("descriptor must be a JSON object")
+    for key in ("n", "images_x", "images_d"):
+        if key not in data:
+            raise ValueError(f"descriptor field {key!r} is missing")
+    n = data["n"]
+    if not _is_int(n) or n < 1:
+        raise ValueError("descriptor field 'n' must be a positive integer")
+    for key in ("images_x", "images_d"):
+        images = data[key]
+        if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
+            raise ValueError(f"descriptor field {key!r} must be a list of strings")
+        if len(images) != n:
+            raise ValueError(f"descriptor field {key!r} must hold n = {n} images")
+    param = data.get("param", "t")
+    level = param.get("l") if isinstance(param, dict) and len(param) == 1 else None
+    if param != "t" and not (_is_int(level) and level >= 1):
+        raise ValueError('descriptor field \'param\' must be "t" or {"l": <positive integer>}')
+
+
+def _endo_from_json(data) -> Endomorphism:
+    _check_descriptor(data)
+    n = data["n"]
     param = data.get("param", "t")
     if param == "t":
         ctx = AlgebraContext.symbolic(n)
     else:
-        ctx = AlgebraContext.root_of_unity(n, int(param["l"]))
+        ctx = AlgebraContext.root_of_unity(n, param["l"])
     xs = [parse_weyl(src, ctx) for src in data["images_x"]]
     ds = [parse_weyl(src, ctx) for src in data["images_d"]]
     return make_endomorphism(ctx, xs, ds)
+
+
+def _load_endo(path: str) -> Endomorphism:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("descriptor JSON is nested too deeply") from None
+    return _endo_from_json(data)
 
 
 def _cmd_lift(args) -> int:
@@ -224,9 +238,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    e = _endo_from_json(data)
+    e = _load_endo(args.file)
     ok, violations = validate(e.images_x, e.images_d)
     out = {
         "schema": SCHEMA,
@@ -240,9 +252,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    e = _endo_from_json(data)
+    e = _load_endo(args.file)
     if not e.validated:
         print(_json_out({"schema": SCHEMA, "error": "endomorphism failed validation"}))
         return 1

@@ -6,14 +6,15 @@ Concrete syntax, shared by the CLI and the JSON formats:
     term    := unary ('*' unary)*
     unary   := '-' unary | power
     power   := atom ('^' ['-'] INT)?
-    atom    := INT ('/' INT)? | FLOAT | IDENT | '(' expr ')'
+    atom    := INT ('/' INT)? | IDENT | '(' expr ')'
 
 Identifiers are t, q, f, and the indexed families x1.., d1.., f1.., r1..,
 s1...  Juxtaposition is never multiplication; '*' is required, which keeps
 noncommutative operand order unambiguous.  INT '/' INT is a rational literal
-(so it binds before '*' and '^'); float literals are accepted only when the
-target context is numeric.  Negative powers are legal only on invertible
-scalars such as t.
+(so it binds before '*' and '^'); there are no float literals, since every
+coefficient domain is exact.  Negative powers are legal only on invertible
+scalars such as t.  Sums and products may have any number of terms;
+parentheses and unary minus nest at most 50 deep.
 
 Printing emits terms in ascending graded-lexicographic order and round-trips
 through the parser on every exact normal form.
@@ -24,13 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .center import CenterPoly
-from .scalars import Cyclo, Jet, LaurentPoly
+from .center import CenterPoly, _center_mono
+from .scalars import Cyclo, Jet, LaurentPoly, _scalar_invert
 from .weylcore import (
-    NUMERIC,
     SYMBOLIC,
     AlgebraContext,
     WeylElement,
+    _plain_mono,
     f_element,
     f_i,
     power,
@@ -54,7 +55,7 @@ class ParseError(ValueError):
 _OPS = "+-*/^()"
 
 
-def _tokenize(src: str, allow_float: bool) -> List[Tuple[str, object, int]]:
+def _tokenize(src: str) -> List[Tuple[str, object, int]]:
     tokens = []
     i = 0
     size = len(src)
@@ -75,23 +76,7 @@ def _tokenize(src: str, allow_float: bool) -> List[Tuple[str, object, int]]:
             start = i
             while i < size and src[i].isdigit():
                 i += 1
-            if i < size and src[i] == "." :
-                if not allow_float:
-                    raise ParseError("float literals are only allowed in numeric contexts", i)
-                i += 1
-                while i < size and src[i].isdigit():
-                    i += 1
-                if i < size and src[i] in "eE":
-                    i += 1
-                    if i < size and src[i] in "+-":
-                        i += 1
-                    if i >= size or not src[i].isdigit():
-                        raise ParseError("malformed float exponent", i)
-                    while i < size and src[i].isdigit():
-                        i += 1
-                tokens.append(("float", float(src[start:i]), start))
-            else:
-                tokens.append(("int", int(src[start:i]), start))
+            tokens.append(("int", int(src[start:i]), start))
             continue
         if c.isalpha():
             start = i
@@ -111,10 +96,16 @@ def _tokenize(src: str, allow_float: bool) -> List[Tuple[str, object, int]]:
 # ---------------------------------------------------------------------------
 
 
+# Parentheses and unary minus recurse in the parser and the evaluators; this
+# bound keeps both well inside Python's default recursion limit.
+_MAX_NESTING = 50
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,32 +128,42 @@ class _Parser:
         return node
 
     def parse_sum(self):
-        node = self.parse_term()
+        """A flat ("sum", [(sign, term), ...]) node, so long sums cost no depth."""
+        at = self.peek()[2]
+        terms = [(1, self.parse_term())]
         while True:
-            kind, value, at = self.peek()
+            kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
-                rhs = self.parse_term()
-                node = ("add" if value == "+" else "sub", node, rhs, at)
+                terms.append((1 if value == "+" else -1, self.parse_term()))
             else:
-                return node
+                return terms[0][1] if len(terms) == 1 else ("sum", terms, at)
 
     def parse_term(self):
-        node = self.parse_unary()
+        """A flat ("prod", [factor, ...]) node; factors keep their order."""
+        at = self.peek()[2]
+        factors = [self.parse_unary()]
         while True:
-            kind, value, at = self.peek()
+            kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                rhs = self.parse_unary()
-                node = ("mul", node, rhs, at)
+                factors.append(self.parse_unary())
             else:
-                return node
+                return factors[0] if len(factors) == 1 else ("prod", factors, at)
+
+    def nested(self, parse, at):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nested more than {_MAX_NESTING} deep", at)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_unary(self):
         kind, value, at = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return ("neg", self.parse_unary(), at)
+            return ("neg", self.nested(self.parse_unary, at), at)
         return self.parse_power()
 
     def parse_power(self):
@@ -195,12 +196,10 @@ class _Parser:
                     raise ParseError("zero denominator", at3)
                 return ("num", Fraction(value, value3), at)
             return ("num", Fraction(value), at)
-        if kind == "float":
-            return ("num", value, at)
         if kind == "ident":
             return ("sym", value, at)
         if kind == "op" and value == "(":
-            node = self.parse_sum()
+            node = self.nested(self.parse_sum, at)
             self.expect_op(")")
             return node
         if kind == "eof":
@@ -221,7 +220,7 @@ def _split_ident(name: str) -> Tuple[str, Optional[int]]:
 
 def parse_weyl(src: str, ctx: AlgebraContext) -> WeylElement:
     """Parse an expression and normalize it in the given context."""
-    tokens = _tokenize(src, allow_float=(ctx.kind == NUMERIC))
+    tokens = _tokenize(src)
     node = _Parser(tokens).parse()
     return _eval_weyl(node, ctx)
 
@@ -229,20 +228,21 @@ def parse_weyl(src: str, ctx: AlgebraContext) -> WeylElement:
 def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
     op = node[0]
     if op == "num":
-        value = node[1]
-        if isinstance(value, float) and ctx.kind != NUMERIC:
-            raise ParseError("float literal outside a numeric context", node[2])
-        return ctx.scalar_element(value)
+        return ctx.scalar_element(node[1])
     if op == "sym":
         return _weyl_symbol(node[1], node[2], ctx)
     if op == "neg":
         return -_eval_weyl(node[1], ctx)
-    if op == "add":
-        return _eval_weyl(node[1], ctx) + _eval_weyl(node[2], ctx)
-    if op == "sub":
-        return _eval_weyl(node[1], ctx) - _eval_weyl(node[2], ctx)
-    if op == "mul":
-        return _eval_weyl(node[1], ctx) * _eval_weyl(node[2], ctx)
+    if op == "sum":
+        acc: dict = {}
+        for sign, term in node[1]:
+            _add_into(acc, _eval_weyl(term, ctx).terms, sign)
+        return WeylElement(ctx, acc)
+    if op == "prod":
+        acc = _eval_weyl(node[1][0], ctx)
+        for factor in node[1][1:]:
+            acc = acc * _eval_weyl(factor, ctx)
+        return acc
     if op == "pow":
         base = _eval_weyl(node[1], ctx)
         e = node[2]
@@ -252,11 +252,23 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
             raise ParseError("negative power of a non-invertible element", node[3])
         value = base.scalar_value()
         try:
-            inv = _invert_scalar(value)
+            inv = _scalar_invert(value)
         except (ZeroDivisionError, ValueError):
             raise ParseError("negative power of a non-invertible scalar", node[3]) from None
-        return ctx.scalar_element(_pow_scalar(inv, -e))
+        return ctx.scalar_element(inv ** -e)
     raise AssertionError(f"unknown node {op}")
+
+
+def _add_into(acc: dict, terms, sign: int) -> None:
+    """acc += sign * terms coefficientwise; the caller's constructor drops zeros.
+
+    Summing into one map keeps a flat sum linear in its number of terms.
+    """
+    for k, c in terms.items():
+        if sign < 0:
+            c = -c
+        cur = acc.get(k)
+        acc[k] = c if cur is None else cur + c
 
 
 def _weyl_symbol(name: str, at: int, ctx: AlgebraContext) -> WeylElement:
@@ -282,33 +294,9 @@ def _weyl_symbol(name: str, at: int, ctx: AlgebraContext) -> WeylElement:
     raise ParseError(f"unknown identifier {name!r}", at)
 
 
-def _invert_scalar(value):
-    if isinstance(value, Fraction):
-        if value == 0:
-            raise ZeroDivisionError
-        return 1 / value
-    if isinstance(value, Cyclo):
-        return value.inverse()
-    if isinstance(value, Jet):
-        return value.inverse()
-    if isinstance(value, LaurentPoly):
-        if not value.is_monomial():
-            raise ValueError("non-monomial Laurent polynomial")
-        return value ** -1
-    if isinstance(value, complex):
-        if value == 0:
-            raise ZeroDivisionError
-        return 1 / value
-    raise ValueError(f"cannot invert {type(value).__name__}")
-
-
-def _pow_scalar(value, e: int):
-    return value ** e
-
-
 def parse_center(src: str, n: int) -> CenterPoly:
     """Parse a commutative polynomial in r1..rn, s1..sn with rational coefficients."""
-    tokens = _tokenize(src, allow_float=False)
+    tokens = _tokenize(src)
     node = _Parser(tokens).parse()
     return _eval_center(node, n)
 
@@ -326,12 +314,16 @@ def _eval_center(node, n: int) -> CenterPoly:
         raise ParseError(f"unknown center symbol {node[1]!r}", node[2])
     if op == "neg":
         return -_eval_center(node[1], n)
-    if op == "add":
-        return _eval_center(node[1], n) + _eval_center(node[2], n)
-    if op == "sub":
-        return _eval_center(node[1], n) - _eval_center(node[2], n)
-    if op == "mul":
-        return _eval_center(node[1], n) * _eval_center(node[2], n)
+    if op == "sum":
+        acc: dict = {}
+        for sign, term in node[1]:
+            _add_into(acc, _eval_center(term, n).coeffs, sign)
+        return CenterPoly(n, acc)
+    if op == "prod":
+        acc = _eval_center(node[1][0], n)
+        for factor in node[1][1:]:
+            acc = acc * _eval_center(factor, n)
+        return acc
     if op == "pow":
         base = _eval_center(node[1], n)
         e = node[2]
@@ -409,11 +401,6 @@ def _scalar_pieces(c) -> List[Tuple[str, bool]]:
         return _cyclo_pieces(c)
     if isinstance(c, LaurentPoly):
         return _laurent_pieces(c)
-    if isinstance(c, complex):
-        if c.imag == 0:
-            real = c.real
-            return [(repr(abs(real)), real < 0)]
-        return [(f"({c!r})", False)]
     if isinstance(c, Jet):  # debug rendering only; jets stay internal
         return [(f"[{c.val!s} ; {c.dt!s}]", False)]
     return [(str(c), False)]
@@ -422,7 +409,7 @@ def _scalar_pieces(c) -> List[Tuple[str, bool]]:
 def _format_terms(keys, coeff_of, mono_of) -> str:
     pieces = []
     for key in keys:
-        mono = mono_of(key)
+        mono = mono_of(*key)
         inner = _scalar_pieces(coeff_of(key))
         if len(inner) == 1:
             body, neg = inner[0]
@@ -438,20 +425,7 @@ def print_weyl(a: WeylElement) -> str:
     """Canonical text form: graded-lexicographic term order, ascending."""
     if not a.terms:
         return "0"
-    keys = a.support()
-
-    def mono_of(key):
-        al, be = key
-        parts = []
-        for i, e in enumerate(al):
-            if e:
-                parts.append(f"x{i+1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(be):
-            if e:
-                parts.append(f"d{i+1}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
-
-    return _format_terms(keys, lambda k: a.terms[k], mono_of)
+    return _format_terms(a.support(), lambda k: a.terms[k], _plain_mono)
 
 
 def print_center(p: CenterPoly) -> str:
@@ -459,16 +433,4 @@ def print_center(p: CenterPoly) -> str:
     if not p.coeffs:
         return "0"
     keys = sorted(p.coeffs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0], k[1]))
-
-    def mono_of(key):
-        a, b = key
-        parts = []
-        for i, e in enumerate(a):
-            if e:
-                parts.append(f"r{i+1}" + (f"^{e}" if e > 1 else ""))
-        for i, e in enumerate(b):
-            if e:
-                parts.append(f"s{i+1}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
-
-    return _format_terms(keys, lambda k: p.coeffs[k], mono_of)
+    return _format_terms(keys, lambda k: p.coeffs[k], _center_mono)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .center import MaxIdealPoint, azumaya_test
-from .scalars import Cyclo, embed as _embed
+from .scalars import Cyclo, _scalar_invert, embed as _embed
 
 __all__ = [
     "MatRep",
@@ -164,14 +164,6 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -282,9 +274,7 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
 
 
 def _inv(v, exact: bool):
-    if exact:
-        return v.inverse() if isinstance(v, Cyclo) else Fraction(1) / v
-    return 1 / v
+    return _scalar_invert(v) if exact else 1 / v
 
 
 def _nilpotent_rep(l: int, qpow: int, q, exact: bool) -> NilpotentRep:

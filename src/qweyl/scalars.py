@@ -506,10 +506,6 @@ def _poly_divmod_frac(a: List[Fraction], b: List[Fraction]):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_is_zero(c) -> bool:
-    return not c
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial in the single deformation variable t.
 
@@ -525,7 +521,7 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 if isinstance(c, int):
                     c = Fraction(c)
-                if not _scalar_is_zero(c):
+                if c:
                     d[int(e)] = c
         object.__setattr__(self, "coeffs", d)
 
@@ -578,10 +574,10 @@ class LaurentPoly:
         for e, c in other.coeffs.items():
             cur = d.get(e)
             s = c if cur is None else cur + c
-            if _scalar_is_zero(s):
-                d.pop(e, None)
-            else:
+            if s:
                 d[e] = s
+            else:
+                d.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "coeffs", d)
         return out
@@ -614,15 +610,15 @@ class LaurentPoly:
                     p = c1 * c2
                     cur = d.get(e)
                     s = p if cur is None else cur + p
-                    if _scalar_is_zero(s):
-                        d.pop(e, None)
-                    else:
+                    if s:
                         d[e] = s
+                    else:
+                        d.pop(e, None)
             out = LaurentPoly.__new__(LaurentPoly)
             object.__setattr__(out, "coeffs", d)
             return out
         if isinstance(other, (int, Fraction, Cyclo)):
-            if _scalar_is_zero(other):
+            if not other:
                 return LaurentPoly.zero()
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
         return NotImplemented
@@ -650,7 +646,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction, Cyclo)):
-            if _scalar_is_zero(other):
+            if not other:
                 return not self.coeffs
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -664,11 +660,11 @@ class LaurentPoly:
         inv = None
         for e, c in self.coeffs.items():
             if e >= 0:
-                term = c * _scalar_pow(value, e)
+                term = c * value ** e
             else:
                 if inv is None:
                     inv = _scalar_invert(value)
-                term = c * _scalar_pow(inv, -e)
+                term = c * inv ** -e
             acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)
 
@@ -692,22 +688,6 @@ def _as_laurent(x) -> Optional[LaurentPoly]:
     if isinstance(x, (int, Fraction, Cyclo)):
         return LaurentPoly({0: x})
     return None
-
-
-def _scalar_pow(v, e: int):
-    if isinstance(v, (Fraction, Cyclo, int, float, complex)):
-        return v ** e
-    raise TypeError(f"cannot exponentiate {type(v).__name__}")
-
-
-def _scalar_invert(v):
-    if isinstance(v, Cyclo):
-        return v.inverse()
-    if isinstance(v, (int, Fraction)):
-        return Fraction(1) / Fraction(v)
-    if isinstance(v, (float, complex)):
-        return 1 / v
-    raise TypeError(f"cannot invert {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +791,21 @@ class Jet:
         return f"Jet({self.val!s}, dt={self.dt!s})"
 
 
+def _scalar_invert(v):
+    """Inverse of an exact scalar: a rational, Cyclo, Jet or monomial LaurentPoly.
+
+    Raises ZeroDivisionError on zero and ValueError on a Laurent polynomial
+    with more than one term.
+    """
+    if isinstance(v, (int, Fraction)):
+        return 1 / Fraction(v)
+    if isinstance(v, (Cyclo, Jet)):
+        return v.inverse()
+    if isinstance(v, LaurentPoly):
+        return v ** -1
+    raise TypeError(f"cannot invert {type(v).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # quantum integers and the module-level operations
 # ---------------------------------------------------------------------------
@@ -881,6 +876,6 @@ def exact_div(p: LaurentPoly, root) -> LaurentPoly:
     for k in range(len(dense) - 2, -1, -1):
         quot[k] = carry
         carry = dense[k] + root * carry
-    if not _scalar_is_zero(carry):
+    if carry:
         raise ExactDivisionError("polynomial does not vanish at the given root")
     return LaurentPoly({lo + k: c for k, c in enumerate(quot)})

@@ -2,10 +2,10 @@
 
 Elements are finite maps from exponent pairs (alpha, beta) to scalars of the
 ambient coefficient domain; every operation returns a normal form with all
-x-factors to the left of all d-factors.  Four coefficient domains are
-supported: Laurent polynomials in t (the generic algebra), cyclotomic numbers
-at a fixed primitive root of unity, first-order expansions around such a root
-(for divided differences), and complex floats.
+x-factors to the left of all d-factors.  Three coefficient domains are
+supported, all exact: Laurent polynomials in t (the generic algebra),
+cyclotomic numbers at a fixed primitive root of unity, and first-order
+expansions around such a root (for divided differences).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
 SYMBOLIC = "t"
 ROOT = "root"
 JET = "jet"
-NUMERIC = "numeric"
 
 
 class ContextMismatchError(ValueError):
@@ -63,14 +62,13 @@ class AlgebraContext:
         "kind",
         "level",
         "qpow",
-        "numeric_q",
         "_tpow_cache",
         "_qint_cache",
         "_exp_cache",
     )
 
     def __init__(self, n: int, kind: str, level: Optional[int] = None,
-                 qpow: int = 1, numeric_q: Optional[complex] = None):
+                 qpow: int = 1):
         if n < 1:
             raise ValueError("need at least one generator pair")
         if kind in (ROOT, JET):
@@ -79,17 +77,12 @@ class AlgebraContext:
             if math.gcd(qpow % level if level > 1 else 1, level) != 1:
                 raise ValueError("qpow must be coprime to the level")
             qpow = qpow % level if level > 1 else 0
-        elif kind == NUMERIC:
-            if numeric_q is None:
-                raise ValueError("numeric contexts need the deformation value q")
-            numeric_q = complex(numeric_q)
         elif kind != SYMBOLIC:
             raise ValueError(f"unknown context kind {kind!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "qpow", qpow)
-        object.__setattr__(self, "numeric_q", numeric_q)
         object.__setattr__(self, "_tpow_cache", {})
         object.__setattr__(self, "_qint_cache", {})
         object.__setattr__(self, "_exp_cache", {})
@@ -117,14 +110,10 @@ class AlgebraContext:
         """Coefficients carry value and first divided difference at t = q."""
         return cls._interned(n, JET, level=level, qpow=qpow)
 
-    @classmethod
-    def numeric(cls, n: int, q: complex) -> "AlgebraContext":
-        return cls._interned(n, NUMERIC, numeric_q=q)
-
     # identity --------------------------------------------------------------
 
     def _key(self):
-        return (self.n, self.kind, self.level, self.qpow, self.numeric_q)
+        return (self.n, self.kind, self.level, self.qpow)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraContext) and self._key() == other._key()
@@ -137,9 +126,7 @@ class AlgebraContext:
             return f"AlgebraContext(n={self.n}, symbolic t)"
         if self.kind == ROOT:
             return f"AlgebraContext(n={self.n}, q=zeta_{self.level}^{self.qpow})"
-        if self.kind == JET:
-            return f"AlgebraContext(n={self.n}, first order at zeta_{self.level}^{self.qpow})"
-        return f"AlgebraContext(n={self.n}, numeric q={self.numeric_q})"
+        return f"AlgebraContext(n={self.n}, first order at zeta_{self.level}^{self.qpow})"
 
     @property
     def is_symbolic(self) -> bool:
@@ -147,7 +134,7 @@ class AlgebraContext:
 
     @property
     def is_specialized(self) -> bool:
-        return self.kind in (ROOT, NUMERIC)
+        return self.kind == ROOT
 
     @property
     def q(self):
@@ -156,8 +143,6 @@ class AlgebraContext:
             return Cyclo.zeta(self.level, self.qpow)
         if self.kind == JET:
             return Jet(Cyclo.zeta(self.level, self.qpow), Cyclo.zero(self.level))
-        if self.kind == NUMERIC:
-            return self.numeric_q
         raise ValueError("symbolic contexts have no fixed q")
 
     # scalar domain ----------------------------------------------------------
@@ -179,20 +164,13 @@ class AlgebraContext:
                 return x
             if isinstance(x, (int, Fraction)):
                 return Cyclo.from_rational(self.level, x)
-        elif self.kind == JET:
+        else:
             if isinstance(x, Jet):
                 return x
             if isinstance(x, Cyclo):
                 return Jet(x, Cyclo.zero(self.level))
             if isinstance(x, (int, Fraction)):
                 return Jet(Cyclo.from_rational(self.level, x), Cyclo.zero(self.level))
-        else:
-            if isinstance(x, (int, float, complex)):
-                return complex(x)
-            if isinstance(x, Fraction):
-                return complex(x)
-            if isinstance(x, Cyclo):
-                return x.embed()
         raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
 
     def one_scalar(self):
@@ -207,13 +185,11 @@ class AlgebraContext:
             val = LaurentPoly.t_power(e)
         elif self.kind == ROOT:
             val = Cyclo.zeta(self.level, (e * self.qpow) % self.level)
-        elif self.kind == JET:
+        else:
             lv = self.level
             zeta_e = Cyclo.zeta(lv, (e * self.qpow) % lv)
             zeta_prev = Cyclo.zeta(lv, ((e - 1) * self.qpow) % lv)
             val = Jet(zeta_e, e * zeta_prev)
-        else:
-            val = self.numeric_q ** e
         self._tpow_cache[e] = val
         return val
 
@@ -224,13 +200,11 @@ class AlgebraContext:
             return got
         if self.kind == SYMBOLIC:
             val = _qint_poly(m)
-        elif self.kind in (ROOT, JET):
+        else:
             acc = self.scalar(0)
             for j in range(m):
                 acc = acc + self.t_power(j)
             val = acc
-        else:
-            val = sum(self.numeric_q ** j for j in range(m)) if m else 0j
         self._qint_cache[m] = val
         return val
 

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qweyl.cli import run
 
@@ -146,6 +152,42 @@ def test_validate_invalid_map(tmp_path, capsys):
     assert blob["violations"][0]["residual"] == "(1 - t)*x1^2"
 
 
+_GOOD = {"n": 1, "param": "t", "images_x": ["x1"], "images_d": ["d1"]}
+
+
+@pytest.mark.parametrize("command", ["validate", "hat"])
+@pytest.mark.parametrize("descriptor, field", [
+    ({"n": 1}, "images_x"),
+    ([1], "object"),
+    (None, "object"),
+    ({**_GOOD, "param": {"q": 3}}, "param"),
+    ({**_GOOD, "param": {"l": 0}}, "param"),
+    ({**_GOOD, "param": "s"}, "param"),
+    ({k: v for k, v in _GOOD.items() if k != "n"}, "'n'"),
+    ({**_GOOD, "n": "1"}, "'n'"),
+    ({**_GOOD, "n": True}, "'n'"),
+    ({**_GOOD, "n": 0}, "'n'"),
+    ({**_GOOD, "images_d": "d1"}, "images_d"),
+    ({**_GOOD, "images_x": [1]}, "images_x"),
+    ({**_GOOD, "n": 2}, "images_x"),
+])
+def test_malformed_descriptor_is_exit_2(tmp_path, capsys, command, descriptor, field):
+    path = tmp_path / "endo.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = _capture(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: descriptor") and field in err
+
+
+def test_deeply_nested_descriptor_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "endo.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = _capture(capsys, ["validate", str(path)])
+    assert code == 2
+    assert out == "" and "nested too deeply" in err
+
+
 def test_transport(capsys):
     code, out, _ = _capture(
         capsys, ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,7,11,13,17,19,23"]
@@ -168,3 +210,102 @@ def test_sweep_single_criterion(capsys):
     code, out, _ = _capture(capsys, ["sweep", "--only", "1"])
     assert code == 0
     assert "[PASS]" in out and "pbw-ring-axioms" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input exits 0, 1 or 2 and no exception escapes
+# ---------------------------------------------------------------------------
+
+_WEYL_ATOMS = ["x1", "d1", "x2", "d2", "t", "q", "f", "f1", "0", "1", "2", "1/2"]
+_CENTER_ATOMS = ["r1", "s1", "r2", "s2", "0", "1", "2", "1/2"]
+
+
+def _expressions(atoms):
+    """Well-formed sums of products and small powers, which reach the algebra,
+    mixed with token soup, which tests the parser's errors."""
+    factor = st.one_of(
+        st.sampled_from(atoms),
+        st.tuples(st.sampled_from(atoms), st.sampled_from(["2", "3", "-1"])).map("^".join),
+    )
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    signed = st.tuples(st.sampled_from([" + ", " - "]), term).map("".join)
+    total = st.tuples(term, st.lists(signed, max_size=2).map("".join)).map("".join)
+    power = st.tuples(st.lists(st.sampled_from(atoms), min_size=1, max_size=3),
+                      st.integers(0, 3)).map(lambda p: f"({' + '.join(p[0])})^{p[1]}")
+    soup = st.lists(st.sampled_from(atoms + ["(", ")", "+", "-", "*", "^", ".", "%"]),
+                    max_size=8).map(" ".join)
+    return st.one_of(total, power, soup)
+
+
+_EXPR = _expressions(_WEYL_ATOMS)
+_CENTER = _expressions(_CENTER_ATOMS)
+_SCALAR = st.one_of(_expressions(["q", "t", "0", "1", "2", "1/2"]), st.sampled_from(["0.5", "-1.5"]))
+_N = st.sampled_from(["1", "2", "0"])
+_L = st.integers(0, 7).map(str)
+_PRIMES = st.sampled_from(["3,5,7", "3,5,7,11", "3,5", "5,3,7", "2,3,5", "4,6,8", "3,x", ""])
+_POINT = st.lists(_SCALAR, min_size=1, max_size=2).map(",".join)
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), _EXPR)
+_VALID_DESCRIPTORS = [
+    {"n": 1, "param": "t", "images_x": ["x1"], "images_d": ["d1"]},
+    {"n": 1, "param": "t", "images_x": ["x1"], "images_d": ["d1 + x1^2 + (-1 + t)*x1^3*d1"]},
+    {"n": 1, "param": {"l": 5}, "images_x": ["x1"], "images_d": ["d1 + 1"]},
+    {"n": 2, "param": "t", "images_x": ["x2", "x1"], "images_d": ["d2", "d1"]},
+]
+_DESCRIPTOR = st.one_of(
+    st.sampled_from(_VALID_DESCRIPTORS),
+    st.fixed_dictionaries({}, optional={
+        "n": st.one_of(st.integers(-1, 2), _JSON_LEAF),
+        "param": st.one_of(st.just("t"), st.fixed_dictionaries({"l": st.integers(-1, 7)}),
+                           st.fixed_dictionaries({"q": st.integers(0, 3)}), _JSON_LEAF),
+        "images_x": st.one_of(st.lists(_EXPR, max_size=2), _JSON_LEAF),
+        "images_d": st.one_of(st.lists(_EXPR, max_size=2), _JSON_LEAF),
+    }),
+    _JSON_LEAF,
+    st.lists(_JSON_LEAF, max_size=2),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+# hat and transport always get a short schedule, and sweep only a selection
+# that runs no criterion, so every example stays well under a second.
+_ARGV = st.one_of(
+    st.tuples(st.just(["normalize", "--n"]), _N, _opt("--l", _L), _EXPR),
+    st.tuples(st.just(["qcomm", "--n"]), _N, _opt("--l", _L), _EXPR, _EXPR),
+    st.tuples(st.just(["poisson", "--n"]), _N, st.just("--l"), _L,
+              *[st.one_of(_EXPR, _CENTER)] * 2),
+    st.tuples(st.just(["center-check", "--n"]), _N, st.just("--l"), _L, _EXPR),
+    st.tuples(st.just(["azumaya", "--l"]), _L, st.just("--a"), _POINT, st.just("--b"), _POINT,
+              st.sampled_from([[], ["--burnside"]])),
+    st.tuples(st.just(["rep", "--l"]), _L, st.just("--a"), _SCALAR, st.just("--b"), _SCALAR),
+    st.tuples(st.just(["lift", "--kind"]), st.sampled_from(["phi", "psi", "chi"]),
+              st.just("--poly"), _EXPR),
+    st.tuples(st.just(["validate", "{file}"])),
+    st.tuples(st.just(["hat", "{file}", "--primes"]), _PRIMES, _opt("--poly", _CENTER)),
+    st.tuples(st.just(["transport", "--n"]), _N, _CENTER, _CENTER, st.just("--primes"), _PRIMES),
+    st.tuples(st.just(["sweep", "--only"]), st.sampled_from(["0", "99", "x"])),
+)
+
+
+def _flatten(parts):
+    out = []
+    for part in parts:
+        out.extend(part if isinstance(part, list) else [part])
+    return out
+
+
+@given(_ARGV, st.one_of(_DESCRIPTOR.map(json.dumps), st.text(max_size=8)))
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_codes_on_random_input(tmp_path, parts, descriptor):
+    path = tmp_path / "endo.json"
+    path.write_text(descriptor)
+    argv = [str(path) if a == "{file}" else a for a in _flatten(parts)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue(), argv

@@ -84,13 +84,18 @@ def test_parse_errors_carry_positions(sym1):
     with pytest.raises(ParseError):
         parse_weyl("f^-1", sym1)  # f is not invertible
     with pytest.raises(ParseError):
-        parse_weyl("0.5*x1", sym1)  # floats need a numeric context
+        parse_weyl("0.5*x1", sym1)  # there are no float literals
 
 
-def test_float_literals_in_numeric_context():
-    ctx = AlgebraContext.numeric(1, 0.5 + 0j)
-    e = parse_weyl("0.5*x1", ctx)
-    assert e == ctx.monomial((1,), (0,), 0.5)
+def test_nesting_is_bounded(sym1):
+    assert parse_weyl("(" * 50 + "x1" + ")" * 50, sym1) == sym1.x(1)
+    assert parse_weyl("- " * 50 + "x1", sym1) == sym1.x(1)
+    for src in ("(" * 51 + "x1" + ")" * 51, "-" * 51 + "x1", "(" * 5000 + "x1"):
+        with pytest.raises(ParseError) as err:
+            parse_weyl(src, sym1)
+        assert err.value.position == 50
+    with pytest.raises(ParseError):
+        parse_center("(" * 5000 + "r1", 1)
 
 
 def test_operand_order_matters():
@@ -171,6 +176,30 @@ def test_roundtrip_center(rng):
                 coeffs[(a, b)] = c
         p = CenterPoly(n, coeffs)
         assert parse_center(print_center(p), n) == p
+
+
+def _many_exponent_pairs():
+    """1600 distinct exponent pairs for n = 2: more terms than Python's
+    default recursion limit, so a parser that nests once per term fails."""
+    return [((a, b), (c, d)) for a in range(5) for b in range(8)
+            for c in range(8) for d in range(5)]
+
+
+def test_roundtrip_many_terms(sym2):
+    terms = {}
+    for k, key in enumerate(_many_exponent_pairs(), 1):
+        c = Fraction((-1) ** k * k, 1 + k % 3)
+        terms[key] = LaurentPoly({0: c, k % 4 - 1: 1}) if k % 5 == 0 else c
+    e = sym2.from_terms(terms)
+    assert len(e.terms) >= 1500
+    assert parse_weyl(print_weyl(e), sym2) == e
+
+
+def test_roundtrip_center_many_terms():
+    p = CenterPoly(2, {key: Fraction(k, 1 + k % 7)
+                       for k, key in enumerate(_many_exponent_pairs(), 1)})
+    assert len(p.coeffs) >= 1500
+    assert parse_center(print_center(p), 2) == p
 
 
 # ---------------------------------------------------------------------------

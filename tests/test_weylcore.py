@@ -361,15 +361,3 @@ def test_ring_axioms_with_cyclotomic_coefficients(rng):
             a, b, c = rand(), rand(), rand()
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
             assert mul(a, b + c) == mul(a, b) + mul(a, c)
-
-
-def test_numeric_context_relation():
-    import cmath
-
-    q = cmath.exp(2j * cmath.pi / 7)
-    ctx = AlgebraContext.numeric(1, q)
-    rel = q_commutator(ctx.d(1), ctx.x(1)) - ctx.one()
-    assert all(abs(c) < 1e-12 for c in rel.terms.values()) or not rel
-    prod = mul(ctx.d(1), ctx.monomial((2,), (0,)))
-    got = prod.terms[((1,), (0,))]
-    assert abs(got - (1 + q)) < 1e-12
