@@ -5,15 +5,17 @@ automorphisms of the classical algebra.
 
 from __future__ import annotations
 
-import os
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .weylcore import (
+    DEFAULT_DEGREE_LIMIT,
     ROOT,
     SYMBOLIC,
     AlgebraContext,
     ContextMismatchError,
+    DegreeLimitExceeded,
     WeylElement,
+    _degree_limit,
     bernstein_degree,
     f_element,
     mul,
@@ -36,15 +38,8 @@ __all__ = [
     "specialize_endomorphism",
 ]
 
-DEFAULT_DEGREE_LIMIT = 512
-
-
 class UnvalidatedError(ValueError):
     """Application of an endomorphism whose relation certificate is missing."""
-
-
-class DegreeLimitExceeded(ValueError):
-    """Substitution would exceed the configured Bernstein-degree guard."""
 
 
 class Endomorphism:
@@ -139,18 +134,6 @@ def identity_endomorphism(ctx: AlgebraContext) -> Endomorphism:
     xs = [ctx.x(i) for i in range(1, ctx.n + 1)]
     ds = [ctx.d(i) for i in range(1, ctx.n + 1)]
     return Endomorphism(ctx, xs, ds, True, ())
-
-
-def _degree_limit(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QWEYL_MAX_DEGREE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_DEGREE_LIMIT
 
 
 def apply_endo(e: Endomorphism, a: WeylElement,

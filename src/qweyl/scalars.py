@@ -133,8 +133,9 @@ def _reduce_vec(vec: List[int], data: _LevelData) -> List[int]:
     """Reduce an integer coefficient vector mod Phi_level, in place."""
     level, d = data.level, data.degree
     if len(vec) > level:
-        # z^level = 1 holds mod every cyclotomic polynomial of that level
-        for idx in range(level, len(vec)):
+        # z^level = 1 holds mod every cyclotomic polynomial of that level;
+        # folding from the top lets entries past 2*level fold twice
+        for idx in range(len(vec) - 1, level - 1, -1):
             vec[idx - level] += vec[idx]
         del vec[level:]
     for idx in range(len(vec) - 1, d - 1, -1):
@@ -510,7 +511,11 @@ class LaurentPoly:
     """Sparse Laurent polynomial in the single deformation variable t.
 
     Coefficients are rationals or cyclotomic elements; exponents may be
-    negative.  Zero coefficients are never stored.
+    negative.  Zero coefficients are never stored.  Integral rationals are
+    stored as Python ints and Fraction holds only non-integral ones, so
+    integer sums and products stay in fast int arithmetic.  An int equals
+    and hashes like the Fraction of the same value, so equality and hashing
+    do not depend on which of the two a coefficient is.
     """
 
     __slots__ = ("coeffs",)
@@ -519,8 +524,8 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if isinstance(c, int):
-                    c = Fraction(c)
+                if isinstance(c, Fraction) and c.denominator == 1:
+                    c = c.numerator
                 if c:
                     d[int(e)] = c
         object.__setattr__(self, "coeffs", d)
@@ -553,7 +558,7 @@ class LaurentPoly:
         return not self.coeffs or set(self.coeffs) == {0}
 
     def constant_value(self):
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeffs.get(0, 0)
 
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
@@ -869,7 +874,7 @@ def exact_div(p: LaurentPoly, root) -> LaurentPoly:
         return LaurentPoly.zero()
     lo = p.min_exponent()
     hi = p.max_exponent()
-    dense = [p.coeffs.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+    dense = [p.coeffs.get(e, 0) for e in range(lo, hi + 1)]
     # synthetic division of sum dense[k] t^k by (t - root)
     quot = [None] * (len(dense) - 1)
     carry = dense[-1]

@@ -10,6 +10,7 @@ expansions around such a root (for divided differences).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,6 +28,8 @@ __all__ = [
     "AlgebraContext",
     "WeylElement",
     "ContextMismatchError",
+    "DegreeLimitExceeded",
+    "DEFAULT_DEGREE_LIMIT",
     "mul",
     "power",
     "commutator",
@@ -45,8 +48,27 @@ ROOT = "root"
 JET = "jet"
 
 
+DEFAULT_DEGREE_LIMIT = 512
+
+
 class ContextMismatchError(ValueError):
     """Operands live in different algebras."""
+
+
+class DegreeLimitExceeded(ValueError):
+    """A power or substitution would exceed the Bernstein-degree guard."""
+
+
+def _degree_limit(explicit: Optional[int]) -> int:
+    if explicit is not None:
+        return explicit
+    env = os.environ.get("QWEYL_MAX_DEGREE")
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            pass
+    return DEFAULT_DEGREE_LIMIT
 
 
 class AlgebraContext:
@@ -153,7 +175,7 @@ class AlgebraContext:
             if isinstance(x, LaurentPoly):
                 return x
             if isinstance(x, (int, Fraction)):
-                return LaurentPoly.constant(Fraction(x))
+                return LaurentPoly.constant(x)
         elif self.kind == ROOT:
             if isinstance(x, Cyclo):
                 if x.level != self.level:
@@ -461,12 +483,21 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 def power(a: WeylElement, k: int) -> WeylElement:
     """k-th power; a**0 = 1.
 
-    Bases with more than two terms are raised by sequential multiplication,
-    which keeps the small factor on the right of every product; binary
-    powering would square mid-sized intermediates and swell the rewrite.
+    Refuses, before any work, a power whose Bernstein degree k*deg(a)
+    would exceed the guard (QWEYL_MAX_DEGREE, default 512).  Bases with
+    more than two terms are raised by sequential multiplication, which
+    keeps the small factor on the right of every product; binary powering
+    would square mid-sized intermediates and swell the rewrite.
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
+    if a.terms:
+        degree = k * bernstein_degree(a)
+        limit = _degree_limit(None)
+        if degree > limit:
+            raise DegreeLimitExceeded(
+                f"power of degree {degree} exceeds the guard {limit}"
+            )
     if k == 0:
         return a.context.one()
     if len(a.terms) <= 2:

@@ -49,6 +49,16 @@ def test_flag_error_is_exit_2(capsys):
     assert code == 2
 
 
+def test_power_over_degree_guard_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("QWEYL_MAX_DEGREE", "20")
+    code, _, err = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^21"])
+    assert code == 2
+    assert "exceeds the guard 20" in err
+    code, out, _ = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^20"])
+    assert code == 0
+    assert out.strip().endswith(" + x1^20")
+
+
 def test_poisson_center_syntax(capsys):
     code, out, _ = _capture(capsys, ["poisson", "--n", "1", "--l", "2", "r1", "s1"])
     assert code == 0

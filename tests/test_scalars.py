@@ -21,6 +21,7 @@ from qweyl.scalars import (
     qint,
     specialize,
 )
+from qweyl.weylcore import AlgebraContext, power
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,24 @@ def test_cyclo_zeta_squares():
     assert Cyclo.zeta(2) == Fraction(-1)
     z4 = Cyclo.zeta(4)
     assert z4 * z4 == Fraction(-1)
+
+
+# ---------------------------------------------------------------------------
+# Laurent coefficient storage
+# ---------------------------------------------------------------------------
+
+
+def test_integral_laurent_coefficients_are_ints():
+    ctx = AlgebraContext.symbolic(1)
+    element = power(3 * ctx.d(1) - 2 * ctx.x(1), 12)
+    types = {type(c) for p in element.terms.values() for c in p.coeffs.values()}
+    assert types == {int}
+    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert type(p.coeffs[0]) is int and p.coeffs[0] == 2
+    assert type(p.coeffs[1]) is Fraction and p.coeffs[1] == Fraction(1, 2)
+    doubled = LaurentPoly({0: Fraction(1, 2)}) * 2
+    assert doubled == LaurentPoly.one()
+    assert hash(doubled) == hash(LaurentPoly.one())
 
 
 # ---------------------------------------------------------------------------

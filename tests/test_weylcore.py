@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from qweyl import (
     AlgebraContext,
     ContextMismatchError,
+    DegreeLimitExceeded,
     LaurentPoly,
     act_on_polynomial,
     bernstein_degree,
@@ -156,6 +158,38 @@ def test_power_matches_repeated_mul(rng):
             for _ in range(3):
                 direct = mul(direct, a)
             assert power(a, 3) == direct
+
+
+@pytest.mark.parametrize("a, b", [
+    (Fraction(1, 2), Fraction(-3, 2)),
+    (2, Fraction(1, 2)),
+    (-3, 1),
+])
+def test_power_at_t_one_matches_closed_form(sym1, a, b):
+    # At t = 1, d x = x d + 1 and (b d + a x)^k has coefficient
+    # k! a^i b^j (ab)^m / (i! j! m! 2^m) at x^i d^j, where i + j + 2m = k.
+    base = b * sym1.d(1) + a * sym1.x(1)
+    for k in range(11):
+        at_one = {key: c.evaluate(1) for key, c in power(base, k).terms.items()}
+        got = {key: v for key, v in at_one.items() if v}
+        expected = {}
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                m, odd = divmod(k - i - j, 2)
+                if not odd:
+                    num = Fraction(factorial(k) * a ** i * b ** j * (a * b) ** m)
+                    den = factorial(i) * factorial(j) * factorial(m) * 2 ** m
+                    expected[((i,), (j,))] = num / den
+        assert got == expected
+
+
+def test_power_degree_guard(sym1, monkeypatch):
+    monkeypatch.setenv("QWEYL_MAX_DEGREE", "20")
+    base = sym1.d(1) + sym1.x(1)
+    with pytest.raises(DegreeLimitExceeded):
+        power(base, 21)
+    assert bernstein_degree(power(base, 20)) == 20
+    assert power(sym1.zero(), 21) == sym1.zero()  # zero has no degree
 
 
 # ---------------------------------------------------------------------------
