@@ -15,8 +15,6 @@ from .scalars import (
     ExactDivisionError,
     cyclotomic_polynomial,
     embed,
-    exact_div,
-    qfact,
     qint,
     specialize,
 )

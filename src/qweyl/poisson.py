@@ -11,10 +11,12 @@ same way.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .center import CenterPoly, NotCentralError, is_central, theta, theta_inverse
-from .scalars import Cyclo, Jet, exact_div, qint, specialize
+from .scalars import Cyclo, Jet
 from .weylcore import JET, ROOT, AlgebraContext, WeylElement, mul
 
 __all__ = [
@@ -34,12 +36,12 @@ class DivisionFailureError(ArithmeticError):
 
 
 class PoissonContext:
-    """Caches the bracket normalizer lambda_q for a fixed root of unity.
+    """Caches the bracket normalizer lambda_q for a fixed primitive l-th root q.
 
-    lambda_q = 1 / (h(q) * [l-1]_q!) with h = [l]_t / (t - q); the quantum
-    integer [l]_t has q as a simple root and no other factor of [l]_t!
-    vanishes there, so this realizes the removable singularity of
-    (t - q) / [l]_t! exactly.
+    lambda_q is the value at t = q of the removable singularity of
+    (t - q) / [l]_t!, in closed form
+        lambda_q = -q (1-q)^l / l^2,
+    which follows from prod_{k<l} (1 - q^k) = l and [l]'(q) = l / (q (q-1)).
     """
 
     __slots__ = ("level", "qpow", "q", "lam")
@@ -47,13 +49,10 @@ class PoissonContext:
     def __init__(self, level: int, qpow: int = 1):
         if level < 2:
             raise ValueError("the bracket needs level >= 2")
+        if math.gcd(qpow % level, level) != 1:
+            raise ValueError("qpow must be coprime to the level")
         q = Cyclo.zeta(level, qpow)
-        h = exact_div(qint(level), q)
-        hq = h.evaluate(q)
-        fact = Cyclo.one(level)
-        for k in range(1, level):
-            fact = fact * specialize(qint(k), level, qpow)
-        lam = (hq * fact).inverse()
+        lam = -q * (1 - q) ** level * Fraction(1, level * level)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "qpow", qpow % level)
         object.__setattr__(self, "q", q)

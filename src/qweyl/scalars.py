@@ -21,10 +21,8 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "qint",
-    "qfact",
     "specialize",
     "embed",
-    "exact_div",
 ]
 
 Rational = Fraction
@@ -823,16 +821,6 @@ def qint(m: int) -> LaurentPoly:
     return LaurentPoly({j: 1 for j in range(m)})
 
 
-def qfact(m: int) -> LaurentPoly:
-    """Product of the quantum integers 1..m; one for m = 0."""
-    if m < 0:
-        raise ValueError("quantum factorials are defined for m >= 0")
-    out = LaurentPoly.one()
-    for k in range(2, m + 1):
-        out = out * qint(k)
-    return out if m >= 1 else LaurentPoly.one()
-
-
 def specialize(p: LaurentPoly, level: int, qpow: int = 1) -> Cyclo:
     """Evaluate a Laurent polynomial at the chosen primitive root of unity.
 
@@ -861,26 +849,3 @@ def embed(value) -> complex:
     if isinstance(value, (float, complex)):
         return complex(value)
     raise TypeError(f"cannot embed {type(value).__name__}")
-
-
-def exact_div(p: LaurentPoly, root) -> LaurentPoly:
-    """Exact quotient p / (t - root); raises unless p vanishes at root.
-
-    root must be an invertible scalar (a root of unity in practice), so the
-    Laurent case reduces to ordinary synthetic division after factoring out
-    the lowest power of t.
-    """
-    if not p:
-        return LaurentPoly.zero()
-    lo = p.min_exponent()
-    hi = p.max_exponent()
-    dense = [p.coeffs.get(e, 0) for e in range(lo, hi + 1)]
-    # synthetic division of sum dense[k] t^k by (t - root)
-    quot = [None] * (len(dense) - 1)
-    carry = dense[-1]
-    for k in range(len(dense) - 2, -1, -1):
-        quot[k] = carry
-        carry = dense[k] + root * carry
-    if carry:
-        raise ExactDivisionError("polynomial does not vanish at the given root")
-    return LaurentPoly({lo + k: c for k, c in enumerate(quot)})

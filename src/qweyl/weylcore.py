@@ -63,12 +63,15 @@ def _degree_limit(explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("QWEYL_MAX_DEGREE")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_DEGREE_LIMIT
+    if not env:
+        return DEFAULT_DEGREE_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"QWEYL_MAX_DEGREE must be a non-negative integer, not {env!r}")
+    return limit
 
 
 class AlgebraContext:
@@ -87,6 +90,7 @@ class AlgebraContext:
         "_tpow_cache",
         "_qint_cache",
         "_exp_cache",
+        "_binom_rows",
     )
 
     def __init__(self, n: int, kind: str, level: Optional[int] = None,
@@ -108,6 +112,7 @@ class AlgebraContext:
         object.__setattr__(self, "_tpow_cache", {})
         object.__setattr__(self, "_qint_cache", {})
         object.__setattr__(self, "_exp_cache", {})
+        object.__setattr__(self, "_binom_rows", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraContext is immutable")
@@ -266,40 +271,40 @@ class AlgebraContext:
     def _pair_expansion(self, k: int, m: int):
         """Coefficients C_j with  d^k * x^m = sum_j C_j x^(m-j) d^(k-j).
 
-        Built by iterating the single-d closed form over the d-exponent;
-        rows are memoized per context.  Entry j may be exactly zero at a
-        root of unity, in which case it is stored but skipped by callers.
+        q-binomial normal ordering (Kac-Cheung, Quantum Calculus, 2002):
+            C_j = [k choose j]_t [m]_t [m-1]_t ... [m-j+1]_t t^((k-j)(m-j)).
+        Only sums and products are taken, so nothing is divided by a quantum
+        integer that may vanish at the root.  Rows are memoized per context;
+        entry j may be exactly zero at a root of unity, in which case it is
+        stored but skipped by callers.
         """
-        cache = self._exp_cache
-        got = cache.get((k, m))
+        got = self._exp_cache.get((k, m))
         if got is not None:
             return got
-        one = self.one_scalar()
-        for mm in range(m + 1):
-            if (0, mm) not in cache:
-                cache[(0, mm)] = (one,)
-        for kk in range(k + 1):
-            if (kk, 0) not in cache:
-                cache[(kk, 0)] = (one,)
-        for kk in range(1, k + 1):
-            for mm in range(1, m + 1):
-                if (kk, mm) in cache:
-                    continue
-                qm = self.qint(mm)
-                tm = self.t_power(mm)
-                down = cache[(kk - 1, mm - 1)]
-                same = cache[(kk - 1, mm)]
-                row = []
-                for j in range(min(kk, mm) + 1):
-                    acc = None
-                    if j < len(same):
-                        acc = tm * same[j]
-                    if 1 <= j <= len(down):
-                        term = qm * down[j - 1]
-                        acc = term if acc is None else acc + term
-                    row.append(acc if acc is not None else self.scalar(0))
-                cache[(kk, mm)] = tuple(row)
-        return cache[(k, m)]
+        binom = self._gauss_binomials(k)
+        falling = self.one_scalar()
+        row = []
+        for j in range(min(k, m) + 1):
+            if j:
+                falling = falling * self.qint(m - j + 1)
+            row.append(binom[j] * falling * self.t_power((k - j) * (m - j)))
+        row = self._exp_cache[(k, m)] = tuple(row)
+        return row
+
+    def _gauss_binomials(self, k: int):
+        """Row ([k choose j]_t for j = 0..k), memoized.
+
+        q-Pascal rule: [n choose j] = [n-1 choose j-1] + t^j [n-1 choose j].
+        """
+        rows = self._binom_rows
+        if not rows:
+            rows.append((self.one_scalar(),))
+        while len(rows) <= k:
+            prev = rows[-1]
+            inner = tuple(prev[j - 1] + self.t_power(j) * prev[j]
+                          for j in range(1, len(prev)))
+            rows.append((prev[0],) + inner + (prev[0],))
+        return rows[k]
 
 
 _CONTEXTS: Dict[tuple, "AlgebraContext"] = {}

@@ -59,6 +59,15 @@ def test_power_over_degree_guard_is_exit_2(capsys, monkeypatch):
     assert out.strip().endswith(" + x1^20")
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_degree_guard_is_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("QWEYL_MAX_DEGREE", value)
+    code, out, err = _capture(capsys, ["normalize", "--n", "1", "x1^0"])
+    assert code == 2
+    assert not out
+    assert "QWEYL_MAX_DEGREE must be a non-negative integer" in err
+
+
 def test_poisson_center_syntax(capsys):
     code, out, _ = _capture(capsys, ["poisson", "--n", "1", "--l", "2", "r1", "s1"])
     assert code == 0

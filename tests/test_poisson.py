@@ -8,7 +8,9 @@ from qweyl import (
     CenterPoly,
     Cyclo,
     DivisionFailureError,
+    ExactDivisionError,
     Jet,
+    LaurentPoly,
     NotCentralError,
     PoissonContext,
     bracket_of_lifts,
@@ -64,6 +66,24 @@ def test_lambda_is_always_nonzero():
         assert PoissonContext(level).lam
 
 
+def test_lambda_matches_division_route():
+    # lambda_q = 1 / (h(q) [l-1]_q!) with h = [l]_t / (t - q), divided exactly
+    cases = [(level, qpow) for level in (2, 3, 5, 6, 12, 23, 31) for qpow in (1, level - 1)]
+    for level, qpow in cases + [(5, 2), (7, 3)]:
+        q = Cyclo.zeta(level, qpow)
+        hq = exact_div(qint(level), q).evaluate(q)
+        fact = Cyclo.one(level)
+        for k in range(1, level):
+            fact = fact * specialize(qint(k), level, qpow)
+        assert PoissonContext(level, qpow).lam == (hq * fact).inverse()
+
+
+@pytest.mark.parametrize("level, qpow", [(6, 2), (4, 2), (5, 0), (5, 5)])
+def test_non_primitive_root_is_rejected(level, qpow):
+    with pytest.raises(ValueError, match="coprime"):
+        PoissonContext(level, qpow)
+
+
 # ---------------------------------------------------------------------------
 # lifts
 # ---------------------------------------------------------------------------
@@ -93,7 +113,8 @@ def test_lift_examples():
 
 
 def test_bracket_closed_form_all_levels():
-    for level in range(2, 13):
+    # 2..12, then every prime level of the transport schedule above 11
+    for level in (*range(2, 13), 13, 17, 19, 23, 29, 31):
         ctx = AlgebraContext.root_of_unity(1, level)
         br = poisson_bracket(ctx.monomial((0,), (level,)), ctx.monomial((level,), (0,)))
         expected = ctx.one() + ctx.monomial((level,), (level,), _sr_coefficient(level))
@@ -242,8 +263,67 @@ def test_transported_bracket_trivial_pairs():
 # ---------------------------------------------------------------------------
 
 
+def exact_div(p, root):
+    """Exact quotient p / (t - root) of a LaurentPoly; raises unless p vanishes at root.
+
+    root must be invertible (a root of unity here), so the Laurent case is
+    ordinary synthetic division after factoring out the lowest power of t.
+    """
+    if not p:
+        return LaurentPoly.zero()
+    lo = p.min_exponent()
+    dense = [p.coeffs.get(e, 0) for e in range(lo, p.max_exponent() + 1)]
+    quot = [None] * (len(dense) - 1)
+    carry = dense[-1]
+    for k in range(len(dense) - 2, -1, -1):
+        quot[k] = carry
+        carry = dense[k] + root * carry
+    if carry:
+        raise ExactDivisionError("polynomial does not vanish at the given root")
+    return LaurentPoly({lo + k: c for k, c in enumerate(quot)})
+
+
+def test_exact_div_simple_factorization():
+    p = LaurentPoly({2: 1, 0: -1})  # t^2 - 1
+    root = Cyclo.zeta(2)            # -1
+    assert exact_div(p, root) == LaurentPoly({1: 1, 0: -1})
+
+
+def test_exact_div_of_quantum_integer():
+    for level in range(2, 10):
+        z = Cyclo.zeta(level)
+        h = exact_div(qint(level), z)
+        assert h.evaluate(z)  # the root is simple
+
+
+def test_exact_div_zero_and_errors():
+    assert exact_div(LaurentPoly.zero(), Cyclo.zeta(3)) == LaurentPoly.zero()
+    with pytest.raises(ExactDivisionError):
+        exact_div(LaurentPoly.one(), Cyclo.zeta(3))
+
+
+def test_exact_div_recomposes():
+    rng = random.Random(19)
+    for level in (2, 3, 5):
+        z = Cyclo.zeta(level)
+        t_minus_z = LaurentPoly({1: Cyclo.one(level), 0: -z})
+        for _ in range(10):
+            g = LaurentPoly({rng.randint(-2, 4): Fraction(rng.randint(-3, 3)) for _ in range(3)})
+            p = g * t_minus_z
+            assert exact_div(p, z) * t_minus_z == p
+
+
+def test_exact_div_laurent_support():
+    # negative exponents: p = t^-1 (t - zeta3) * (t - zeta3)... built directly
+    z = Cyclo.zeta(3)
+    g = LaurentPoly({-2: Cyclo.one(3), 1: z})
+    t_minus_z = LaurentPoly({1: Cyclo.one(3), 0: -z})
+    p = g * t_minus_z
+    assert exact_div(p, z) == g
+
+
 def _bracket_reference(p_center, q_center, level, qpow=1):
-    from qweyl import WeylElement, exact_div, specialize_element
+    from qweyl import WeylElement, specialize_element
     from qweyl.poisson import _poisson_context
 
     n = p_center.n

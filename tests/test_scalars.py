@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from qweyl.scalars import (
     Cyclo,
-    ExactDivisionError,
     Jet,
     LaurentPoly,
     _conv,
     cyclotomic_polynomial,
     embed,
     euler_phi,
-    exact_div,
-    qfact,
     qint,
     specialize,
 )
@@ -141,13 +138,6 @@ def test_qint_small():
     assert qint(3) == LaurentPoly({0: 1, 1: 1, 2: 1})
 
 
-def test_qfact_small():
-    assert qfact(0) == 1
-    assert qfact(2) == LaurentPoly({0: 1, 1: 1})
-    # expanded by hand: (1+t)(1+t+t^2)
-    assert qfact(3) == LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1})
-
-
 def test_qint_telescopes():
     one_minus_t = LaurentPoly({0: 1, 1: -1})
     for m in range(0, 65):
@@ -175,14 +165,6 @@ def test_specialize_is_ring_hom():
             q = LaurentPoly({rng.randint(-3, 6): Fraction(rng.randint(-4, 4)) for _ in range(4)})
             assert specialize(p * q, level) == specialize(p, level) * specialize(q, level)
             assert specialize(p + q, level) == specialize(p, level) + specialize(q, level)
-
-
-def test_specialize_qfact_vanishing():
-    for level in (2, 3, 5, 7, 8):
-        for k in range(1, level):
-            assert specialize(qfact(k), level)
-        for k in range(level, level + 3):
-            assert not specialize(qfact(k), level)
 
 
 def test_specialize_other_primitive_roots():
@@ -263,50 +245,6 @@ def test_embed_error_bound_under_cancellation():
         assert Decimal("1e-31") < size < Decimal("1e-29")
         err = ((Decimal(got.real) - re) ** 2 + (Decimal(got.imag) - im) ** 2).sqrt()
         assert err <= size * Decimal(2) ** -52  # the bound stated by Cyclo.embed
-
-
-# ---------------------------------------------------------------------------
-# exact division by (t - root)
-# ---------------------------------------------------------------------------
-
-
-def test_exact_div_simple_factorization():
-    p = LaurentPoly({2: 1, 0: -1})  # t^2 - 1
-    root = Cyclo.zeta(2)            # -1
-    assert exact_div(p, root) == LaurentPoly({1: 1, 0: -1})
-
-
-def test_exact_div_of_quantum_integer():
-    for level in range(2, 10):
-        z = Cyclo.zeta(level)
-        h = exact_div(qint(level), z)
-        assert h.evaluate(z)  # the root is simple
-
-
-def test_exact_div_zero_and_errors():
-    assert exact_div(LaurentPoly.zero(), Cyclo.zeta(3)) == LaurentPoly.zero()
-    with pytest.raises(ExactDivisionError):
-        exact_div(LaurentPoly.one(), Cyclo.zeta(3))
-
-
-def test_exact_div_recomposes():
-    rng = random.Random(19)
-    for level in (2, 3, 5):
-        z = Cyclo.zeta(level)
-        t_minus_z = LaurentPoly({1: Cyclo.one(level), 0: -z})
-        for _ in range(10):
-            g = LaurentPoly({rng.randint(-2, 4): Fraction(rng.randint(-3, 3)) for _ in range(3)})
-            p = g * t_minus_z
-            assert exact_div(p, z) * t_minus_z == p
-
-
-def test_exact_div_laurent_support():
-    # negative exponents: p = t^-1 (t - zeta3) * (t - zeta3)... built directly
-    z = Cyclo.zeta(3)
-    g = LaurentPoly({-2: Cyclo.one(3), 1: z})
-    t_minus_z = LaurentPoly({1: Cyclo.one(3), 0: -z})
-    p = g * t_minus_z
-    assert exact_div(p, z) == g
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
+from qweyl.weylcore import JET, ROOT, SYMBOLIC
 from conftest import random_element, standard_contexts
 
 
@@ -87,6 +88,38 @@ def test_commutator_with_self_vanishes(sym1):
 
 def test_commutator_gives_f(sym1):
     assert commutator(sym1.d(1), sym1.x(1)) == f_element(sym1)
+
+
+def _recursive_pair_table(ctx, k, m):
+    """Rows (k', m') for k' <= k, m' <= m by peeling one d at a time:
+    d^k' x^m' = t^m' (d^(k'-1) x^m') d + [m'] d^(k'-1) x^(m'-1)."""
+    one = ctx.one_scalar()
+    table = {(0, mm): (one,) for mm in range(m + 1)}
+    table.update({(kk, 0): (one,) for kk in range(k + 1)})
+    for kk in range(1, k + 1):
+        for mm in range(1, m + 1):
+            same, down = table[(kk - 1, mm)], table[(kk - 1, mm - 1)]
+            row = []
+            for j in range(min(kk, mm) + 1):
+                acc = ctx.scalar(0)
+                if j < len(same):
+                    acc = acc + ctx.t_power(mm) * same[j]
+                if j >= 1:
+                    acc = acc + ctx.qint(mm) * down[j - 1]
+                row.append(acc)
+            table[(kk, mm)] = tuple(row)
+    return table
+
+
+@pytest.mark.parametrize("kind, level", [(SYMBOLIC, None), (ROOT, 5), (ROOT, 12), (JET, 7)])
+def test_pair_expansion_matches_recursion(kind, level):
+    table = _recursive_pair_table(AlgebraContext(1, kind, level=level), 12, 12)
+    ctx = AlgebraContext(1, kind, level=level)  # fresh, so every row is built cold
+    for (k, m), row in table.items():
+        got = ctx._pair_expansion(k, m)
+        assert len(got) == len(row) == min(k, m) + 1
+        for j, (a, b) in enumerate(zip(got, row)):
+            assert a == b, (k, m, j)
 
 
 # ---------------------------------------------------------------------------
