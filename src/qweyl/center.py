@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .scalars import Cyclo, embed as _embed
+from .scalars import Cyclo, _power, embed as _embed
 from .weylcore import (
     ROOT,
     AlgebraContext,
@@ -179,10 +179,7 @@ class CenterPoly:
     def __pow__(self, e: int) -> "CenterPoly":
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = CenterPoly.constant(self.n, 1)
-        for _ in range(e):
-            out = out * self
-        return out
+        return _power(self, e, CenterPoly.constant(self.n, 1))
 
     # calculus and evaluation ----------------------------------------------------
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -22,7 +23,7 @@ from .center import (
 )
 from .exprio import ParseError, parse_center, parse_weyl, print_center, print_weyl
 from .hatmap import PrimeSchedule, _is_prime, hat, hat_endo, transport_limit
-from .matrep import NoExactRootError, build_rep, burnside_span_dim
+from .matrep import EXACT_RANK_MAX_LEVEL, _rep_at, burnside_span_dim
 from .morphisms import (
     Endomorphism,
     lift_phi,
@@ -63,7 +64,7 @@ def _scalar_json(value) -> dict:
 
 
 def _parse_point_value(text: str, level: int):
-    """Exact rational / q-polynomial scalar, falling back to a float."""
+    """Exact rational / q-polynomial scalar, falling back to a finite float."""
     try:
         ctx = AlgebraContext.root_of_unity(1, level)
         element = parse_weyl(text, ctx)
@@ -72,9 +73,12 @@ def _parse_point_value(text: str, level: int):
         return element.scalar_value()
     except ParseError:
         try:
-            return complex(float(text))
+            value = float(text)
         except ValueError:
             raise ParseError(f"cannot read scalar {text!r}", 0) from None
+        if not math.isfinite(value):
+            raise ParseError(f"scalar {text!r} is not a finite number", 0)
+        return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +136,19 @@ def _cmd_azumaya(args) -> int:
     a_vals = [_parse_point_value(v, args.l) for v in args.a.split(",")]
     b_vals = [_parse_point_value(v, args.l) for v in args.b.split(",")]
     point = MaxIdealPoint(a_vals, b_vals)
-    on_locus = azumaya_test(point, args.l)
-    out = {"schema": SCHEMA, "l": args.l, "azumaya": on_locus}
     if args.burnside:
         if point.n != 1:
             raise ParseError("--burnside cross-checks a single pair", 0)
-        try:
-            rep = build_rep(args.l, a_vals[0], b_vals[0])
-        except NoExactRootError:
-            rep = build_rep(args.l, complex(embed(a_vals[0])), complex(embed(b_vals[0])))
+        exact = not isinstance(a_vals[0], complex) and not isinstance(b_vals[0], complex)
+        if exact and args.l > EXACT_RANK_MAX_LEVEL:
+            raise ValueError(
+                f"--burnside at an exact point is limited to l <= {EXACT_RANK_MAX_LEVEL}; "
+                "give a decimal value such as 1.0 for the numeric rank"
+            )
+    on_locus = azumaya_test(point, args.l)
+    out = {"schema": SCHEMA, "l": args.l, "azumaya": on_locus}
+    if args.burnside:
+        rep = _rep_at(args.l, a_vals[0], b_vals[0], 1)
         rank = burnside_span_dim(rep)
         out["burnside"] = {
             "rank": rank,
@@ -154,10 +162,7 @@ def _cmd_azumaya(args) -> int:
 def _cmd_rep(args) -> int:
     a = _parse_point_value(args.a, args.l)
     b = _parse_point_value(args.b, args.l)
-    try:
-        rep = build_rep(args.l, a, b)
-    except NoExactRootError:
-        rep = build_rep(args.l, complex(embed(a)), complex(embed(b)))
+    rep = _rep_at(args.l, a, b, 1)
     out = {
         "schema": SCHEMA,
         "l": args.l,

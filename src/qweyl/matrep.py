@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .center import MaxIdealPoint, azumaya_test
-from .scalars import Cyclo, _scalar_invert, embed as _embed
+from .scalars import Cyclo, embed as _embed
 
 __all__ = [
     "MatRep",
@@ -30,9 +30,15 @@ __all__ = [
     "burnside_span_dim",
     "cross_check",
     "NUMERIC_RANK_TOL",
+    "EXACT_RANK_MAX_LEVEL",
 ]
 
 NUMERIC_RANK_TOL = 1e-9
+
+# Exact Burnside ranks eliminate over l^2 x l^2 cyclotomic matrices, whose
+# cost grows steeply with l: in CPython 3.11 the rank at (a, b) = (1, 1)
+# takes 0.3 s at l = 7, 5-8 s at l = 11 and about 22 s at l = 13.
+EXACT_RANK_MAX_LEVEL = 7
 
 
 class NoExactRootError(ValueError):
@@ -173,9 +179,12 @@ def build_rep(l: int, a, b, lroot_of_a=None, qpow: int = 1,
               exact: Optional[bool] = None) -> Union[MatRep, NilpotentRep]:
     """Representation realizing the point (a, b) of the center's spectrum.
 
-    Exact mode requires the relevant l-th root to be rational or supplied;
-    otherwise the construction runs over complex floats.  The relation
-    Y X - q X Y = I holds by construction for every output.
+    The construction is exact when a, b (and lroot_of_a) are exact scalars
+    and runs over complex floats when any of them is numeric or exact=False.
+    Exact mode needs the relevant l-th root to be rational or supplied; when
+    it is not, NoExactRootError is raised (see _rep_at for the numeric
+    fallback).  The relation Y X - q X Y = I holds by construction for
+    every output.
     """
     if l < 2:
         raise ValueError("need l >= 2")
@@ -207,6 +216,15 @@ def build_rep(l: int, a, b, lroot_of_a=None, qpow: int = 1,
     mu = _pick_root(b_s, None, l, exact)
     Y, X = _band_pair(l, q, mu, b_s, a_s, exact, diag_is_x=False)
     return MatRep(l, qpow % l, q, X, Y, a_s, b_s, exact)
+
+
+def _rep_at(l: int, a, b, qpow: int) -> Union[MatRep, NilpotentRep]:
+    """build_rep at (a, b): exact when the l-th root is stored in the exact
+    tower, otherwise over the complex embeddings of a and b."""
+    try:
+        return build_rep(l, a, b, qpow=qpow)
+    except NoExactRootError:
+        return build_rep(l, complex(_embed(a)), complex(_embed(b)), qpow=qpow)
 
 
 def _coerce_exact(v, level: int):
@@ -259,9 +277,9 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
         qi = qi * q
     for i in range(l):
         D[i][i] = diag_vals[i]
-        B[i][i] = _inv(diag_vals[i] * one_minus_q, exact)
+        B[i][i] = 1 / (diag_vals[i] * one_minus_q)
     # band product must equal  band_power_value - 1/(diag_power_value (1-q)^l)
-    corner = band_power_value - _inv(diag_power_value * one_minus_q ** l, exact)
+    corner = band_power_value - 1 / (diag_power_value * one_minus_q ** l)
     if diag_is_x:
         for i in range(l - 1):
             B[i][i + 1] = one
@@ -271,10 +289,6 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
             B[i + 1][i] = one
         B[0][l - 1] = corner
     return D, B
-
-
-def _inv(v, exact: bool):
-    return _scalar_invert(v) if exact else 1 / v
 
 
 def _nilpotent_rep(l: int, qpow: int, q, exact: bool) -> NilpotentRep:
@@ -342,7 +356,7 @@ def _exact_rank(rows: List[List[object]]) -> int:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
-        pinv = _inv(prow[col], True)
+        pinv = 1 / prow[col]
         for r in range(rank + 1, len(work)):
             factor = work[r][col]
             if factor:
@@ -362,17 +376,14 @@ def _exact_rank(rows: List[List[object]]) -> int:
 def cross_check(l: int, sample_points: Sequence[Tuple[object, object]],
                 qpow: int = 1) -> dict:
     """Compare the locus criterion against the Burnside oracle pointwise."""
-    if l > 7:
-        raise ValueError("exact rank sweeps are limited to l <= 7")
+    if l > EXACT_RANK_MAX_LEVEL:
+        raise ValueError(f"exact rank sweeps are limited to l <= {EXACT_RANK_MAX_LEVEL}")
     entries = []
     all_agree = True
     for a, b in sample_points:
         point = MaxIdealPoint([a], [b])
         on_locus = azumaya_test(point, l, qpow)
-        try:
-            rep = build_rep(l, a, b, qpow=qpow)
-        except NoExactRootError:
-            rep = build_rep(l, complex(_embed(a)), complex(_embed(b)), qpow=qpow)
+        rep = _rep_at(l, a, b, qpow)
         rank = burnside_span_dim(rep)
         agree = (rank == l * l) == on_locus
         all_agree = all_agree and agree

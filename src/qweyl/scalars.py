@@ -51,6 +51,28 @@ def _conv(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# powering, shared by every domain of the tower and by the algebras above it
+# ---------------------------------------------------------------------------
+
+
+def _power(base, e: int, one):
+    """base**e for e >= 0 by square-and-multiply; one is returned for e = 0.
+
+    The result starts empty rather than at one, and the base is never squared
+    past the top bit of e, so no product is spent on one or on a square that
+    is not used.
+    """
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return one if result is None else result
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic polynomials and per-level reduction tables
 # ---------------------------------------------------------------------------
 
@@ -362,34 +384,25 @@ class Cyclo:
     def __pow__(self, exponent: int) -> "Cyclo":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Cyclo.one(self.level)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Cyclo.one(self.level))
 
     def inverse(self) -> "Cyclo":
+        """x^-1 = rest / N(x), where rest is the product of the conjugates
+        sigma_k(x) (z -> z^k for k coprime to the level, k != 1) and the
+        field norm N(x) = x * rest is a nonzero rational.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # extended Euclid over Q[z] against the (irreducible) minimal polynomial
-        phi = [Fraction(c) for c in _leveldata(self.level).phi]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            if len(r1) == 1:
-                break
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub_frac(s0, _poly_mul_frac(q, s1)))
-        if len(r1) != 1 or r1[0] == 0:
-            raise ZeroDivisionError("element not invertible (unexpected)")
-        inv = [c / r1[0] for c in s1]
-        return Cyclo(self.level, inv)
+        level = self.level
+        data = _leveldata(level)
+        rest = Cyclo.one(level)
+        for k in range(2, level):
+            if math.gcd(k, level) == 1:
+                vec = [0] * level
+                for j, c in enumerate(self.num):
+                    vec[j * k % level] += c
+                rest = rest * Cyclo._normalized(level, _reduce_vec(vec, data), self.den)
+        return rest * (1 / (self * rest).as_rational())
 
     # comparisons / misc ----------------------------------------------------
 
@@ -459,45 +472,6 @@ class Cyclo:
                 zj = "q" if j == 1 else f"q^{j}"
                 terms.append(zj if coef == 1 else f"{coef}*{zj}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-
-def _trim(p: List[Fraction]) -> List[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul_frac(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_frac(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _poly_divmod_frac(a: List[Fraction], b: List[Fraction]):
-    r = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    inv_lead = 1 / b[-1]
-    for k in range(len(r) - 1, db - 1, -1):
-        c = r[k] * inv_lead
-        if c:
-            q[k - db] = c
-            for j, bj in enumerate(b):
-                r[k - db + j] -= c * bj
-    return q, r[:db] if db else [Fraction(0)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +609,7 @@ class LaurentPoly:
             (e, c), = self.coeffs.items()
             cr = Fraction(c) if isinstance(c, int) else c
             return LaurentPoly({e * exponent: cr ** exponent})
-        result = LaurentPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, LaurentPoly.one())
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -771,15 +737,7 @@ class Jet:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         lv = self.level
-        result = Jet(Cyclo.one(lv), Cyclo.zero(lv))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Jet(Cyclo.one(lv), Cyclo.zero(lv)))
 
     def __eq__(self, other):
         o = self._coerce(other)

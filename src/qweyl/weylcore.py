@@ -18,6 +18,7 @@ from .scalars import (
     Cyclo,
     Jet,
     LaurentPoly,
+    _power,
     qint as _qint_poly,
     specialize as _specialize_scalar,
 )
@@ -503,19 +504,8 @@ def power(a: WeylElement, k: int) -> WeylElement:
             raise DegreeLimitExceeded(
                 f"power of degree {degree} exceeds the guard {limit}"
             )
-    if k == 0:
-        return a.context.one()
-    if len(a.terms) <= 2:
-        result = None
-        base = a
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return result
+    if len(a.terms) <= 2 or not k:
+        return _power(a, k, a.context.one())
     acc = a
     for _ in range(k - 1):
         acc = mul(acc, a)

@@ -130,6 +130,31 @@ def test_rep_json(capsys):
     assert len(blob["Y"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("command", [["rep", "--l", "2"], ["azumaya", "--l", "3"],
+                                     ["azumaya", "--l", "3", "--burnside"]])
+def test_non_finite_point_value_is_exit_2(capsys, command, value):
+    code, out, err = _capture(capsys, command + [f"--a={value}", "--b", "1"])
+    assert code == 2
+    assert not out
+    assert "not a finite number" in err
+
+
+def test_exact_burnside_above_the_bound_is_exit_2(capsys):
+    # refused before any work; a decimal point takes the fast numeric rank
+    code, out, err = _capture(
+        capsys, ["azumaya", "--l", "11", "--a", "1", "--b", "1", "--burnside"]
+    )
+    assert code == 2
+    assert not out
+    assert "limited to l <= 7" in err
+    code, out, _ = _capture(
+        capsys, ["azumaya", "--l", "11", "--a", "1.0", "--b", "1", "--burnside"]
+    )
+    assert code == 0
+    assert json.loads(out)["burnside"] == {"rank": 121, "full": True, "agrees": True}
+
+
 # ---------------------------------------------------------------------------
 # endomorphism pipeline
 # ---------------------------------------------------------------------------
@@ -258,7 +283,7 @@ def _expressions(atoms):
 
 _EXPR = _expressions(_WEYL_ATOMS)
 _CENTER = _expressions(_CENTER_ATOMS)
-_SCALAR = st.one_of(_expressions(["q", "t", "0", "1", "2", "1/2"]), st.sampled_from(["0.5", "-1.5"]))
+_SCALAR = st.one_of(_expressions(["q", "t", "0", "1", "2", "1/2"]), st.sampled_from(["0.5", "-1.5", "nan", "inf", "-inf", "1e999"]))
 _N = st.sampled_from(["1", "2", "0"])
 _L = st.integers(0, 7).map(str)
 _PRIMES = st.sampled_from(["3,5,7", "3,5,7,11", "3,5", "5,3,7", "2,3,5", "4,6,8", "3,x", ""])

@@ -18,6 +18,7 @@ from qweyl.scalars import (
     qint,
     specialize,
 )
+from qweyl.center import CenterPoly
 from qweyl.weylcore import AlgebraContext, power
 
 
@@ -80,7 +81,7 @@ def test_zeta_primitivity():
 
 def test_cyclo_field_axioms_random():
     rng = random.Random(7)
-    for level in (3, 4, 5, 8, 12):
+    for level in (1, 2, 3, 4, 5, 8, 12, 15, 23, 31):
         d = euler_phi(level)
         for _ in range(25):
             a = Cyclo(level, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
@@ -91,6 +92,37 @@ def test_cyclo_field_axioms_random():
             if a:
                 assert a * a.inverse() == 1
                 assert (a * b) / a == b
+
+
+def _powering_cases():
+    cyclo = Cyclo(7, [1, Fraction(-1, 3), 0, 2])
+    jet = Jet(Cyclo(5, [Fraction(1, 2), 1]), Cyclo(5, [0, 2, 0, -1]))
+    monomial = LaurentPoly({3: Fraction(-2, 3)})
+    ctx = AlgebraContext.symbolic(1)
+    return [
+        pytest.param(cyclo, Cyclo.one(7), cyclo.inverse(), id="cyclo"),
+        pytest.param(jet, Jet(Cyclo.one(5), Cyclo.zero(5)), jet.inverse(), id="jet"),
+        pytest.param(LaurentPoly({-1: 2, 0: Fraction(1, 3), 2: -1}), LaurentPoly.one(), None,
+                     id="laurent"),
+        pytest.param(monomial, LaurentPoly.one(), LaurentPoly({-3: Fraction(-3, 2)}),
+                     id="laurent-monomial"),
+        pytest.param(CenterPoly(1, {((1,), (0,)): 1, ((0,), (1,)): 2, ((0,), (0,)): Fraction(-1, 2)}),
+                     CenterPoly.constant(1, 1), None, id="center"),
+        # two terms take power's square-and-multiply branch, three its sequential one
+        pytest.param(ctx.d(1) - 2 * ctx.x(1), ctx.one(), None, id="weyl-binary"),
+        pytest.param(ctx.d(1) + ctx.x(1) + ctx.one(), ctx.one(), None, id="weyl-sequential"),
+    ]
+
+
+@pytest.mark.parametrize("x, one, inverse", _powering_cases())
+def test_power_is_repeated_product(x, one, inverse):
+    expected, expected_inverse = one, one
+    for e in range(10):
+        assert x ** e == expected
+        if inverse is not None:
+            assert x ** -e == expected_inverse
+            expected_inverse = expected_inverse * inverse
+        expected = expected * x
 
 
 def test_cyclo_rational_interop():

@@ -89,3 +89,21 @@ def test_cyclo_products_match_sympy(level):
         long = [_random_coefficient(rng) for _ in range(rng.randint(degree + 1, 2 * level + 3))]
         expected = sympy.rem(_poly_z(long), phi)
         assert Cyclo(level, long).coefficients() == _coordinates(expected, degree)
+
+
+
+@pytest.mark.parametrize("level", [5, 12, 15, 23, 31])
+def test_cyclo_inverse_matches_sympy(level):
+    # small coordinates keep sympy's Euclid quick; the inverse's own
+    # coordinates still run to hundreds of bits at l = 31
+    rng = random.Random(100 + level)
+    phi = sympy.Poly(sympy.cyclotomic_poly(level, Z), Z, domain="QQ")
+    degree = euler_phi(level)
+    samples = [[1, -1], [Fraction(-1, 2)] + [0] * (degree - 2) + [3]]
+    samples += [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * rng.randrange(2)
+                 for _ in range(degree)] for _ in range(4)]
+    for a in samples:
+        if not any(a):
+            continue
+        expected = sympy.invert(_poly_z(a), phi)
+        assert Cyclo(level, a).inverse().coefficients() == _coordinates(expected, degree)
