@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .scalars import Cyclo, _power, embed as _embed
+from .scalars import Cyclo, _sparse_power, embed as _embed
 from .weylcore import (
     ROOT,
     AlgebraContext,
@@ -69,6 +69,15 @@ class CenterPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("CenterPoly values are immutable")
+
+    @staticmethod
+    def _raw(n: int, coeffs: Dict[ExpPair, object]) -> "CenterPoly":
+        """Wrap a map whose keys are valid and whose coefficients are
+        nonzero and never int, as arithmetic results are; no checks."""
+        obj = object.__new__(CenterPoly)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
 
     # constructors -------------------------------------------------------------
 
@@ -134,10 +143,10 @@ class CenterPoly:
                 d[k] = s
             else:
                 d.pop(k, None)
-        return CenterPoly(self.n, d)
+        return CenterPoly._raw(self.n, d)
 
     def __neg__(self):
-        return CenterPoly(self.n, {k: -c for k, c in self.coeffs.items()})
+        return CenterPoly._raw(self.n, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CenterPoly):
@@ -161,7 +170,7 @@ class CenterPoly:
                         d[key] = s
                     else:
                         d.pop(key, None)
-            return CenterPoly(self.n, d)
+            return CenterPoly._raw(self.n, d)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -174,12 +183,12 @@ class CenterPoly:
             c = Fraction(c)
         if not c:
             return CenterPoly.zero(self.n)
-        return CenterPoly(self.n, {k: v * c for k, v in self.coeffs.items()})
+        return CenterPoly._raw(self.n, {k: v * c for k, v in self.coeffs.items()})
 
     def __pow__(self, e: int) -> "CenterPoly":
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        return _power(self, e, CenterPoly.constant(self.n, 1))
+        return _sparse_power(self, e, CenterPoly.constant(self.n, 1), len(self.coeffs))
 
     # calculus and evaluation ----------------------------------------------------
 

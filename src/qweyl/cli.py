@@ -58,7 +58,11 @@ def _parse_primes(text: Optional[str]):
 
 
 def _scalar_json(value) -> dict:
-    approx = embed(value) if not isinstance(value, complex) else value
+    try:
+        approx = embed(value) if not isinstance(value, complex) else value
+    except OverflowError:
+        raise ValueError("an exact entry is too large for its floating-point "
+                         "approximation") from None
     return {"exact": None if isinstance(value, complex) else str(value),
             "approx": [approx.real, approx.imag]}
 

@@ -30,6 +30,7 @@ from .scalars import Cyclo, Jet, LaurentPoly, _scalar_invert
 from .weylcore import (
     SYMBOLIC,
     AlgebraContext,
+    DegreeLimitExceeded,
     WeylElement,
     _plain_mono,
     f_element,
@@ -247,7 +248,10 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
         base = _eval_weyl(node[1], ctx)
         e = node[2]
         if e >= 0:
-            return power(base, e)
+            try:
+                return power(base, e)
+            except DegreeLimitExceeded as err:
+                raise ParseError(str(err), node[3]) from None
         if not base.is_scalar():
             raise ParseError("negative power of a non-invertible element", node[3])
         value = base.scalar_value()

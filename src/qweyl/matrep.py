@@ -105,11 +105,14 @@ def _int_nth_root(v: int, l: int) -> Optional[int]:
         return None if r is None else -r
     if v in (0, 1):
         return v
-    r = round(v ** (1.0 / l))
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand ** l == v:
-            return cand
-    return None
+    # Newton's method in integers from 2**ceil(bits / l), which is above the
+    # root, decreases to the floor of the root; exact at every size.
+    x = 1 << -(-v.bit_length() // l)
+    while True:
+        y = ((l - 1) * x + v // x ** (l - 1)) // l
+        if y >= x:
+            return x if x ** l == v else None
+        x = y
 
 
 def _exact_lth_root(value, l: int):
@@ -224,7 +227,14 @@ def _rep_at(l: int, a, b, qpow: int) -> Union[MatRep, NilpotentRep]:
     try:
         return build_rep(l, a, b, qpow=qpow)
     except NoExactRootError:
-        return build_rep(l, complex(_embed(a)), complex(_embed(b)), qpow=qpow)
+        try:
+            a_c, b_c = complex(_embed(a)), complex(_embed(b))
+        except OverflowError:
+            raise ValueError(
+                f"no exact {l}-th root is stored, and the point is too large "
+                "for the complex fallback"
+            ) from None
+        return build_rep(l, a_c, b_c, qpow=qpow)
 
 
 def _coerce_exact(v, level: int):

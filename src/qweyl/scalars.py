@@ -72,6 +72,22 @@ def _power(base, e: int, one):
     return one if result is None else result
 
 
+def _sparse_power(base, e: int, one, size: int):
+    """base**e for a sparse polynomial of size terms.
+
+    Square-and-multiply for at most two terms.  Larger bases are multiplied
+    up one factor at a time, keeping the small factor on the right: binary
+    powering would square mid-sized intermediates, which swells the work when
+    the terms are not homogeneous.
+    """
+    if size <= 2 or not e:
+        return _power(base, e, one)
+    acc = base
+    for _ in range(e - 1):
+        acc = acc * base
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and per-level reduction tables
 # ---------------------------------------------------------------------------
@@ -472,6 +488,85 @@ class Cyclo:
                 zj = "q" if j == 1 else f"q^{j}"
                 terms.append(zj if coef == 1 else f"{coef}*{zj}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed sums of cyclotomic products
+# ---------------------------------------------------------------------------
+
+
+def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
+                        rhs_groups: Sequence[Sequence[Cyclo]]):
+    """Pack cyclotomic numbers so that sums of their products are integer sums.
+
+    Returns (packed lhs, packed groups, unpack).  Take any sum of products
+    P(lhs[i]) * P(r) in which each lhs value meets entries r of at most one
+    group, each entry at most once; unpack turns it into the sum of the
+    cyclotomic products, as a reduced Cyclo.  Kronecker substitution
+    (Harvey, arXiv:0712.4046): one C-level integer product stands for a
+    polynomial product.
+
+    Format.  Each side is put over its common denominator, Da for lhs and Db
+    for the groups, and its coordinate vector is evaluated at 2**(8w).  A
+    product then holds the 2*phi - 1 coordinates of the unreduced polynomial
+    product in slots of w bytes.  A coordinate of A*B is at most
+    max|a_i| * sum|b_i|, so no slot of an admissible sum exceeds
+        bound = (sum over lhs of max|a_i|) * (max over groups of sum |b_i|)
+    in absolute value; w is the fewest bytes with bound < 2**(8w - 1).
+    Adding the bias 2**(8w - 1) to every slot then makes each slot one
+    w-byte digit.
+
+    unpack reads digits only up to the top slot that the sum's bit length
+    allows.  Slots at or past the level are first added onto slot - level
+    inside the integer (z^level = 1): a folded slot is a coordinate of the
+    cyclic product, where each b_i meets each a_j at most once because
+    phi <= level, so it obeys the same bound.  The digits are then reduced
+    mod the cyclotomic polynomial and divided by Da * Db.
+    """
+    data = _leveldata(level)
+    den_a = math.lcm(*(v.den for v in lhs))
+    den_b = math.lcm(*(v.den for g in rhs_groups for v in g))
+    vecs_a = [_over(v, den_a) for v in lhs]
+    vecs_b = [[_over(v, den_b) for v in g] for g in rhs_groups]
+    # each factor is at least 1, so the bound also covers every coordinate
+    norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
+    norm_b = max((sum(sum(map(abs, v)) for v in g) for g in vecs_b), default=0) or 1
+    w = ((norm_a * norm_b).bit_length() + 8) // 8
+    bits = 8 * w
+    half = 1 << (bits - 1)
+    digit = half.to_bytes(w, "little")
+    slots = 2 * data.degree - 1
+    low = (1 << (bits * level)) - 1
+    den = den_a * den_b
+
+    def pack(vec) -> int:
+        p = 0
+        for c in reversed(vec):
+            p = (p << bits) + c
+        return p
+
+    def unpack(acc: int) -> Cyclo:
+        # |acc| >= 2**(bits*top - 2) when slot top is the highest nonzero one
+        n = min(slots, (acc.bit_length() + 1) // bits + 1)
+        v = acc + int.from_bytes(digit * n, "little")
+        if n > level:
+            n -= level
+            v = (v & low) + (v >> (bits * level)) - int.from_bytes(digit * n, "little")
+            n = level
+        buf = v.to_bytes(w * n, "little")
+        vec = [int.from_bytes(buf[i:i + w], "little") - half
+               for i in range(0, w * n, w)]
+        return Cyclo._normalized(level, _reduce_vec(vec, data), den)
+
+    return ([pack(v) for v in vecs_a],
+            [[pack(v) for v in g] for g in vecs_b],
+            unpack)
+
+
+def _over(v: Cyclo, den: int) -> Sequence[int]:
+    """Coordinates of v over den, a multiple of its denominator."""
+    f = den // v.den
+    return v.num if f == 1 else [c * f for c in v.num]
 
 
 # ---------------------------------------------------------------------------

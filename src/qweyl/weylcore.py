@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
     Cyclo,
     Jet,
     LaurentPoly,
-    _power,
+    _sparse_power,
+    pack_cyclo_products,
     qint as _qint_poly,
     specialize as _specialize_scalar,
 )
@@ -423,66 +425,72 @@ def _plain_mono(al, be):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_rows(ctx: AlgebraContext, be: Tuple[int, ...], b: WeylElement):
+    """d^be * b as a list of ((ga - js, be + de - js), cb * C_js).
+
+    A term x^al d^be meets a term cb x^ga d^de of b in the terms
+    (cb * C_js) x^(al + ga - js) d^(be + de - js), where C_js is the product
+    of the pair-expansion entries over the pairs i with be[i] and ga[i]
+    nonzero.  These scaled rows depend on be alone, so mul builds them once
+    per distinct be and each contribution costs one product.
+    """
+    n = ctx.n
+    expansion = ctx._pair_expansion
+    row = []
+    for (ga, de), cb in b.terms.items():
+        hot = [i for i in range(n) if be[i] and ga[i]]
+        combos = [((), cb)]
+        for i in hot:
+            entries = expansion(be[i], ga[i])
+            combos = [(js + (j,), c * e) for js, c in combos
+                      for j, e in enumerate(entries) if e]
+        for js, c in combos:
+            if not c:
+                continue
+            shift = list(ga)
+            beta = [be[i] + de[i] for i in range(n)]
+            for i, j in zip(hot, js):
+                shift[i] -= j
+                beta[i] -= j
+            row.append(((tuple(shift), tuple(beta)), c))
+    return row
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Product in PBW normal form; bilinear over the coefficient domain."""
     if a.context != b.context:
         raise ContextMismatchError("cannot multiply across contexts")
     ctx = a.context
-    n = ctx.n
-    expansion = ctx._pair_expansion
+    # last[be]: the index of the last term of a with d-exponents be
+    last = {be: i for i, (_, be) in enumerate(a.terms)}
+    lhs = list(a.terms.values())
+    rows: Dict = {}
+    finish = None
+    if ctx.kind == ROOT:
+        # At a root of unity the coefficients are multiplied and summed as
+        # Kronecker-packed integers and unpacked once per output term.  One
+        # packing width serves the whole call, so every row is built first.
+        rows = {be: _scaled_rows(ctx, be, b) for be in last}
+        lhs, packed, finish = pack_cyclo_products(
+            ctx.level, lhs, [[c for _, c in row] for row in rows.values()])
+        rows = {be: [(o, c) for (o, _), c in zip(row, p)]
+                for (be, row), p in zip(rows.items(), packed)}
     out: Dict = {}
-    for (al, be), ca in a.terms.items():
-        for (ga, de), cb in b.terms.items():
-            coeff = ca * cb
-            if not coeff:
+    for i, ((al, be), ca) in enumerate(zip(a.terms, lhs)):
+        row = rows.get(be)
+        if row is None:
+            row = rows[be] = _scaled_rows(ctx, be, b)
+        for (shift, beta), cb in row:
+            c = ca * cb
+            if not c:
                 continue
-            hot = [i for i in range(n) if be[i] and ga[i]]
-            if not hot:
-                key = (
-                    tuple(al[i] + ga[i] for i in range(n)),
-                    tuple(be[i] + de[i] for i in range(n)),
-                )
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
-                continue
-            if len(hot) == 1:
-                i = hot[0]
-                rows = expansion(be[i], ga[i])
-                asum = tuple(al[p] + ga[p] for p in range(n))
-                bsum = tuple(be[p] + de[p] for p in range(n))
-                for j, rj in enumerate(rows):
-                    if not rj:
-                        continue
-                    c = coeff * rj
-                    if not c:
-                        continue
-                    key = (
-                        asum[:i] + (asum[i] - j,) + asum[i + 1:],
-                        bsum[:i] + (bsum[i] - j,) + bsum[i + 1:],
-                    )
-                    cur = out.get(key)
-                    out[key] = c if cur is None else cur + c
-                continue
-            combos = [((), coeff)]
-            for i in hot:
-                rows = expansion(be[i], ga[i])
-                combos = [
-                    (js + (j,), c * rows[j])
-                    for js, c in combos
-                    for j in range(len(rows))
-                    if rows[j]
-                ]
-            for js, c in combos:
-                if not c:
-                    continue
-                alpha = [al[i] + ga[i] for i in range(n)]
-                beta = [be[i] + de[i] for i in range(n)]
-                for pos, i in enumerate(hot):
-                    alpha[i] -= js[pos]
-                    beta[i] -= js[pos]
-                key = (tuple(alpha), tuple(beta))
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+            key = (tuple(map(add, al, shift)), beta)
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+        if last[be] == i:
+            del rows[be]  # a row lives only while terms of a still use it
+    if finish is not None:
+        out = {k: finish(v) for k, v in out.items()}
     return WeylElement(ctx, out)
 
 
@@ -491,9 +499,8 @@ def power(a: WeylElement, k: int) -> WeylElement:
 
     Refuses, before any work, a power whose Bernstein degree k*deg(a)
     would exceed the guard (QWEYL_MAX_DEGREE, default 512).  Bases with
-    more than two terms are raised by sequential multiplication, which
-    keeps the small factor on the right of every product; binary powering
-    would square mid-sized intermediates and swell the rewrite.
+    more than two terms are raised by sequential multiplication (see
+    scalars._sparse_power).
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
@@ -504,12 +511,7 @@ def power(a: WeylElement, k: int) -> WeylElement:
             raise DegreeLimitExceeded(
                 f"power of degree {degree} exceeds the guard {limit}"
             )
-    if len(a.terms) <= 2 or not k:
-        return _power(a, k, a.context.one())
-    acc = a
-    for _ in range(k - 1):
-        acc = mul(acc, a)
-    return acc
+    return _sparse_power(a, k, a.context.one(), len(a.terms))
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -2,8 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from qweyl import AlgebraContext
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run never replays failures cached by an earlier one.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -140,6 +140,28 @@ def test_non_finite_point_value_is_exit_2(capsys, command, value):
     assert "not a finite number" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rep", "--l", "3", "--a", "10^400", "--b", "1"],
+    ["azumaya", "--l", "3", "--a", "10^400", "--b", "1", "--burnside"],
+    ["rep", "--l", "2", "--a", "10^700", "--b", "1"],
+])
+def test_point_too_large_for_a_double_is_exit_2(capsys, argv):
+    # 10^400 has no rational cube root and no double near it; the exact
+    # square root 10^350 of 10^700 has no double approximation to print
+    code, out, err = _capture(capsys, argv)
+    assert code == 2
+    assert not out
+    assert "too large" in err
+
+
+def test_exact_cube_of_a_wide_integer_stays_exact(capsys):
+    code, out, _ = _capture(capsys, ["rep", "--l", "3", "--a", "(2^60+12345)^3", "--b", "1"])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["exact"] is True
+    assert blob["X"][0][0]["exact"] == str(2 ** 60 + 12345)
+
+
 def test_exact_burnside_above_the_bound_is_exit_2(capsys):
     # refused before any work; a decimal point takes the fast numeric rank
     code, out, err = _capture(

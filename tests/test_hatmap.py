@@ -20,6 +20,7 @@ from qweyl import (
     transport_limit,
 )
 from qweyl.hatmap import (
+    DEFAULT_PRIMES,
     CentralityFailure,
     is_stable,
     round_coefficient,
@@ -78,18 +79,24 @@ def test_hat_step_identity():
 
 
 def test_hat_step_translation_closed_form():
+    # For l > m + 1, hat_step(lift_phi(lam * x^m), r1, l) is exactly
+    #   r1 + lam^l s1^m - lam^l (1-q)^l r1 s1^(m+1).
+    # (1, 2) and (2, 0) are the two lifts of the hat benchmark, checked at
+    # every level of its schedule.
     ctx = AlgebraContext.symbolic(1)
-    for m in (0, 1, 2):
-        e = lift_phi(ctx, {m: 1})
-        for level in (5, 7):
+    cases = [(1, 0, (5, 7)), (1, 1, (5, 7)), (1, 2, DEFAULT_PRIMES), (2, 0, DEFAULT_PRIMES)]
+    for lam, m, levels in cases:
+        e = lift_phi(ctx, {m: lam})
+        for level in levels:
             if level <= m + 1:
                 continue
             got = hat_step(e, CenterPoly.r(1, 1), level)
             q = Cyclo.zeta(level)
+            scale = Fraction(lam) ** level
             expected = (
                 CenterPoly.r(1, 1)
-                + CenterPoly.monomial(1, (0,), (m,))
-                + CenterPoly.monomial(1, (1,), (m + 1,), -((Cyclo.one(level) - q) ** level))
+                + CenterPoly.monomial(1, (0,), (m,), scale)
+                + CenterPoly.monomial(1, (1,), (m + 1,), -scale * (Cyclo.one(level) - q) ** level)
             )
             assert got == expected
             assert hat_step(e, CenterPoly.s(1, 1), level) == CenterPoly.s(1, 1)

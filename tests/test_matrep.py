@@ -14,7 +14,7 @@ from qweyl import (
     cross_check,
     embed,
 )
-from qweyl.matrep import MatRep, NilpotentRep, _identity, _matmul
+from qweyl.matrep import MatRep, NilpotentRep, _identity, _int_nth_root, _matmul
 
 
 def _residual(rep):
@@ -134,6 +134,18 @@ def test_exact_root_handling():
     assert not rep2.exact
     with pytest.raises(Exception):
         build_rep(3, 8, 1, lroot_of_a=3)  # 3^3 != 8
+
+
+def test_int_nth_root_is_exact_at_every_size():
+    # past 2**53 a float root is off by more than a unit; past 2**1024 a
+    # float cannot hold the value at all
+    root = 2 ** 60 + 12345
+    assert _int_nth_root(root ** 3, 3) == root
+    assert _int_nth_root(root ** 3 + 1, 3) is None
+    assert _int_nth_root(-(root ** 3), 3) == -root
+    assert _int_nth_root(10 ** 400, 3) is None
+    assert _int_nth_root(10 ** 402, 3) == 10 ** 134
+    assert build_rep(3, root ** 3, 1).exact
 
 
 # ---------------------------------------------------------------------------

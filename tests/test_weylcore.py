@@ -2,10 +2,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweyl import (
     AlgebraContext,
     ContextMismatchError,
+    Cyclo,
     DegreeLimitExceeded,
     LaurentPoly,
     act_on_polynomial,
@@ -21,6 +24,7 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
+from qweyl.scalars import pack_cyclo_products
 from qweyl.weylcore import JET, ROOT, SYMBOLIC
 from conftest import random_element, standard_contexts
 
@@ -428,3 +432,51 @@ def test_ring_axioms_with_cyclotomic_coefficients(rng):
             a, b, c = rand(), rand(), rand()
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
             assert mul(a, b + c) == mul(a, b) + mul(a, c)
+
+
+# ---------------------------------------------------------------------------
+# packed multiply-accumulate at roots of unity
+# ---------------------------------------------------------------------------
+
+_WIDE = st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+_LAURENT = st.dictionaries(
+    st.integers(min_value=-3, max_value=6),
+    st.builds(Fraction, _WIDE, st.integers(min_value=1, max_value=2 ** 40)),
+    min_size=1,
+    max_size=3,
+).map(LaurentPoly)
+
+
+@st.composite
+def _symbolic_pair(draw):
+    """Two symbolic elements with wide signed rational coefficients; n = 2
+    reaches the branch where two pairs need the q-binomial rewrite."""
+    n = draw(st.sampled_from((1, 2)))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    ctx = AlgebraContext.symbolic(n)
+    terms = st.dictionaries(st.tuples(exps, exps), _LAURENT, min_size=1, max_size=4)
+    return ctx.from_terms(draw(terms)), ctx.from_terms(draw(terms))
+
+
+@given(st.sampled_from((1, 2, 4, 9, 12, 15, 31)), _symbolic_pair())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_packed_mul_matches_the_symbolic_product(level, pair):
+    # symbolic products never pack; specialization is a ring homomorphism
+    a, b = pair
+    assert specialize_element(mul(a, b), level) == mul(
+        specialize_element(a, level), specialize_element(b, level)
+    )
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("lhs_sum, rhs_sum", [(217, 151), (255, 257)])
+def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
+    # All four products land in slot 0, so the slot reaches the bound the
+    # width is chosen from: 217 * 151 = 2**15 - 1 fills two-byte slots
+    # exactly, and 255 * 257 = 2**16 - 1 needs the sign bit of a third byte.
+    level = 31
+    lhs = [Cyclo.from_rational(level, sign * c) for c in (lhs_sum - 100, 100)]
+    rhs = [Cyclo.from_rational(level, c) for c in (rhs_sum - 50, 50)]
+    packed_lhs, (packed_rhs,), unpack = pack_cyclo_products(level, lhs, [rhs])
+    acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
+    assert unpack(acc) == sign * lhs_sum * rhs_sum
