@@ -240,10 +240,7 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
             _add_into(acc, _eval_weyl(term, ctx).terms, sign)
         return WeylElement(ctx, acc)
     if op == "prod":
-        acc = _eval_weyl(node[1][0], ctx)
-        for factor in node[1][1:]:
-            acc = acc * _eval_weyl(factor, ctx)
-        return acc
+        return _eval_product(node[1], ctx)
     if op == "pow":
         base = _eval_weyl(node[1], ctx)
         e = node[2]
@@ -261,6 +258,35 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
             raise ParseError("negative power of a non-invertible scalar", node[3]) from None
         return ctx.scalar_element(inv ** -e)
     raise AssertionError(f"unknown node {op}")
+
+
+def _eval_product(factors, ctx: AlgebraContext) -> WeylElement:
+    """Product of the factors in their order.
+
+    While every factor is a single term x^al d^be and no pair meets an x
+    after a d, as in a printed term c*x1^a*x2^b*d1^c*d2^d, the product is
+    one PBW monomial and is built directly.  From the first factor that
+    breaks this on, the factors are multiplied in the algebra.
+    """
+    n = ctx.n
+    alpha, beta = [0] * n, [0] * n
+    one = coeff = ctx.one_scalar()
+    acc = None
+    for factor in factors:
+        value = _eval_weyl(factor, ctx)
+        if acc is not None:
+            acc = acc * value
+            continue
+        if len(value.terms) == 1:
+            ((al, be), c), = value.terms.items()
+            if not any(a and b for a, b in zip(al, beta)):
+                alpha = [a + b for a, b in zip(alpha, al)]
+                beta = [a + b for a, b in zip(beta, be)]
+                if c != one:
+                    coeff = coeff * c
+                continue
+        acc = ctx.monomial(alpha, beta, coeff) * value
+    return ctx.monomial(alpha, beta, coeff) if acc is None else acc
 
 
 def _add_into(acc: dict, terms, sign: int) -> None:

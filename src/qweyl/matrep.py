@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .center import MaxIdealPoint, azumaya_test
 from .scalars import Cyclo, embed as _embed
 
@@ -338,6 +336,8 @@ def burnside_span_dim(rep: Union[MatRep, NilpotentRep]) -> int:
             rows.append([prod[r][c] for r in range(l) for c in range(l)])
     if rep.exact:
         return _exact_rank(rows)
+    import numpy as np  # only the numeric rank needs it; importing qweyl does not
+
     mat = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
     sv = np.linalg.svd(mat, compute_uv=False)
     tol = NUMERIC_RANK_TOL * max(1.0, float(sv[0]) if len(sv) else 1.0)

@@ -5,6 +5,7 @@ automorphisms of the classical algebra.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .weylcore import (
@@ -16,6 +17,7 @@ from .weylcore import (
     DegreeLimitExceeded,
     WeylElement,
     _degree_limit,
+    _powers,
     bernstein_degree,
     f_element,
     mul,
@@ -170,8 +172,8 @@ def apply_endo(e: Endomorphism, a: WeylElement,
         for i in range(n):
             max_a[i] = max(max_a[i], al[i])
             max_b[i] = max(max_b[i], be[i])
-    pow_x = [_powers(e.images_x[i], max_a[i], ctx) for i in range(n)]
-    pow_d = [_powers(e.images_d[i], max_b[i], ctx) for i in range(n)]
+    pow_x = [list(islice(_powers(e.images_x[i]), max_a[i] + 1)) for i in range(n)]
+    pow_d = [list(islice(_powers(e.images_d[i]), max_b[i] + 1)) for i in range(n)]
     out = ctx.zero()
     for (al, be), c in a.terms.items():
         acc = ctx.scalar_element(c)
@@ -183,13 +185,6 @@ def apply_endo(e: Endomorphism, a: WeylElement,
                 acc = mul(acc, pow_d[i][be[i]])
         out = out + acc
     return out
-
-
-def _powers(base: WeylElement, upto: int, ctx: AlgebraContext) -> List[WeylElement]:
-    table = [ctx.one()]
-    for _ in range(upto):
-        table.append(mul(table[-1], base))
-    return table
 
 
 def compose(e1: Endomorphism, e2: Endomorphism,

@@ -9,7 +9,9 @@ only through explicit embeddings used for limit detection.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -507,21 +509,29 @@ def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
     polynomial product.
 
     Format.  Each side is put over its common denominator, Da for lhs and Db
-    for the groups, and its coordinate vector is evaluated at 2**(8w).  A
+    for the groups, and its coordinate vector is evaluated at 2**bits.  A
     product then holds the 2*phi - 1 coordinates of the unreduced polynomial
-    product in slots of w bytes.  A coordinate of A*B is at most
+    product in slots of bits bits.  A coordinate of A*B is at most
     max|a_i| * sum|b_i|, so no slot of an admissible sum exceeds
         bound = (sum over lhs of max|a_i|) * (max over groups of sum |b_i|)
-    in absolute value; w is the fewest bytes with bound < 2**(8w - 1).
-    Adding the bias 2**(8w - 1) to every slot then makes each slot one
-    w-byte digit.
+    in absolute value.  With w the fewest bytes with bound < 2**(8w - 1), a
+    slot is k limbs of L bytes: L is the smallest of 1, 2, 4, 8 that is at
+    least w, and k = ceil(w / L) once w > 8.  Then bits = 8kL >= 8w, so
+    every slot sum, and every coordinate of either side, is below
+    2**(bits - 1) in absolute value: it is one signed slot.
 
-    unpack reads digits only up to the top slot that the sum's bit length
-    allows.  Slots at or past the level are first added onto slot - level
-    inside the integer (z^level = 1): a folded slot is a coordinate of the
-    cyclic product, where each b_i meets each a_j at most once because
-    phi <= level, so it obeys the same bound.  The digits are then reduced
-    mod the cyclotomic polynomial and divided by Da * Db.
+    pack writes the coordinates as two's-complement limbs with one
+    struct.pack call; flipping each slot's sign bit makes each slot the
+    digit c + 2**(bits - 1), and subtracting that bias from every slot
+    leaves the value at 2**bits.  unpack adds the bias back, reading slots
+    only up to the top one that the sum's bit length allows, so every slot
+    is one digit.  Slots at or past the level are then added onto
+    slot - level inside the integer (z^level = 1): a folded slot is a
+    coordinate of the cyclic product, where each b_i meets each a_j at most
+    once because phi <= level, so it obeys the same bound.  Flipping the
+    sign bits again makes the digits two's-complement slots, which one
+    struct.unpack call reads.  The digits are then reduced mod the
+    cyclotomic polynomial and divided by Da * Db.
     """
     data = _leveldata(level)
     den_a = math.lcm(*(v.den for v in lhs))
@@ -532,35 +542,77 @@ def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
     norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
     norm_b = max((sum(sum(map(abs, v)) for v in g) for g in vecs_b), default=0) or 1
     w = ((norm_a * norm_b).bit_length() + 8) // 8
-    bits = 8 * w
-    half = 1 << (bits - 1)
-    digit = half.to_bytes(w, "little")
-    slots = 2 * data.degree - 1
-    low = (1 << (bits * level)) - 1
-    den = den_a * den_b
+    limb = min(1 << (w - 1).bit_length(), 8)
+    layout = (level, limb, -(-w // limb))
+    codec = _CODECS.get(layout)
+    if codec is None:
+        codec = _CODECS[layout] = _Codec(data, limb, layout[2])
+    return ([codec.pack(v) for v in vecs_a],
+            [[codec.pack(v) for v in g] for g in vecs_b],
+            partial(codec.unpack, den=den_a * den_b))
 
-    def pack(vec) -> int:
-        p = 0
-        for c in reversed(vec):
-            p = (p << bits) + c
-        return p
 
-    def unpack(acc: int) -> Cyclo:
+# struct codes of the signed and unsigned limbs of each size in bytes
+_LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
+
+
+class _Codec:
+    """Slot layout of pack_cyclo_products at one level: k limbs of L bytes.
+
+    Holds structs[n], the Struct of n slots, and flip[n], the sign bits of
+    n slots, which is also the bias that makes n slot sums digits.
+    """
+
+    __slots__ = ("data", "bits", "k", "flip", "low", "structs")
+
+    def __init__(self, data: _LevelData, limb: int, k: int):
+        self.data = data
+        self.bits = bits = 8 * limb * k
+        self.k = k
+        signed, unsigned = _LIMB_CODES[limb]
+        # little-endian: the lower limbs of a slot are unsigned, its top one signed
+        codes = unsigned * (k - 1) + signed
+        sign = 1 << (bits - 1)
+        flip = [0]
+        for i in range(2 * data.degree - 1):
+            flip.append(flip[-1] | sign << (bits * i))
+        self.flip = flip
+        self.low = (1 << (bits * data.level)) - 1
+        self.structs = [struct.Struct("<" + codes * n) for n in range(len(flip))]
+
+    def pack(self, vec: Sequence[int]) -> int:
+        k = self.k
+        if k > 1:  # only 8-byte limbs come in more than one per slot
+            limbs = [0] * (k * len(vec))
+            for j in range(k - 1):
+                limbs[j::k] = [(c >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for c in vec]
+            limbs[k - 1::k] = [c >> (64 * (k - 1)) for c in vec]
+            vec = limbs
+        d = self.data.degree
+        flip = self.flip[d]
+        return (int.from_bytes(self.structs[d].pack(*vec), "little") ^ flip) - flip
+
+    def unpack(self, acc: int, den: int) -> Cyclo:
+        data, bits, flip = self.data, self.bits, self.flip
+        level = data.level
         # |acc| >= 2**(bits*top - 2) when slot top is the highest nonzero one
-        n = min(slots, (acc.bit_length() + 1) // bits + 1)
-        v = acc + int.from_bytes(digit * n, "little")
+        n = min(len(flip) - 1, (acc.bit_length() + 1) // bits + 1)
+        v = acc + flip[n]
         if n > level:
-            n -= level
-            v = (v & low) + (v >> (bits * level)) - int.from_bytes(digit * n, "little")
+            v = (v & self.low) + (v >> (bits * level)) - flip[n - level]
             n = level
-        buf = v.to_bytes(w * n, "little")
-        vec = [int.from_bytes(buf[i:i + w], "little") - half
-               for i in range(0, w * n, w)]
-        return Cyclo._normalized(level, _reduce_vec(vec, data), den)
+        vals = self.structs[n].unpack((v ^ flip[n]).to_bytes(bits // 8 * n, "little"))
+        k = self.k
+        if k > 1:
+            coords = vals[k - 1::k]
+            for j in range(k - 2, -1, -1):
+                coords = [(c << 64) + lo for c, lo in zip(coords, vals[j::k])]
+            vals = coords
+        return Cyclo._normalized(level, _reduce_vec(list(vals), data), den)
 
-    return ([pack(v) for v in vecs_a],
-            [[pack(v) for v in g] for g in vecs_b],
-            unpack)
+
+# codecs by (level, limb bytes, limbs per slot)
+_CODECS: Dict[Tuple[int, int, int], _Codec] = {}
 
 
 def _over(v: Cyclo, den: int) -> Sequence[int]:
@@ -698,12 +750,13 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
-        if exponent < 0:
-            if not self.is_monomial():
-                raise ValueError("negative power of a non-monomial Laurent polynomial")
+        if self.is_monomial():
             (e, c), = self.coeffs.items()
-            cr = Fraction(c) if isinstance(c, int) else c
-            return LaurentPoly({e * exponent: cr ** exponent})
+            if exponent < 0 and isinstance(c, int):
+                c = Fraction(c)
+            return LaurentPoly({e * exponent: c ** exponent})
+        if exponent < 0:
+            raise ValueError("negative power of a non-monomial Laurent polynomial")
         return _power(self, exponent, LaurentPoly.one())
 
     def __eq__(self, other):

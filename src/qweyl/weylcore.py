@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -19,7 +20,6 @@ from .scalars import (
     Cyclo,
     Jet,
     LaurentPoly,
-    _sparse_power,
     pack_cyclo_products,
     qint as _qint_poly,
     specialize as _specialize_scalar,
@@ -52,6 +52,10 @@ JET = "jet"
 
 
 DEFAULT_DEGREE_LIMIT = 512
+# The largest estimated cost (_power_cost) of a power that is computed.  On
+# a 2-core Python 3.11 machine powers ran at 1.3 to 6 million units a second,
+# so a power that passes takes at most about 20 s there.
+POWER_COST_LIMIT = 25_000_000
 
 
 class ContextMismatchError(ValueError):
@@ -59,7 +63,8 @@ class ContextMismatchError(ValueError):
 
 
 class DegreeLimitExceeded(ValueError):
-    """A power or substitution would exceed the Bernstein-degree guard."""
+    """A power or substitution would exceed the Bernstein-degree guard, or a
+    power the cost guard."""
 
 
 def _degree_limit(explicit: Optional[int]) -> int:
@@ -320,9 +325,14 @@ def _unit(n: int, i: int) -> Tuple[int, ...]:
 
 
 class WeylElement:
-    """Element of the algebra in PBW normal form (x-factors left of d-factors)."""
+    """Element of the algebra in PBW normal form (x-factors left of d-factors).
 
-    __slots__ = ("context", "terms")
+    The only state besides the terms is a memo: the scaled rows of the
+    element as a right factor (_scaled_rows), filled by mul, so multiplying
+    by the same element again, as a power chain does, builds them once.
+    """
+
+    __slots__ = ("context", "terms", "_rows")
 
     def __init__(self, context: AlgebraContext, terms: Mapping):
         clean = {k: c for k, c in terms.items() if c}
@@ -426,17 +436,18 @@ def _plain_mono(al, be):
 
 
 def _scaled_rows(ctx: AlgebraContext, be: Tuple[int, ...], b: WeylElement):
-    """d^be * b as a list of ((ga - js, be + de - js), cb * C_js).
+    """d^be * b as the offsets (ga - js, be + de - js) and the coefficients
+    cb * C_js of its terms, in two lists.
 
     A term x^al d^be meets a term cb x^ga d^de of b in the terms
     (cb * C_js) x^(al + ga - js) d^(be + de - js), where C_js is the product
     of the pair-expansion entries over the pairs i with be[i] and ga[i]
-    nonzero.  These scaled rows depend on be alone, so mul builds them once
-    per distinct be and each contribution costs one product.
+    nonzero.  These scaled rows depend on be alone, so they are built once
+    per distinct be (and kept on b) and each contribution costs one product.
     """
     n = ctx.n
     expansion = ctx._pair_expansion
-    row = []
+    offsets, coeffs = [], []
     for (ga, de), cb in b.terms.items():
         hot = [i for i in range(n) if be[i] and ga[i]]
         combos = [((), cb)]
@@ -452,8 +463,9 @@ def _scaled_rows(ctx: AlgebraContext, be: Tuple[int, ...], b: WeylElement):
             for i, j in zip(hot, js):
                 shift[i] -= j
                 beta[i] -= j
-            row.append(((tuple(shift), tuple(beta)), c))
-    return row
+            offsets.append((tuple(shift), tuple(beta)))
+            coeffs.append(c)
+    return offsets, coeffs
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -461,57 +473,116 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.context != b.context:
         raise ContextMismatchError("cannot multiply across contexts")
     ctx = a.context
-    # last[be]: the index of the last term of a with d-exponents be
-    last = {be: i for i, (_, be) in enumerate(a.terms)}
+    rows = getattr(b, "_rows", None)
+    if rows is None:
+        rows = {}
+        object.__setattr__(b, "_rows", rows)
+    used = {}
+    for _, be in a.terms:
+        if be not in used:
+            row = rows.get(be)
+            if row is None:
+                row = rows[be] = _scaled_rows(ctx, be, b)
+            used[be] = row
     lhs = list(a.terms.values())
-    rows: Dict = {}
     finish = None
     if ctx.kind == ROOT:
         # At a root of unity the coefficients are multiplied and summed as
         # Kronecker-packed integers and unpacked once per output term.  One
-        # packing width serves the whole call, so every row is built first.
-        rows = {be: _scaled_rows(ctx, be, b) for be in last}
+        # packing width serves the whole call, so it is chosen from every
+        # row this product uses.
         lhs, packed, finish = pack_cyclo_products(
-            ctx.level, lhs, [[c for _, c in row] for row in rows.values()])
-        rows = {be: [(o, c) for (o, _), c in zip(row, p)]
-                for (be, row), p in zip(rows.items(), packed)}
+            ctx.level, lhs, [coeffs for _, coeffs in used.values()])
+        used = {be: (offsets, p) for (be, (offsets, _)), p in zip(used.items(), packed)}
     out: Dict = {}
-    for i, ((al, be), ca) in enumerate(zip(a.terms, lhs)):
-        row = rows.get(be)
-        if row is None:
-            row = rows[be] = _scaled_rows(ctx, be, b)
-        for (shift, beta), cb in row:
+    for (al, be), ca in zip(a.terms, lhs):
+        offsets, coeffs = used[be]
+        for (shift, beta), cb in zip(offsets, coeffs):
             c = ca * cb
             if not c:
                 continue
             key = (tuple(map(add, al, shift)), beta)
             cur = out.get(key)
             out[key] = c if cur is None else cur + c
-        if last[be] == i:
-            del rows[be]  # a row lives only while terms of a still use it
     if finish is not None:
         out = {k: finish(v) for k, v in out.items()}
     return WeylElement(ctx, out)
+
+
+def _powers(base: WeylElement):
+    """1, base, base**2, ... without end, each power the previous one times
+    base.
+
+    Every step multiplies by the same base, so its scaled rows are built
+    once for the whole chain.  Keeping the base on the right also keeps
+    powering cheap: binary powering would multiply large powers by each
+    other, and every pair of their terms expands under normal ordering.
+    """
+    acc = base.context.one()
+    while True:
+        yield acc
+        acc = mul(acc, base)
 
 
 def power(a: WeylElement, k: int) -> WeylElement:
     """k-th power; a**0 = 1.
 
     Refuses, before any work, a power whose Bernstein degree k*deg(a)
-    would exceed the guard (QWEYL_MAX_DEGREE, default 512).  Bases with
-    more than two terms are raised by sequential multiplication (see
-    scalars._sparse_power).
+    would exceed the guard (QWEYL_MAX_DEGREE, default 512), or whose
+    estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
+    in which no pair carries both x and d commutes with itself and is
+    raised in closed form; any other base is multiplied up one factor at a
+    time (see _powers).
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
-    if a.terms:
-        degree = k * bernstein_degree(a)
-        limit = _degree_limit(None)
-        if degree > limit:
-            raise DegreeLimitExceeded(
-                f"power of degree {degree} exceeds the guard {limit}"
-            )
-    return _sparse_power(a, k, a.context.one(), len(a.terms))
+    if not a.terms:
+        return a.context.one() if k == 0 else a
+    degree = k * bernstein_degree(a)
+    limit = _degree_limit(None)
+    if degree > limit:
+        raise DegreeLimitExceeded(f"power of degree {degree} exceeds the guard {limit}")
+    if len(a.terms) == 1:
+        ((al, be), c), = a.terms.items()
+        if not any(x and y for x, y in zip(al, be)):
+            key = (tuple(k * x for x in al), tuple(k * y for y in be))
+            return WeylElement(a.context, {key: c ** k})
+    cost = _power_cost(a, k)
+    if cost > POWER_COST_LIMIT:
+        raise DegreeLimitExceeded(
+            f"power of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
+        )
+    return next(islice(_powers(a), k, None))
+
+
+def _power_cost(a: WeylElement, k: int) -> int:
+    """Estimated work of a**k by _powers: k steps times the output terms
+    times one more than the t-degree of a coefficient.
+
+    Terms: the monomials of degree at most k*deg(a), and no more than the
+    weights al - be in their box times the contractions of each x_i against
+    d_i.  t-degree: k times the t-span of a, plus the most inversions of a
+    d_i before an x_i; at a root of unity t^level = 1, so the level.
+    """
+    ctx = a.context
+    n = ctx.n
+    top = k * bernstein_degree(a)
+    max_x = [k * max(al[i] for al, _ in a.terms) for i in range(n)]
+    max_d = [k * max(be[i] for _, be in a.terms) for i in range(n)]
+    weights = [[al[i] - be[i] for al, be in a.terms] for i in range(n)]
+    terms = min(
+        math.comb(top + 2 * n, 2 * n),
+        math.prod(k * (max(w) - min(w)) + 1 for w in weights)
+        * math.prod(min(x, d) + 1 for x, d in zip(max_x, max_d)),
+    )
+    if ctx.kind == SYMBOLIC:
+        span = max(c.max_exponent() for c in a.terms.values()) - min(
+            c.min_exponent() for c in a.terms.values())
+        inversions = min(sum(x * d for x, d in zip(max_x, max_d)), top * top // 4)
+        t_degree = k * span + inversions
+    else:
+        t_degree = ctx.level
+    return k * terms * (t_degree + 1)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,6 +58,16 @@ def test_power_over_degree_guard_is_exit_2(capsys, monkeypatch):
     code, out, _ = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^20"])
     assert code == 0
     assert out.strip().endswith(" + x1^20")
+
+
+def test_power_over_cost_guard_is_exit_2_before_work(capsys):
+    # Degree 120 passes the degree guard; the power would run for minutes.
+    start = time.perf_counter()
+    code, out, err = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^60"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert not out
+    assert "estimated cost" in err and "exceeds the guard" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

@@ -11,8 +11,10 @@ from qweyl import (
     LaurentPoly,
     ParseError,
     f_element,
+    mul,
     parse_center,
     parse_weyl,
+    power,
     print_center,
     print_weyl,
     qint,
@@ -192,6 +194,22 @@ def test_roundtrip_many_terms(sym2):
         terms[key] = LaurentPoly({0: c, k % 4 - 1: 1}) if k % 5 == 0 else c
     e = sym2.from_terms(terms)
     assert len(e.terms) >= 1500
+    assert parse_weyl(print_weyl(e), sym2) == e
+
+
+def test_printed_terms_build_their_monomials(sym2):
+    # Terms already in PBW order become monomials; a d before an x of the
+    # same pair, or a sum as a factor, is still rewritten in the algebra.
+    x1, x2, d1, d2 = sym2.x(1), sym2.x(2), sym2.d(1), sym2.d(2)
+    t = LaurentPoly.t_power(1)
+    src = ("(2 - t)*x1^2*x2*d1*d2^3 - 3/2*t^-1*x2^2*d1^2 + x2*d2*x1 + d1*x1*x2"
+           " + d2*x1^2 + x1*(d1 + x2)*d1")
+    want = (sym2.monomial((2, 1), (1, 3), 2 - t)
+            + sym2.monomial((0, 2), (2, 0), LaurentPoly({-1: Fraction(-3, 2)}))
+            + mul(mul(x2, d2), x1) + mul(mul(d1, x1), x2) + mul(d2, mul(x1, x1))
+            + mul(mul(x1, d1 + x2), d1))
+    assert parse_weyl(src, sym2) == want
+    e = power(d1 + x1 + d2 + x2, 6)
     assert parse_weyl(print_weyl(e), sym2) == e
 
 

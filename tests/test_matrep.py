@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -208,3 +211,14 @@ def test_cross_check_boundary_level_three():
 def test_cross_check_rejects_large_levels():
     with pytest.raises(ValueError):
         cross_check(11, [(1, 1)])
+
+
+def test_importing_qweyl_leaves_numpy_unloaded():
+    # numpy serves only the numeric Burnside rank, which imports it itself
+    import qweyl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
+    code = "import sys, qweyl, qweyl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -24,8 +25,8 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
-from qweyl.scalars import pack_cyclo_products
-from qweyl.weylcore import JET, ROOT, SYMBOLIC
+from qweyl.scalars import euler_phi, pack_cyclo_products
+from qweyl.weylcore import JET, ROOT, SYMBOLIC, _powers
 from conftest import random_element, standard_contexts
 
 
@@ -227,6 +228,19 @@ def test_power_degree_guard(sym1, monkeypatch):
         power(base, 21)
     assert bernstein_degree(power(base, 20)) == 20
     assert power(sym1.zero(), 21) == sym1.zero()  # zero has no degree
+
+
+def test_power_cost_guard(sym1):
+    # (d1+x1)^60 has degree 120, under the degree guard, but would take
+    # about 40 s; the cost guard refuses it before any product.
+    base = sym1.d(1) + sym1.x(1)
+    start = time.perf_counter()
+    with pytest.raises(DegreeLimitExceeded, match="estimated cost"):
+        power(base, 60)
+    assert time.perf_counter() - start < 0.5
+    # a monomial power is built in closed form and costs nothing
+    xd = sym1.monomial((0,), (3,), LaurentPoly.t_power(1)) * 2
+    assert power(xd, 150) == sym1.monomial((0,), (450,), LaurentPoly.t_power(150, 2 ** 150))
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +482,45 @@ def test_packed_mul_matches_the_symbolic_product(level, pair):
     )
 
 
+def _split(total):
+    return [total - total // 3, total // 3]
+
+
 @pytest.mark.parametrize("sign", (1, -1))
-@pytest.mark.parametrize("lhs_sum, rhs_sum", [(217, 151), (255, 257)])
+@pytest.mark.parametrize(
+    "lhs_sum, rhs_sum",
+    [(217, 151), (255, 257)] + [(2 ** (8 * w - 1) - 1, 1) for w in (1, 2, 4, 8, 16, 24)],
+)
 def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
-    # All four products land in slot 0, so the slot reaches the bound the
-    # width is chosen from: 217 * 151 = 2**15 - 1 fills two-byte slots
-    # exactly, and 255 * 257 = 2**16 - 1 needs the sign bit of a third byte.
-    level = 31
-    lhs = [Cyclo.from_rational(level, sign * c) for c in (lhs_sum - 100, 100)]
-    rhs = [Cyclo.from_rational(level, c) for c in (rhs_sum - 50, 50)]
-    packed_lhs, (packed_rhs,), unpack = pack_cyclo_products(level, lhs, [rhs])
-    acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
-    assert unpack(acc) == sign * lhs_sum * rhs_sum
+    # The width is chosen from the bound lhs_sum * rhs_sum, and two slots
+    # reach it: each lhs value is c * (z + z^(d-1)) and each rhs value
+    # c * z^(d-1), d = phi(level), so every product lands in slots d and
+    # 2d - 2.  A slot sum of 2**(8w - 1) - 1 fills w-byte slots exactly: one
+    # limb for w = 1, 2, 4, 8, and two or three 8-byte limbs for w = 16, 24.
+    # 217 * 151 = 2**15 - 1 fills two bytes; 255 * 257 = 2**16 - 1 needs the
+    # sign bit of a third byte and so takes four.  Slot 2d - 2 is past the
+    # level at 31 and 9 and is folded; slot d, and slot 6 at level 12, is
+    # reduced mod the cyclotomic polynomial.
+    for level in (31, 9, 12):
+        d = euler_phi(level)
+        top = Cyclo.zeta(level, d - 1)
+        lhs = [sign * c * (Cyclo.zeta(level) + top) for c in _split(lhs_sum)]
+        rhs = [c * top for c in _split(rhs_sum)]
+        packed_lhs, (packed_rhs,), unpack = pack_cyclo_products(level, lhs, [rhs])
+        acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
+        assert unpack(acc) == sum(a * b for a in lhs for b in rhs)
+        assert unpack(acc) == sign * lhs_sum * rhs_sum * (Cyclo.zeta(level, d) + top * top)
+
+
+@pytest.mark.parametrize("ctx", standard_contexts(), ids=repr)
+def test_power_chain_is_repeated_mul(ctx):
+    # The two bases have the same d-exponents, so rows shared between their
+    # chains would give wrong products.
+    bases = [ctx.d(1) + ctx.x(1), ctx.d(1) * 3 - ctx.monomial((2,) + (0,) * (ctx.n - 1),
+                                                              (1,) + (0,) * (ctx.n - 1))]
+    chains = [_powers(b) for b in bases]
+    want = [ctx.one(), ctx.one()]
+    for _ in range(6):
+        for i, (chain, b) in enumerate(zip(chains, bases)):
+            assert next(chain) == want[i]
+            want[i] = mul(want[i], b)
