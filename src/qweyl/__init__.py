@@ -71,7 +71,6 @@ from .morphisms import (
 from .hatmap import (
     ConvergenceReport,
     HatEndoReport,
-    PrimeSchedule,
     check_center_preservation,
     hat,
     hat_endo,

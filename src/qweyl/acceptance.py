@@ -18,7 +18,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .center import CenterPoly, f_power_closed_form, is_central, theta
 from .hatmap import (
-    PrimeSchedule,
     hat,
     hat_endo,
     check_center_preservation,
@@ -330,7 +329,7 @@ def criterion_prime_necessity() -> Tuple[bool, str]:
     const = ((0,), (0,))
     # matched small ranges on both sides; only the constant coefficient's
     # trajectory is at stake here
-    prime_report = hat(e, CenterPoly.r(1, 1), PrimeSchedule.up_to(13))
+    prime_report = hat(e, CenterPoly.r(1, 1), (3, 5, 7, 11, 13))
     prime_traj = prime_report.trajectories.get(const)
     if prime_traj is None:
         prime_traj = [0j] * len(prime_report.levels)

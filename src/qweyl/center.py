@@ -356,16 +356,16 @@ class MaxIdealPoint:
         return f"MaxIdealPoint(a={self.a}, b={self.b})"
 
 
-def azumaya_test(pt: MaxIdealPoint, level: int, qpow: int = 1) -> bool:
+def azumaya_test(pt: MaxIdealPoint, level: int) -> bool:
     """True iff the fiber at the point is a full matrix algebra.
 
-    The criterion is a_i * b_i != (1-q)^(-level) for every i; exact equality
-    in exact mode, a 1e-9 window in numeric mode.
+    The criterion is a_i * b_i != (1-q)^(-level) for every i, at
+    q = zeta_level; exact equality in exact mode, a 1e-9 window in numeric
+    mode.
     """
     if level < 2:
         raise ValueError("need level >= 2")
-    q = Cyclo.zeta(level, qpow)
-    bad = (Cyclo.one(level) - q) ** (-level)
+    bad = (Cyclo.one(level) - Cyclo.zeta(level)) ** (-level)
     if pt.is_exact():
         for ai, bi in zip(pt.a, pt.b):
             if ai * bi == bad:

@@ -22,7 +22,7 @@ from .center import (
     theta_inverse,
 )
 from .exprio import ParseError, parse_center, parse_weyl, print_center, print_weyl
-from .hatmap import PrimeSchedule, _is_prime, hat, hat_endo, transport_limit
+from .hatmap import hat, hat_endo, transport_limit
 from .matrep import EXACT_RANK_MAX_LEVEL, _rep_at, burnside_span_dim
 from .morphisms import (
     Endomorphism,
@@ -49,12 +49,10 @@ def _context(n: int, level: Optional[int]) -> AlgebraContext:
 
 
 def _parse_primes(text: Optional[str]):
+    """The levels of --primes; None selects the default schedule."""
     if text is None:
         return None
-    levels = [int(v) for v in text.split(",") if v.strip()]
-    if all(_is_prime(v) for v in levels):
-        return PrimeSchedule(tuple(levels))
-    return levels  # composite levels are allowed for experiments
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _scalar_json(value) -> dict:
@@ -152,7 +150,7 @@ def _cmd_azumaya(args) -> int:
     on_locus = azumaya_test(point, args.l)
     out = {"schema": SCHEMA, "l": args.l, "azumaya": on_locus}
     if args.burnside:
-        rep = _rep_at(args.l, a_vals[0], b_vals[0], 1)
+        rep = _rep_at(args.l, a_vals[0], b_vals[0])
         rank = burnside_span_dim(rep)
         out["burnside"] = {
             "rank": rank,
@@ -166,7 +164,7 @@ def _cmd_azumaya(args) -> int:
 def _cmd_rep(args) -> int:
     a = _parse_point_value(args.a, args.l)
     b = _parse_point_value(args.b, args.l)
-    rep = _rep_at(args.l, a, b, 1)
+    rep = _rep_at(args.l, a, b)
     out = {
         "schema": SCHEMA,
         "l": args.l,

@@ -22,6 +22,7 @@ through the parser on every exact normal form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -53,42 +54,32 @@ class ParseError(ValueError):
 # lexer
 # ---------------------------------------------------------------------------
 
-_OPS = "+-*/^()"
+# One alternative per token kind, ASCII only; "bad" takes any other
+# character.  The whitespace class is the ASCII characters str.isspace
+# accepts, and U+2212 MINUS SIGN reads as '-'.
+_TOKEN = re.compile(
+    r"(?P<ws>[\t-\r\x1c- ]+)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z]+[0-9]*)"
+    r"|(?P<op>[-+*/^()\u2212])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(src: str) -> List[Tuple[str, object, int]]:
     tokens = []
-    i = 0
-    size = len(src)
-    while i < size:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "−":  # tolerate a unicode minus on input
-            tokens.append(("op", "-", i))
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < size and src[i].isdigit():
-                i += 1
-            tokens.append(("int", int(src[start:i]), start))
-            continue
-        if c.isalpha():
-            start = i
-            while i < size and src[i].isalpha():
-                i += 1
-            while i < size and src[i].isdigit():
-                i += 1
-            tokens.append(("ident", src[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", None, size))
+    for m in _TOKEN.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "ident":
+            tokens.append(("ident", text, pos))
+        elif kind == "op":
+            tokens.append(("op", "-" if text == "\u2212" else text, pos))
+        elif kind == "int":
+            tokens.append(("int", int(text), pos))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+    tokens.append(("eof", None, len(src)))
     return tokens
 
 

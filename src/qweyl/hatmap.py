@@ -1,7 +1,7 @@
 """Prime-limit transport of endomorphisms to the commutative model.
 
 For each level l in a schedule the endomorphism is specialized at the
-primitive l-th root, conjugated through the center isomorphism, and the
+principal l-th root zeta_l, conjugated through the center isomorphism, and the
 resulting polynomial's complex-embedded coefficients are tracked as
 trajectories.  A trajectory family converges when the supports stabilize and
 the last three values of every surviving coefficient agree to EPS_CONV;
@@ -22,7 +22,6 @@ from .scalars import embed as _embed
 from .weylcore import SYMBOLIC, power
 
 __all__ = [
-    "PrimeSchedule",
     "CentralityFailure",
     "ConvergenceReport",
     "HatEndoReport",
@@ -51,57 +50,17 @@ VERDICT_DIVERGED = "diverged"
 VERDICT_CENTRALITY_FAILED = "centrality-failed"
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    k = 2
-    while k * k <= m:
-        if m % k == 0:
-            return False
-        k += 1
-    return True
-
-
-@dataclass(frozen=True)
-class PrimeSchedule:
-    """Ascending primes to evaluate at, minus an optional skip set."""
-
-    primes: Tuple[int, ...] = DEFAULT_PRIMES
-    skip: frozenset = frozenset()
-
-    def __post_init__(self):
-        if not self.primes:
-            raise ValueError("empty schedule")
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ValueError("schedule must be strictly ascending")
-        for p in self.primes:
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-    @classmethod
-    def default(cls) -> "PrimeSchedule":
-        return cls()
-
-    @classmethod
-    def up_to(cls, bound: int) -> "PrimeSchedule":
-        return cls(tuple(p for p in DEFAULT_PRIMES if p <= bound))
-
-    def levels(self) -> List[int]:
-        return [p for p in self.primes if p not in self.skip]
-
-
-ScheduleLike = Union[PrimeSchedule, Sequence[int], None]
+ScheduleLike = Optional[Sequence[int]]
 
 
 def _schedule_levels(schedule: ScheduleLike) -> List[int]:
+    """The levels of a schedule: DEFAULT_PRIMES for None, else the given
+    distinct ascending levels >= 2, at least three of them."""
     if schedule is None:
-        levels = PrimeSchedule.default().levels()
-    elif isinstance(schedule, PrimeSchedule):
-        levels = schedule.levels()
-    else:
-        levels = [int(v) for v in schedule]
-        if levels != sorted(set(levels)) or any(v < 2 for v in levels):
-            raise ValueError("levels must be distinct, ascending, and >= 2")
+        return list(DEFAULT_PRIMES)
+    levels = [int(v) for v in schedule]
+    if levels != sorted(set(levels)) or any(v < 2 for v in levels):
+        raise ValueError("levels must be distinct, ascending, and >= 2")
     if len(levels) < 3:
         raise ValueError("the stability criterion needs at least three levels")
     return levels
@@ -135,36 +94,22 @@ class LimitCoeff:
         return f"{re}{'+' if im >= 0 else '-'}{abs(im)}*i"
 
 
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Per-level polynomials, coefficient trajectories, and the verdict."""
+    """Per-level polynomials, coefficient trajectories, and the verdict;
+    `standard` and `matches_standard` are set for bracket transports."""
 
-    __slots__ = (
-        "n",
-        "poly",
-        "levels",
-        "results",
-        "failed_levels",
-        "trajectories",
-        "verdict",
-        "witness",
-        "limit",
-        "standard",
-        "matches_standard",
-    )
-
-    def __init__(self, n, poly, levels, results, failed_levels, trajectories,
-                 verdict, witness, limit, standard=None, matches_standard=None):
-        self.n = n
-        self.poly = poly
-        self.levels = tuple(levels)
-        self.results = list(results)
-        self.failed_levels = tuple(failed_levels)
-        self.trajectories = trajectories
-        self.verdict = verdict
-        self.witness = witness
-        self.limit = limit
-        self.standard = standard
-        self.matches_standard = matches_standard
+    n: int
+    poly: CenterPoly
+    levels: Tuple[int, ...]
+    results: Tuple[Tuple[int, Union[CenterPoly, CentralityFailure]], ...]
+    failed_levels: Tuple[int, ...]
+    trajectories: Dict[Mono, List[complex]]
+    verdict: str
+    witness: Optional[Mono]
+    limit: Dict[Mono, LimitCoeff]
+    standard: Optional[CenterPoly] = None
+    matches_standard: Optional[bool] = None
 
     @property
     def converged(self) -> bool:
@@ -175,12 +120,7 @@ class ConvergenceReport:
         rounded to a real rational; None otherwise."""
         if self.verdict != VERDICT_CONVERGED:
             return None
-        coeffs = {}
-        for mono, lc in self.limit.items():
-            if lc.exact is None or lc.exact[1] != 0:
-                return None
-            coeffs[mono] = lc.exact[0]
-        return CenterPoly(self.n, coeffs)
+        return _limit_polynomial(self.n, self.limit)
 
     def limit_expr(self) -> Optional[str]:
         from .exprio import print_center
@@ -243,6 +183,15 @@ class ConvergenceReport:
         return out
 
 
+def _limit_polynomial(n: int, limit: Dict[Mono, LimitCoeff]) -> Optional[CenterPoly]:
+    coeffs = {}
+    for mono, lc in limit.items():
+        if lc.exact is None or lc.exact[1] != 0:
+            return None
+        coeffs[mono] = lc.exact[0]
+    return CenterPoly(n, coeffs)
+
+
 def _reim(c: complex) -> List[float]:
     return [c.real, c.imag]
 
@@ -252,8 +201,8 @@ def _reim(c: complex) -> List[float]:
 # ---------------------------------------------------------------------------
 
 
-def hat_step(e: Endomorphism, p: CenterPoly, level: int,
-             qpow: int = 1) -> Union[CenterPoly, CentralityFailure]:
+def hat_step(e: Endomorphism, p: CenterPoly,
+             level: int) -> Union[CenterPoly, CentralityFailure]:
     """Specialize at the level, push p through the center isomorphism, apply,
     and decompose; a missing decomposition is returned as data, because
     center preservation is only guaranteed for almost every root."""
@@ -263,10 +212,10 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
         raise ValueError("polynomial arity mismatch")
     if level < 2:
         raise ValueError("need level >= 2")
-    e_l = specialize_endomorphism(e, level, qpow)
+    e_l = specialize_endomorphism(e, level)
     if not e_l.validated:
         return CentralityFailure(level, "specialized map violates the relations")
-    image = apply_endo(e_l, theta(p, level, qpow))
+    image = apply_endo(e_l, theta(p, level))
     try:
         return theta_inverse(image)
     except NotCentralError as err:
@@ -302,16 +251,16 @@ def round_coefficient(c: complex) -> LimitCoeff:
     return LimitCoeff(None, c)
 
 
-def _assemble_report(n: int, poly: CenterPoly, levels: Sequence[int],
-                     results) -> ConvergenceReport:
-    good_levels = []
+def _assemble_report(poly: CenterPoly, levels: Sequence[int], results,
+                     standard: Optional[CenterPoly] = None) -> ConvergenceReport:
+    """Judge the per-level results; with a standard bracket, also whether
+    the rounded limit equals it."""
     good_polys = []
     failed = []
     for level, res in results:
         if isinstance(res, CentralityFailure):
             failed.append(level)
         else:
-            good_levels.append(level)
             good_polys.append(res)
 
     support = set()
@@ -322,46 +271,45 @@ def _assemble_report(n: int, poly: CenterPoly, levels: Sequence[int],
         for mono in support
     }
 
-    if len(good_levels) < 3:
-        return ConvergenceReport(
-            n, poly, levels, results, failed, trajectories,
-            VERDICT_CENTRALITY_FAILED, None, {},
-        )
-
     witness = None
     limit: Dict[Mono, LimitCoeff] = {}
-    for mono in sorted(support):
-        vals = trajectories[mono]
-        if abs(vals[-1]) < EPS_KILL and abs(vals[-2]) < EPS_KILL:
-            continue  # vanishing tail: excluded from the limit
-        if not is_stable(vals):
-            witness = mono
-            break
-        lc = round_coefficient(vals[-1])
-        if lc.exact == (Fraction(0), Fraction(0)):
-            continue  # rounds to zero: purge from the limit polynomial
-        limit[mono] = lc
+    if len(good_polys) < 3:
+        verdict = VERDICT_CENTRALITY_FAILED
+    else:
+        for mono in sorted(support):
+            vals = trajectories[mono]
+            if abs(vals[-1]) < EPS_KILL and abs(vals[-2]) < EPS_KILL:
+                continue  # vanishing tail: excluded from the limit
+            if not is_stable(vals):
+                witness = mono
+                break
+            lc = round_coefficient(vals[-1])
+            if lc.exact == (Fraction(0), Fraction(0)):
+                continue  # rounds to zero: purge from the limit polynomial
+            limit[mono] = lc
+        if witness is None:
+            verdict = VERDICT_CONVERGED
+        else:
+            verdict, limit = VERDICT_DIVERGED, {}
 
-    if witness is not None:
-        return ConvergenceReport(
-            n, poly, levels, results, failed, trajectories,
-            VERDICT_DIVERGED, witness, {},
-        )
+    matches = None
+    if standard is not None and verdict == VERDICT_CONVERGED:
+        lim = _limit_polynomial(poly.n, limit)
+        matches = None if lim is None else lim == standard
     return ConvergenceReport(
-        n, poly, levels, results, failed, trajectories,
-        VERDICT_CONVERGED, None, limit,
+        poly.n, poly, tuple(levels), tuple(results), tuple(failed), trajectories,
+        verdict, witness, limit, standard, matches,
     )
 
 
-def hat(e: Endomorphism, p: CenterPoly, schedule: ScheduleLike = None,
-        qpow: int = 1) -> ConvergenceReport:
+def hat(e: Endomorphism, p: CenterPoly,
+        schedule: ScheduleLike = None) -> ConvergenceReport:
     """Run the transport over the schedule and judge convergence."""
     levels = _schedule_levels(schedule)
-    results = [(level, hat_step(e, p, level, qpow)) for level in levels]
-    return _assemble_report(p.n, p, levels, results)
+    return _assemble_report(p, levels, [(level, hat_step(e, p, level)) for level in levels])
 
 
-@dataclass
+@dataclass(frozen=True)
 class HatEndoReport:
     """Transport of all 2n coordinates plus the composite verdict."""
 
@@ -383,8 +331,7 @@ class HatEndoReport:
         return out
 
 
-def hat_endo(e: Endomorphism, schedule: ScheduleLike = None,
-             qpow: int = 1) -> HatEndoReport:
+def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
     """Transport every coordinate polynomial; converged iff all converge.
 
     When all coordinates converge to exact real-rational limits, the induced
@@ -393,8 +340,8 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None,
     n = e.context.n
     reports = {}
     for i in range(1, n + 1):
-        reports[f"r{i}"] = hat(e, CenterPoly.r(n, i), schedule, qpow)
-        reports[f"s{i}"] = hat(e, CenterPoly.s(n, i), schedule, qpow)
+        reports[f"r{i}"] = hat(e, CenterPoly.r(n, i), schedule)
+        reports[f"s{i}"] = hat(e, CenterPoly.s(n, i), schedule)
     converged = all(r.converged for r in reports.values())
     induced = None
     if converged:
@@ -404,10 +351,10 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None,
     return HatEndoReport(reports, converged, induced)
 
 
-def check_center_preservation(e: Endomorphism, level: int, qpow: int = 1) -> bool:
+def check_center_preservation(e: Endomorphism, level: int) -> bool:
     """True iff the image of every generator's l-th power decomposes over
     the center at this level."""
-    e_l = specialize_endomorphism(e, level, qpow)
+    e_l = specialize_endomorphism(e, level)
     if not e_l.validated:
         return False
     ctx = e_l.context
@@ -422,16 +369,9 @@ def check_center_preservation(e: Endomorphism, level: int, qpow: int = 1) -> boo
 
 
 def transport_limit(p: CenterPoly, q: CenterPoly,
-                    schedule: ScheduleLike = None,
-                    qpow: int = 1) -> ConvergenceReport:
+                    schedule: ScheduleLike = None) -> ConvergenceReport:
     """Bracket transport over the schedule, compared against the standard
     symplectic bracket when a rounded exact limit exists."""
     levels = _schedule_levels(schedule)
-    results = [(level, transported_bracket(p, q, level, qpow)) for level in levels]
-    report = _assemble_report(p.n, p, levels, results)
-    std = standard_bracket(p, q)
-    report.standard = std
-    if report.converged:
-        lim = report.limit_polynomial()
-        report.matches_standard = (lim == std) if lim is not None else None
-    return report
+    results = [(level, transported_bracket(p, q, level)) for level in levels]
+    return _assemble_report(p, levels, results, standard_bracket(p, q))

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .center import MaxIdealPoint, azumaya_test
 from .scalars import Cyclo, embed as _embed
@@ -54,36 +54,24 @@ Matrix = List[List[object]]
 
 @dataclass(frozen=True)
 class MatRep:
-    """Representation with X diagonalizable (a != 0) or Y diagonalizable."""
+    """Representation at the point (a, b) over the field of q: cyclotomic
+    numbers when exact, complex floats otherwise.  X is diagonalizable when
+    a != 0, and Y when a = 0 != b."""
 
     level: int
-    qpow: int
     q: object
     X: Matrix
     Y: Matrix
     a: object
     b: object
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.q, Cyclo)
 
 
-@dataclass(frozen=True)
-class NilpotentRep:
+class NilpotentRep(MatRep):
     """Truncated-polynomial representation at the point a = b = 0."""
-
-    level: int
-    qpow: int
-    q: object
-    X: Matrix
-    Y: Matrix
-    exact: bool
-
-    @property
-    def a(self):
-        return Fraction(0) if self.exact else 0j
-
-    @property
-    def b(self):
-        return Fraction(0) if self.exact else 0j
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +116,23 @@ def _exact_lth_root(value, l: int):
     return Fraction(num, den)
 
 
-def _zero_like(exact: bool, level: int):
-    return Cyclo.zero(level) if exact else 0j
+def _as_complex(v) -> complex:
+    return complex(_embed(v)) if _is_exact(v) else complex(v)
 
 
-def _one_like(exact: bool, level: int):
-    return Cyclo.one(level) if exact else 1 + 0j
+def _units(q):
+    """Zero and one of the field q lives in: Cyclo or complex."""
+    one = q ** 0
+    return one - one, one
 
 
-def _zeros(l: int, exact: bool, level: int) -> Matrix:
-    z = _zero_like(exact, level)
-    return [[z for _ in range(l)] for _ in range(l)]
+def _zeros(l: int, zero) -> Matrix:
+    return [[zero] * l for _ in range(l)]
 
 
-def _identity(l: int, exact: bool, level: int) -> Matrix:
-    m = _zeros(l, exact, level)
-    one = _one_like(exact, level)
+def _identity(l: int, q) -> Matrix:
+    zero, one = _units(q)
+    m = _zeros(l, zero)
     for i in range(l):
         m[i][i] = one
     return m
@@ -176,12 +165,12 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def build_rep(l: int, a, b, lroot_of_a=None, qpow: int = 1,
-              exact: Optional[bool] = None) -> Union[MatRep, NilpotentRep]:
-    """Representation realizing the point (a, b) of the center's spectrum.
+def build_rep(l: int, a, b, lroot_of_a=None) -> MatRep:
+    """Representation realizing the point (a, b) of the center's spectrum,
+    at q = zeta_l.
 
-    The construction is exact when a, b (and lroot_of_a) are exact scalars
-    and runs over complex floats when any of them is numeric or exact=False.
+    The construction is exact when a, b and lroot_of_a are all exact
+    scalars, and runs over complex floats when any of them is numeric.
     Exact mode needs the relevant l-th root to be rational or supplied; when
     it is not, NoExactRootError is raised (see _rep_at for the numeric
     fallback).  The relation Y X - q X Y = I holds by construction for
@@ -189,41 +178,29 @@ def build_rep(l: int, a, b, lroot_of_a=None, qpow: int = 1,
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    if math.gcd(qpow % l, l) != 1:
-        raise ValueError("qpow must be coprime to l")
-    inputs_exact = _is_exact(a) and _is_exact(b) and (
-        lroot_of_a is None or _is_exact(lroot_of_a)
-    )
-    if exact is None:
-        exact = inputs_exact
-    if exact and not inputs_exact:
-        raise ValueError("exact mode requested with numeric inputs")
-
-    if exact:
-        q = Cyclo.zeta(l, qpow)
-        a_s = _coerce_exact(a, l)
-        b_s = _coerce_exact(b, l)
+    if _is_exact(a) and _is_exact(b) and (lroot_of_a is None or _is_exact(lroot_of_a)):
+        q = Cyclo.zeta(l)
+        a_s, b_s = _coerce_exact(a, l), _coerce_exact(b, l)
     else:
-        q = cmath.exp(2j * math.pi * (qpow % l) / l)
-        a_s = complex(_embed(a)) if _is_exact(a) else complex(a)
-        b_s = complex(_embed(b)) if _is_exact(b) else complex(b)
+        q = cmath.exp(2j * math.pi / l)
+        a_s, b_s = _as_complex(a), _as_complex(b)
 
     if not a_s and not b_s:
-        return _nilpotent_rep(l, qpow, q, exact)
+        return _nilpotent_rep(l, q)
     if a_s:
-        lam = _pick_root(a_s, lroot_of_a, l, exact)
-        X, Y = _band_pair(l, q, lam, a_s, b_s, exact, diag_is_x=True)
-        return MatRep(l, qpow % l, q, X, Y, a_s, b_s, exact)
-    mu = _pick_root(b_s, None, l, exact)
-    Y, X = _band_pair(l, q, mu, b_s, a_s, exact, diag_is_x=False)
-    return MatRep(l, qpow % l, q, X, Y, a_s, b_s, exact)
+        lam = _pick_root(a_s, lroot_of_a, l)
+        X, Y = _band_pair(l, q, lam, a_s, b_s, diag_is_x=True)
+    else:
+        mu = _pick_root(b_s, None, l)
+        Y, X = _band_pair(l, q, mu, b_s, a_s, diag_is_x=False)
+    return MatRep(l, q, X, Y, a_s, b_s)
 
 
-def _rep_at(l: int, a, b, qpow: int) -> Union[MatRep, NilpotentRep]:
+def _rep_at(l: int, a, b) -> MatRep:
     """build_rep at (a, b): exact when the l-th root is stored in the exact
     tower, otherwise over the complex embeddings of a and b."""
     try:
-        return build_rep(l, a, b, qpow=qpow)
+        return build_rep(l, a, b)
     except NoExactRootError:
         try:
             a_c, b_c = complex(_embed(a)), complex(_embed(b))
@@ -232,7 +209,7 @@ def _rep_at(l: int, a, b, qpow: int) -> Union[MatRep, NilpotentRep]:
                 f"no exact {l}-th root is stored, and the point is too large "
                 "for the complex fallback"
             ) from None
-        return build_rep(l, a_c, b_c, qpow=qpow)
+        return build_rep(l, a_c, b_c)
 
 
 def _coerce_exact(v, level: int):
@@ -246,8 +223,8 @@ def _coerce_exact(v, level: int):
     return Cyclo.from_rational(level, v)
 
 
-def _pick_root(value, supplied, l: int, exact: bool):
-    if exact:
+def _pick_root(value, supplied, l: int):
+    if isinstance(value, Cyclo):
         if supplied is not None:
             root = _coerce_exact(supplied, value.level)
             if root ** l != value:
@@ -260,12 +237,12 @@ def _pick_root(value, supplied, l: int, exact: bool):
             )
         return _coerce_exact(r, value.level)
     if supplied is not None:
-        return complex(_embed(supplied)) if _is_exact(supplied) else complex(supplied)
-    return complex(value) ** (1.0 / l)
+        return _as_complex(supplied)
+    return value ** (1.0 / l)
 
 
 def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
-               exact: bool, diag_is_x: bool):
+               diag_is_x: bool):
     """Diagonal matrix with eigenvalues lam*q^i (resp. lam*q^-i) paired with
     the cyclic band matrix forced by the defining relation.
 
@@ -273,11 +250,10 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
     closes the cycle: the power constraint only pins the product of the band
     entries.
     """
-    level = getattr(q, "level", l)
-    one = _one_like(exact, level)
+    zero, one = _units(q)
     one_minus_q = one - q
-    D = _zeros(l, exact, level)
-    B = _zeros(l, exact, level)
+    D = _zeros(l, zero)
+    B = _zeros(l, zero)
     qi = one
     diag_vals = []
     for i in range(l):
@@ -299,20 +275,19 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
     return D, B
 
 
-def _nilpotent_rep(l: int, qpow: int, q, exact: bool) -> NilpotentRep:
-    level = getattr(q, "level", l)
-    X = _zeros(l, exact, level)
-    Y = _zeros(l, exact, level)
-    one = _one_like(exact, level)
+def _nilpotent_rep(l: int, q) -> NilpotentRep:
+    zero, one = _units(q)
+    X = _zeros(l, zero)
+    Y = _zeros(l, zero)
     qk = one
-    qints = [_zero_like(exact, level)]
+    qints = [zero]
     for _ in range(1, l):
         qints.append(qints[-1] + qk)
         qk = qk * q
     for m in range(l - 1):
         X[m + 1][m] = one           # multiplication by x on 1, x, .., x^(l-1)
         Y[m][m + 1] = qints[m + 1]  # quantum derivative of x^(m+1)
-    return NilpotentRep(l, qpow % l, q, X, Y, exact)
+    return NilpotentRep(l, q, X, Y, zero, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +295,15 @@ def _nilpotent_rep(l: int, qpow: int, q, exact: bool) -> NilpotentRep:
 # ---------------------------------------------------------------------------
 
 
-def burnside_span_dim(rep: Union[MatRep, NilpotentRep]) -> int:
+def burnside_span_dim(rep: MatRep) -> int:
     """Dimension of the span of X^i Y^j for 0 <= i, j < l.
 
     Equals l^2 exactly when the representation generates the full matrix
     algebra fiber.
     """
     l = rep.level
-    xs = _power_list(rep.X, l, rep.exact)
-    ys = _power_list(rep.Y, l, rep.exact)
+    xs = _power_list(rep.X, l, rep.q)
+    ys = _power_list(rep.Y, l, rep.q)
     rows = []
     for Xi in xs:
         for Yj in ys:
@@ -344,9 +319,8 @@ def burnside_span_dim(rep: Union[MatRep, NilpotentRep]) -> int:
     return int(np.sum(sv > tol))
 
 
-def _power_list(m: Matrix, upto: int, exact: bool) -> List[Matrix]:
-    level = getattr(m[0][0], "level", len(m))
-    out = [_identity(len(m), exact, level if exact else 0)]
+def _power_list(m: Matrix, upto: int, q) -> List[Matrix]:
+    out = [_identity(len(m), q)]
     for _ in range(1, upto):
         out.append(_matmul(out[-1], m))
     return out
@@ -383,8 +357,7 @@ def _exact_rank(rows: List[List[object]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cross_check(l: int, sample_points: Sequence[Tuple[object, object]],
-                qpow: int = 1) -> dict:
+def cross_check(l: int, sample_points: Sequence[Tuple[object, object]]) -> dict:
     """Compare the locus criterion against the Burnside oracle pointwise."""
     if l > EXACT_RANK_MAX_LEVEL:
         raise ValueError(f"exact rank sweeps are limited to l <= {EXACT_RANK_MAX_LEVEL}")
@@ -392,8 +365,8 @@ def cross_check(l: int, sample_points: Sequence[Tuple[object, object]],
     all_agree = True
     for a, b in sample_points:
         point = MaxIdealPoint([a], [b])
-        on_locus = azumaya_test(point, l, qpow)
-        rep = _rep_at(l, a, b, qpow)
+        on_locus = azumaya_test(point, l)
+        rep = _rep_at(l, a, b)
         rank = burnside_span_dim(rep)
         agree = (rank == l * l) == on_locus
         all_agree = all_agree and agree

@@ -138,20 +138,20 @@ def identity_endomorphism(ctx: AlgebraContext) -> Endomorphism:
     return Endomorphism(ctx, xs, ds, True, ())
 
 
-def apply_endo(e: Endomorphism, a: WeylElement,
-               max_degree: Optional[int] = None) -> WeylElement:
+def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     """Image of an element under a validated endomorphism.
 
     Substitutes monomial by monomial, multiplying the generator images in
     PBW order (all x-images first, then all d-images).  Refuses inputs whose
-    substituted Bernstein degree would exceed the guard.
+    substituted Bernstein degree would exceed the guard (QWEYL_MAX_DEGREE,
+    default 512).
     """
     if not e.validated:
         raise UnvalidatedError("endomorphism failed (or skipped) validation")
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
-    limit = _degree_limit(max_degree)
+    limit = _degree_limit()
     n = ctx.n
     deg_x = [bernstein_degree(img) if img else 0 for img in e.images_x]
     deg_d = [bernstein_degree(img) if img else 0 for img in e.images_d]
@@ -187,15 +187,14 @@ def apply_endo(e: Endomorphism, a: WeylElement,
     return out
 
 
-def compose(e1: Endomorphism, e2: Endomorphism,
-            max_degree: Optional[int] = None) -> Endomorphism:
+def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     """e1 after e2: images of the composite are e1 applied to e2's images."""
     if e1.context != e2.context:
         raise ContextMismatchError("cannot compose across contexts")
     if not (e1.validated and e2.validated):
         raise UnvalidatedError("compose requires validated endomorphisms")
-    xs = [apply_endo(e1, img, max_degree) for img in e2.images_x]
-    ds = [apply_endo(e1, img, max_degree) for img in e2.images_d]
+    xs = [apply_endo(e1, img) for img in e2.images_x]
+    ds = [apply_endo(e1, img) for img in e2.images_d]
     # a composite of certified homomorphisms is a homomorphism
     return Endomorphism(e1.context, xs, ds, True, ())
 
@@ -270,14 +269,14 @@ def lift_psi(ctx: AlgebraContext, coeff_poly: Union[WeylElement, Mapping[int, ob
     return e
 
 
-def specialize_endomorphism(e: Endomorphism, level: int, qpow: int = 1) -> Endomorphism:
-    """Specialize the generator images at a root of unity and re-certify.
+def specialize_endomorphism(e: Endomorphism, level: int) -> Endomorphism:
+    """Specialize the generator images at q = zeta_level and re-certify.
 
     Re-validation matters: some maps satisfy the relations only at specific
     values of the parameter.
     """
     if e.context.kind != SYMBOLIC:
         raise ValueError("only symbolic endomorphisms specialize")
-    xs = [specialize_element(img, level, qpow) for img in e.images_x]
-    ds = [specialize_element(img, level, qpow) for img in e.images_d]
+    xs = [specialize_element(img, level) for img in e.images_x]
+    ds = [specialize_element(img, level) for img in e.images_d]
     return make_endomorphism(xs[0].context, xs, ds)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -139,22 +139,15 @@ def euler_phi(level: int) -> int:
 
 
 class _LevelData:
-    __slots__ = ("level", "phi", "degree", "rows")
+    __slots__ = ("level", "phi", "degree", "low")
 
     def __init__(self, level: int):
         self.level = level
         self.phi = cyclotomic_polynomial(level)
         d = len(self.phi) - 1
         self.degree = d
-        # rows[j] = coefficient vector of z^j reduced mod Phi, for d <= j < level
-        rows: Dict[int, Tuple[int, ...]] = {}
-        cur = [-c for c in self.phi[:d]]
-        rows[d] = tuple(cur)
-        for j in range(d + 1, level):
-            top = cur[d - 1]
-            cur = [(cur[k - 1] if k >= 1 else 0) + top * rows[d][k] for k in range(d)]
-            rows[j] = tuple(cur)
-        self.rows = rows
+        # the nonzero (k, phi_k), k < d: Phi is monic, so z^d = -sum phi_k z^k
+        self.low = tuple((k, c) for k, c in enumerate(self.phi[:d]) if c)
 
 
 _LEVELS: Dict[int, _LevelData] = {}
@@ -176,12 +169,14 @@ def _reduce_vec(vec: List[int], data: _LevelData) -> List[int]:
         for idx in range(len(vec) - 1, level - 1, -1):
             vec[idx - level] += vec[idx]
         del vec[level:]
+    # synthetic division by Phi, from the top entry down
+    low = data.low
     for idx in range(len(vec) - 1, d - 1, -1):
         c = vec[idx]
         if c:
-            row = data.rows[idx]
-            for k in range(d):
-                vec[k] += c * row[k]
+            base = idx - d
+            for k, p in low:
+                vec[base + k] -= c * p
     del vec[d:]
     if len(vec) < d:
         vec.extend([0] * (d - len(vec)))
@@ -559,11 +554,13 @@ _LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
 class _Codec:
     """Slot layout of pack_cyclo_products at one level: k limbs of L bytes.
 
-    Holds structs[n], the Struct of n slots, and flip[n], the sign bits of
-    n slots, which is also the bias that makes n slot sums digits.
+    Holds structs(n), the Struct of n slots, and flip(n), the sign bits of
+    n slots, which is also the bias that makes n slot sums digits.  Each is
+    built when its slot count is first used and cached, so a codec holds
+    only the layouts its products need.
     """
 
-    __slots__ = ("data", "bits", "k", "flip", "low", "structs")
+    __slots__ = ("data", "bits", "k", "top", "low", "flip", "structs")
 
     def __init__(self, data: _LevelData, limb: int, k: int):
         self.data = data
@@ -572,13 +569,11 @@ class _Codec:
         signed, unsigned = _LIMB_CODES[limb]
         # little-endian: the lower limbs of a slot are unsigned, its top one signed
         codes = unsigned * (k - 1) + signed
-        sign = 1 << (bits - 1)
-        flip = [0]
-        for i in range(2 * data.degree - 1):
-            flip.append(flip[-1] | sign << (bits * i))
-        self.flip = flip
+        self.top = 2 * data.degree - 1  # the slots of an unreduced product
         self.low = (1 << (bits * data.level)) - 1
-        self.structs = [struct.Struct("<" + codes * n) for n in range(len(flip))]
+        # the sign bit of each of n slots: a geometric sum in 2**bits
+        self.flip = cache(lambda n: ((1 << bits * n) - 1) // ((1 << bits) - 1) << (bits - 1))
+        self.structs = cache(lambda n: struct.Struct("<" + codes * n))
 
     def pack(self, vec: Sequence[int]) -> int:
         k = self.k
@@ -589,19 +584,19 @@ class _Codec:
             limbs[k - 1::k] = [c >> (64 * (k - 1)) for c in vec]
             vec = limbs
         d = self.data.degree
-        flip = self.flip[d]
-        return (int.from_bytes(self.structs[d].pack(*vec), "little") ^ flip) - flip
+        flip = self.flip(d)
+        return (int.from_bytes(self.structs(d).pack(*vec), "little") ^ flip) - flip
 
     def unpack(self, acc: int, den: int) -> Cyclo:
         data, bits, flip = self.data, self.bits, self.flip
         level = data.level
         # |acc| >= 2**(bits*top - 2) when slot top is the highest nonzero one
-        n = min(len(flip) - 1, (acc.bit_length() + 1) // bits + 1)
-        v = acc + flip[n]
+        n = min(self.top, (acc.bit_length() + 1) // bits + 1)
+        v = acc + flip(n)
         if n > level:
-            v = (v & self.low) + (v >> (bits * level)) - flip[n - level]
+            v = (v & self.low) + (v >> (bits * level)) - flip(n - level)
             n = level
-        vals = self.structs[n].unpack((v ^ flip[n]).to_bytes(bits // 8 * n, "little"))
+        vals = self.structs(n).unpack((v ^ flip(n)).to_bytes(bits // 8 * n, "little"))
         k = self.k
         if k > 1:
             coords = vals[k - 1::k]

@@ -67,9 +67,7 @@ class DegreeLimitExceeded(ValueError):
     power the cost guard."""
 
 
-def _degree_limit(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
+def _degree_limit() -> int:
     env = os.environ.get("QWEYL_MAX_DEGREE")
     if not env:
         return DEFAULT_DEGREE_LIMIT
@@ -539,7 +537,7 @@ def power(a: WeylElement, k: int) -> WeylElement:
     if not a.terms:
         return a.context.one() if k == 0 else a
     degree = k * bernstein_degree(a)
-    limit = _degree_limit(None)
+    limit = _degree_limit()
     if degree > limit:
         raise DegreeLimitExceeded(f"power of degree {degree} exceeds the guard {limit}")
     if len(a.terms) == 1:
@@ -611,18 +609,20 @@ def f_element(ctx: AlgebraContext) -> WeylElement:
     return out
 
 
-def specialize_element(a: WeylElement, level: int, qpow: int = 1) -> WeylElement:
-    """Coefficientwise specialization t -> q into the root-of-unity algebra.
+def specialize_element(a: WeylElement, level: int) -> WeylElement:
+    """Coefficientwise specialization t -> zeta_level into the root-of-unity
+    algebra.
 
-    Also lowers first-order expansions back to their value at the root.
+    Also lowers first-order expansions back to their value at their own root.
     """
     ctx = a.context
-    target = AlgebraContext.root_of_unity(ctx.n, level, qpow)
     if ctx.kind == SYMBOLIC:
-        terms = {k: _specialize_scalar(c, level, qpow) for k, c in a.terms.items()}
+        target = AlgebraContext.root_of_unity(ctx.n, level)
+        terms = {k: _specialize_scalar(c, level) for k, c in a.terms.items()}
     elif ctx.kind == JET:
-        if ctx.level != level or ctx.qpow != qpow % level:
+        if ctx.level != level:
             raise ValueError("first-order expansions specialize at their own root")
+        target = AlgebraContext.root_of_unity(ctx.n, level, ctx.qpow)
         terms = {k: c.val for k, c in a.terms.items()}
     else:
         raise ValueError("element is already specialized")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 
 import pytest
@@ -139,6 +140,20 @@ def test_rep_json(capsys):
     assert blob["X"][0][0]["exact"] == "1"
     assert blob["X"][1][1]["exact"] == "-1"
     assert len(blob["Y"]) == 2
+
+
+def test_rep_numeric_zeros_are_positive(capsys):
+    # The numeric nilpotent representation takes its zero from the field of
+    # q as one - one, which is +0.0; a zero formed as q * 0 can carry -0.0.
+    code, out, _ = _capture(capsys, ["rep", "--l", "3", "--a", "0.0", "--b", "0.0"])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["exact"] is False
+    entries = [v for m in ("X", "Y") for row in blob[m] for v in row]
+    zeros = [v["approx"] for v in entries if v["approx"] == [0.0, 0.0]]
+    assert len(zeros) == 2 * 9 - 2 * 2
+    assert all(math.copysign(1.0, c) == 1.0 for z in zeros for c in z)
+    assert "-0.0" not in out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])

@@ -225,7 +225,7 @@ def test_roundtrip_center_many_terms():
 # ---------------------------------------------------------------------------
 
 _SOUP = st.text(
-    alphabet="xd rsfqt0123456789+-*/^() .",
+    alphabet="xd rsfqt0123456789+-*/^() .²١é",
     min_size=0,
     max_size=40,
 )
@@ -233,6 +233,7 @@ _SOUP = st.text(
 
 @given(_SOUP)
 @example("f^969")  # a power past the degree guard is a ParseError at the '^'
+@example("x1^²")  # a non-ASCII digit is an unexpected character
 @settings(max_examples=300, deadline=None)
 def test_parser_total_on_weyl(src):
     ctx = AlgebraContext.symbolic(2)
@@ -241,6 +242,15 @@ def test_parser_total_on_weyl(src):
     except ParseError as err:
         assert isinstance(err.position, int)
         assert 0 <= err.position <= len(src)
+
+
+def test_only_ascii_digits_and_letters_are_read():
+    ctx = AlgebraContext.symbolic(1)
+    for src, pos in (("x1^١", 3), ("x1^²", 3), ("3²*x1", 1), ("é*x1", 0), ("x1\xa0+d1", 2)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_weyl(src, ctx)
+        assert err.value.position == pos
+    assert parse_weyl("x1 \u2212 d1", ctx) == parse_weyl("x1 - d1", ctx)
 
 
 @given(_SOUP)

@@ -6,7 +6,6 @@ from qweyl import (
     AlgebraContext,
     CenterPoly,
     Cyclo,
-    PrimeSchedule,
     check_center_preservation,
     compose,
     hat,
@@ -27,7 +26,7 @@ from qweyl.hatmap import (
 )
 
 # large enough that the decaying tails drop below the kill threshold
-MID = PrimeSchedule.up_to(23)
+MID = DEFAULT_PRIMES[:8]
 
 
 def _subst(poly: CenterPoly, images: dict) -> CenterPoly:
@@ -48,15 +47,30 @@ def _subst(poly: CenterPoly, images: dict) -> CenterPoly:
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        PrimeSchedule((3, 4, 5))
-    with pytest.raises(ValueError):
-        PrimeSchedule((5, 3))
-    with pytest.raises(ValueError):
-        PrimeSchedule(())
-    s = PrimeSchedule((3, 5, 7), skip=frozenset({5}))
-    assert s.levels() == [3, 7]
-    assert PrimeSchedule.default().levels()[-1] == 31
+    e = identity_endomorphism(AlgebraContext.symbolic(1))
+    r1 = CenterPoly.r(1, 1)
+    for bad in ((5, 3, 7), (3, 3, 5, 7), (1, 3, 5), ()):
+        with pytest.raises(ValueError):
+            hat(e, r1, bad)
+    assert hat(e, r1).levels == DEFAULT_PRIMES
+    assert DEFAULT_PRIMES[-1] == 31
+    # composite levels are accepted as given
+    assert hat(e, r1, (4, 6, 9)).levels == (4, 6, 9)
+
+
+def test_reports_are_immutable():
+    e = identity_endomorphism(AlgebraContext.symbolic(1))
+    result = hat_endo(e, DEFAULT_PRIMES[:3])
+    report = result.reports["r1"]
+    with pytest.raises(AttributeError):
+        report.verdict = "diverged"
+    with pytest.raises(AttributeError):
+        report.standard = CenterPoly.r(1, 1)
+    with pytest.raises(AttributeError):
+        result.converged = False
+    bracket = transport_limit(CenterPoly.r(1, 1), CenterPoly.s(1, 1), DEFAULT_PRIMES[:3])
+    with pytest.raises(AttributeError):
+        bracket.matches_standard = False
 
 
 def test_short_schedules_rejected():
@@ -156,7 +170,7 @@ def test_round_coefficient():
 
 def test_hat_identity_converges_to_identity():
     e = identity_endomorphism(AlgebraContext.symbolic(1))
-    result = hat_endo(e, PrimeSchedule.up_to(7))
+    result = hat_endo(e, DEFAULT_PRIMES[:3])
     assert result.converged
     assert result.induced == {"r1": CenterPoly.r(1, 1), "s1": CenterPoly.s(1, 1)}
 
@@ -206,7 +220,7 @@ def test_hat_poisson_preservation_at_limit():
 def test_hat_divergence_witness():
     ctx = AlgebraContext.symbolic(1)
     e = lift_phi(ctx, {0: 2})
-    report = hat(e, CenterPoly.r(1, 1), PrimeSchedule.up_to(13))
+    report = hat(e, CenterPoly.r(1, 1), DEFAULT_PRIMES[:5])
     assert report.verdict == "diverged"
     assert report.witness == ((0,), (0,))  # the 2^l constant coefficient
 
@@ -214,7 +228,7 @@ def test_hat_divergence_witness():
 def test_hat_centrality_failures_reported():
     ctx = AlgebraContext.symbolic(1)
     bad = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + ctx.x(1)])
-    report = hat(bad, CenterPoly.r(1, 1), PrimeSchedule.up_to(7))
+    report = hat(bad, CenterPoly.r(1, 1), DEFAULT_PRIMES[:3])
     assert report.verdict == "centrality-failed"
     assert report.failed_levels == (3, 5, 7)
 
@@ -265,7 +279,7 @@ def test_transport_limit_pairing():
 
 
 def test_transport_limit_trivial_pair():
-    report = transport_limit(CenterPoly.r(1, 1), CenterPoly.r(1, 1), PrimeSchedule.up_to(7))
+    report = transport_limit(CenterPoly.r(1, 1), CenterPoly.r(1, 1), DEFAULT_PRIMES[:3])
     assert report.converged
     assert report.limit_polynomial() == CenterPoly.zero(1)
     assert report.matches_standard is True

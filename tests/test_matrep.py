@@ -121,7 +121,7 @@ def test_x_powers_independent():
     l = 3
     rep = build_rep(l, 1, 1)
     rows = []
-    P = _identity(l, True, l)
+    P = _identity(l, rep.q)
     for _ in range(l):
         rows.append([complex(embed(v)) for row in P for v in row])
         P = _matmul(P, rep.X)
@@ -133,7 +133,7 @@ def test_exact_root_handling():
         build_rep(3, 2, 1)  # 2 has no rational cube root
     rep = build_rep(3, 8, 1)  # but 8 does
     assert rep.exact and rep.X[0][0] == 2
-    rep2 = build_rep(3, 2, 1, lroot_of_a=complex(2) ** (1 / 3), exact=False)
+    rep2 = build_rep(3, 2, 1, lroot_of_a=complex(2) ** (1 / 3))
     assert not rep2.exact
     with pytest.raises(Exception):
         build_rep(3, 8, 1, lroot_of_a=3)  # 3^3 != 8

@@ -119,15 +119,17 @@ def test_apply_requires_validation(sym1):
         apply_endo(bad, sym1.x(1))
 
 
-def test_degree_guard(sym1):
+def test_degree_guard(sym1, monkeypatch):
     e = lift_phi(sym1, {2: 1})  # d-image has degree 4
     big = sym1.monomial((0,), (200,))
     with pytest.raises(DegreeLimitExceeded):
         apply_endo(e, big)
     small = sym1.monomial((0,), (3,))
+    monkeypatch.setenv("QWEYL_MAX_DEGREE", "8")
     with pytest.raises(DegreeLimitExceeded):
-        apply_endo(e, small, max_degree=8)
-    assert apply_endo(e, small, max_degree=12)  # explicit override computes
+        apply_endo(e, small)
+    monkeypatch.setenv("QWEYL_MAX_DEGREE", "12")
+    assert apply_endo(e, small)  # the raised guard computes
 
 
 # ---------------------------------------------------------------------------

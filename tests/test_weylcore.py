@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -510,6 +511,23 @@ def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
         acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
         assert unpack(acc) == sum(a * b for a in lhs for b in rhs)
         assert unpack(acc) == sign * lhs_sum * rhs_sum * (Cyclo.zeta(level, d) + top * top)
+
+
+def test_level_tables_stay_small_at_a_high_level():
+    # d1*x1 at level 4096 packs two vectors of phi = 2048 slots.  A codec
+    # builds the Struct and sign bits of a slot count only when a product
+    # uses it, and reduction mod Phi_4096 = z^2048 + 1 keeps no table of
+    # reduced powers; building either for every slot count or power took
+    # about 300 MiB.
+    tracemalloc.start()
+    try:
+        ctx = AlgebraContext.root_of_unity(1, 4096)
+        product = mul(ctx.d(1), ctx.x(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product == ctx.one() + ctx.monomial((1,), (1,)).scale(ctx.t_power(1))
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("ctx", standard_contexts(), ids=repr)
