@@ -23,7 +23,7 @@ from .center import (
 )
 from .exprio import ParseError, parse_center, parse_weyl, print_center, print_weyl
 from .hatmap import hat, hat_endo, transport_limit
-from .matrep import EXACT_RANK_MAX_LEVEL, _rep_at, burnside_span_dim
+from .matrep import _rep_at, burnside_span_dim
 from .morphisms import (
     Endomorphism,
     lift_phi,
@@ -138,20 +138,12 @@ def _cmd_azumaya(args) -> int:
     a_vals = [_parse_point_value(v, args.l) for v in args.a.split(",")]
     b_vals = [_parse_point_value(v, args.l) for v in args.b.split(",")]
     point = MaxIdealPoint(a_vals, b_vals)
-    if args.burnside:
-        if point.n != 1:
-            raise ParseError("--burnside cross-checks a single pair", 0)
-        exact = not isinstance(a_vals[0], complex) and not isinstance(b_vals[0], complex)
-        if exact and args.l > EXACT_RANK_MAX_LEVEL:
-            raise ValueError(
-                f"--burnside at an exact point is limited to l <= {EXACT_RANK_MAX_LEVEL}; "
-                "give a decimal value such as 1.0 for the numeric rank"
-            )
+    if args.burnside and point.n != 1:
+        raise ParseError("--burnside cross-checks a single pair", 0)
     on_locus = azumaya_test(point, args.l)
     out = {"schema": SCHEMA, "l": args.l, "azumaya": on_locus}
     if args.burnside:
-        rep = _rep_at(args.l, a_vals[0], b_vals[0])
-        rank = burnside_span_dim(rep)
+        rank = burnside_span_dim(args.l, a_vals[0], b_vals[0])
         out["burnside"] = {
             "rank": rank,
             "full": rank == args.l * args.l,

@@ -1,11 +1,15 @@
 """Explicit l-dimensional representations at a maximal central ideal, with
-Burnside spanning as a brute-force full-matrix-algebra oracle.
+Burnside spanning as a full-matrix-algebra oracle.
 
 For a nonzero value a of x^l the representation has X diagonal with
 eigenvalues lambda*q^i and Y a cyclic band matrix whose diagonal is forced by
 the defining relation; the band entries are only constrained through their
 product, which is solved exactly from Y^l = b.  The a = b = 0 point uses the
 truncated-polynomial representation instead.
+
+The oracle ranks the span of X^i Y^j as l ranks of l x l matrices, one per
+row, so it needs no l-th root: exact points rank exactly over Q(zeta_l), in
+about a second at l = 19.
 """
 
 from __future__ import annotations
@@ -23,30 +27,31 @@ __all__ = [
     "MatRep",
     "NilpotentRep",
     "NoExactRootError",
-    "InconsistentPointError",
     "build_rep",
     "burnside_span_dim",
     "cross_check",
     "NUMERIC_RANK_TOL",
     "EXACT_RANK_MAX_LEVEL",
+    "NUMERIC_RANK_MAX_LEVEL",
 ]
 
 NUMERIC_RANK_TOL = 1e-9
 
-# Exact Burnside ranks eliminate over l^2 x l^2 cyclotomic matrices, whose
-# cost grows steeply with l: in CPython 3.11 the rank at (a, b) = (1, 1)
-# takes 0.3 s at l = 7, 5-8 s at l = 11 and about 22 s at l = 13.
-EXACT_RANK_MAX_LEVEL = 7
+# Exact Burnside ranks eliminate over l cyclotomic l x l matrices: in
+# CPython 3.11 on a 2-core machine a rank takes 0.2 s at l = 13, 1.0-1.6 s at
+# l = 19 and 2.8-5.1 s at l = 23, the most for a 40-digit coordinate.
+EXACT_RANK_MAX_LEVEL = 19
+
+# Float ranks of the rows of C^j (see burnside_span_dim) miss the deficiency
+# at points near the locus a*b = (1-q)^(-l) from l = 15 on.  At l <= 14 they
+# matched the locus verdict on 141 points per level: random, near the locus,
+# a = 0, and coordinates from 1e-12 to 1e12.  The bound keeps a margin.
+NUMERIC_RANK_MAX_LEVEL = 11
 
 
 class NoExactRootError(ValueError):
-    """Exact mode needs an l-th root that is not available; supply one or
-    fall back to numeric mode."""
-
-
-class InconsistentPointError(ArithmeticError):
-    """The band solver could not satisfy the power constraints (asserted
-    impossible for points on the spectrum)."""
+    """Exact mode needs an l-th root that is not available; fall back to
+    numeric mode."""
 
 
 Matrix = List[List[object]]
@@ -130,14 +135,6 @@ def _zeros(l: int, zero) -> Matrix:
     return [[zero] * l for _ in range(l)]
 
 
-def _identity(l: int, q) -> Matrix:
-    zero, one = _units(q)
-    m = _zeros(l, zero)
-    for i in range(l):
-        m[i][i] = one
-    return m
-
-
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     size = len(a)
     out = []
@@ -165,20 +162,19 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def build_rep(l: int, a, b, lroot_of_a=None) -> MatRep:
+def build_rep(l: int, a, b) -> MatRep:
     """Representation realizing the point (a, b) of the center's spectrum,
     at q = zeta_l.
 
-    The construction is exact when a, b and lroot_of_a are all exact
-    scalars, and runs over complex floats when any of them is numeric.
-    Exact mode needs the relevant l-th root to be rational or supplied; when
-    it is not, NoExactRootError is raised (see _rep_at for the numeric
-    fallback).  The relation Y X - q X Y = I holds by construction for
-    every output.
+    The construction is exact when a and b are both exact scalars, and runs
+    over complex floats when either is numeric.  Exact mode needs the
+    relevant l-th root to be rational; when it is not, NoExactRootError is
+    raised (see _rep_at for the numeric fallback).  The relation
+    Y X - q X Y = I holds by construction for every output.
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    if _is_exact(a) and _is_exact(b) and (lroot_of_a is None or _is_exact(lroot_of_a)):
+    if _is_exact(a) and _is_exact(b):
         q = Cyclo.zeta(l)
         a_s, b_s = _coerce_exact(a, l), _coerce_exact(b, l)
     else:
@@ -188,10 +184,10 @@ def build_rep(l: int, a, b, lroot_of_a=None) -> MatRep:
     if not a_s and not b_s:
         return _nilpotent_rep(l, q)
     if a_s:
-        lam = _pick_root(a_s, lroot_of_a, l)
+        lam = _pick_root(a_s, l)
         X, Y = _band_pair(l, q, lam, a_s, b_s, diag_is_x=True)
     else:
-        mu = _pick_root(b_s, None, l)
+        mu = _pick_root(b_s, l)
         Y, X = _band_pair(l, q, mu, b_s, a_s, diag_is_x=False)
     return MatRep(l, q, X, Y, a_s, b_s)
 
@@ -223,21 +219,12 @@ def _coerce_exact(v, level: int):
     return Cyclo.from_rational(level, v)
 
 
-def _pick_root(value, supplied, l: int):
+def _pick_root(value, l: int):
     if isinstance(value, Cyclo):
-        if supplied is not None:
-            root = _coerce_exact(supplied, value.level)
-            if root ** l != value:
-                raise InconsistentPointError("supplied root does not power to the value")
-            return root
         r = _exact_lth_root(value, l)
         if r is None:
-            raise NoExactRootError(
-                f"no stored exact {l}-th root; pass lroot_of_a or use numeric mode"
-            )
+            raise NoExactRootError(f"no stored exact {l}-th root; use numeric mode")
         return _coerce_exact(r, value.level)
-    if supplied is not None:
-        return _as_complex(supplied)
     return value ** (1.0 / l)
 
 
@@ -295,61 +282,86 @@ def _nilpotent_rep(l: int, q) -> NilpotentRep:
 # ---------------------------------------------------------------------------
 
 
-def burnside_span_dim(rep: MatRep) -> int:
-    """Dimension of the span of X^i Y^j for 0 <= i, j < l.
+def burnside_span_dim(l: int, a, b) -> int:
+    """Dimension of the span of X^i Y^j for 0 <= i, j < l in the
+    representation at the point (a, b), at q = zeta_l.
 
     Equals l^2 exactly when the representation generates the full matrix
-    algebra fiber.
+    algebra fiber.  Exact points rank exactly; a point with a float
+    coordinate ranks in complex floats.  Levels above EXACT_RANK_MAX_LEVEL,
+    or NUMERIC_RANK_MAX_LEVEL for floats, raise ValueError before any work.
     """
-    l = rep.level
-    xs = _power_list(rep.X, l, rep.q)
-    ys = _power_list(rep.Y, l, rep.q)
-    rows = []
-    for Xi in xs:
-        for Yj in ys:
-            prod = _matmul(Xi, Yj)
-            rows.append([prod[r][c] for r in range(l) for c in range(l)])
-    if rep.exact:
-        return _exact_rank(rows)
-    import numpy as np  # only the numeric rank needs it; importing qweyl does not
+    exact = _is_exact(a) and _is_exact(b)
+    if l > (EXACT_RANK_MAX_LEVEL if exact else NUMERIC_RANK_MAX_LEVEL):
+        raise ValueError(
+            f"exact Burnside ranks are limited to l <= {EXACT_RANK_MAX_LEVEL}" if exact else
+            f"numeric Burnside ranks are limited to l <= {NUMERIC_RANK_MAX_LEVEL}; "
+            "give an exact value such as 1 in place of 1.0 for the exact rank"
+        )
+    if l < 2:
+        raise ValueError("need l >= 2")
+    if exact:
+        q, a, b = Cyclo.zeta(l), _coerce_exact(a, l), _coerce_exact(b, l)
+        size, tol = bool, 0
+    else:
+        q, a, b = cmath.exp(2j * math.pi / l), _as_complex(a), _as_complex(b)
+        size, tol = abs, NUMERIC_RANK_TOL
+    zero, one = _units(q)
+    if not a and not b:
+        # X^i Y^j is Y^j moved down i rows, so it lies on the diagonal at
+        # offset j - i and the span splits by offset; ys[j][s] = Y^j[s][s+j].
+        Y = _nilpotent_rep(l, q).Y
+        ys = [[one] * l]
+        for j in range(1, l):
+            ys.append([ys[-1][s] * Y[s + j - 1][s + j] for s in range(l - j)])
+        total = 0
+        for d in range(1 - l, l):
+            span = range(max(0, -d), min(l, l - d))
+            total += _rank([[ys[i + d][r - i] if r >= i else zero for r in span]
+                            for i in span], size, tol)
+        return total
+    # One of X, Y is diagonal with l distinct eigenvalues, so its powers span
+    # the diagonal matrices and the span splits into the rows of the other's
+    # powers (columns when Y is the diagonal one).  Scaling the other by the
+    # l-th root and conjugating by a diagonal matrix keeps each row's rank and
+    # turns it into the band C (its transpose when Y is diagonal) with
+    # diagonal 1/(q^i (1-q)), superdiagonal 1 and corner a*b - (1-q)^(-l).
+    # Row k of C^j is row k of C^(j-1) times C.
+    diag = [1 / (q ** i * (one - q)) for i in range(l)]
+    band = [a * b - (one - q) ** -l] + [one] * (l - 1)
+    total = 0
+    for k in range(l):
+        rows = [[one if c == k else zero for c in range(l)]]
+        for _ in range(1, l):
+            row = rows[-1]
+            rows.append([row[c] * diag[c] + row[c - 1] * band[c] for c in range(l)])
+        total += _rank(rows, size, tol)
+    return total
 
-    mat = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    tol = NUMERIC_RANK_TOL * max(1.0, float(sv[0]) if len(sv) else 1.0)
-    return int(np.sum(sv > tol))
 
+def _rank(rows: Matrix, size, tol) -> int:
+    """Rank of the rows by Gaussian elimination, pivoting on the entry of
+    largest size.
 
-def _power_list(m: Matrix, upto: int, q) -> List[Matrix]:
-    out = [_identity(len(m), q)]
-    for _ in range(1, upto):
-        out.append(_matmul(out[-1], m))
-    return out
-
-
-def _exact_rank(rows: List[List[object]]) -> int:
-    work = [row[:] for row in rows]
-    ncols = len(work[0]) if work else 0
+    An entry counts as zero when its size is at most tol times the largest
+    size in its row as given, so rows of any scale rank alike: size = bool
+    with tol = 0 decides exactly, size = abs with NUMERIC_RANK_TOL in floats.
+    """
+    work = [(list(row), tol * max(map(size, row))) for row in rows]
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        pinv = 1 / prow[col]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col]
-            if factor:
-                scale = factor * pinv
-                work[r] = [v - scale * w for v, w in zip(work[r], prow)]
+    while True:
+        live = [(size(v), i, j) for i, (row, cut) in enumerate(work)
+                for j, v in enumerate(row) if size(v) > cut]
+        if not live:
+            return rank
+        _, i, j = max(live, key=lambda e: e[0])
+        prow = work.pop(i)[0]
+        pinv = 1 / prow.pop(j)
+        for row, _ in work:
+            f = row.pop(j) * pinv
+            if f:
+                row[:] = [v - f * w if w else v for v, w in zip(row, prow)]
         rank += 1
-        if rank == ncols:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +371,12 @@ def _exact_rank(rows: List[List[object]]) -> int:
 
 def cross_check(l: int, sample_points: Sequence[Tuple[object, object]]) -> dict:
     """Compare the locus criterion against the Burnside oracle pointwise."""
-    if l > EXACT_RANK_MAX_LEVEL:
-        raise ValueError(f"exact rank sweeps are limited to l <= {EXACT_RANK_MAX_LEVEL}")
     entries = []
     all_agree = True
     for a, b in sample_points:
         point = MaxIdealPoint([a], [b])
         on_locus = azumaya_test(point, l)
-        rep = _rep_at(l, a, b)
-        rank = burnside_span_dim(rep)
+        rank = burnside_span_dim(l, a, b)
         agree = (rank == l * l) == on_locus
         all_agree = all_agree and agree
         entries.append(
@@ -378,7 +387,7 @@ def cross_check(l: int, sample_points: Sequence[Tuple[object, object]]) -> dict:
                 "rank": rank,
                 "full": rank == l * l,
                 "agree": agree,
-                "exact": rep.exact,
+                "exact": point.is_exact(),
             }
         )
     return {"l": l, "points": entries, "all_agree": all_agree}

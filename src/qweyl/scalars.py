@@ -766,20 +766,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def evaluate(self, value):
-        """Exact evaluation at any invertible scalar."""
-        acc = None
-        inv = None
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                term = c * value ** e
-            else:
-                if inv is None:
-                    inv = _scalar_invert(value)
-                term = c * inv ** -e
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
-
     def __repr__(self):
         if not self.coeffs:
             return "LaurentPoly(0)"

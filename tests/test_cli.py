@@ -168,8 +168,8 @@ def test_non_finite_point_value_is_exit_2(capsys, command, value):
 
 @pytest.mark.parametrize("argv", [
     ["rep", "--l", "3", "--a", "10^400", "--b", "1"],
-    ["azumaya", "--l", "3", "--a", "10^400", "--b", "1", "--burnside"],
     ["rep", "--l", "2", "--a", "10^700", "--b", "1"],
+    ["rep", "--l", "3", "--a", "0", "--b", "10^400"],
 ])
 def test_point_too_large_for_a_double_is_exit_2(capsys, argv):
     # 10^400 has no rational cube root and no double near it; the exact
@@ -178,6 +178,14 @@ def test_point_too_large_for_a_double_is_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert "too large" in err
+
+
+def test_burnside_ranks_a_point_too_large_for_a_double(capsys):
+    # the Burnside rank takes no l-th root, so it stays exact
+    code, out, _ = _capture(capsys, ["azumaya", "--l", "3", "--a", "10^400", "--b", "1",
+                                     "--burnside"])
+    assert code == 0
+    assert json.loads(out)["burnside"] == {"rank": 9, "full": True, "agrees": True}
 
 
 def test_exact_cube_of_a_wide_integer_stays_exact(capsys):
@@ -189,18 +197,34 @@ def test_exact_cube_of_a_wide_integer_stays_exact(capsys):
 
 
 def test_exact_burnside_above_the_bound_is_exit_2(capsys):
-    # refused before any work; a decimal point takes the fast numeric rank
+    # refused before any work
     code, out, err = _capture(
-        capsys, ["azumaya", "--l", "11", "--a", "1", "--b", "1", "--burnside"]
+        capsys, ["azumaya", "--l", "23", "--a", "1", "--b", "1", "--burnside"]
     )
     assert code == 2
     assert not out
-    assert "limited to l <= 7" in err
+    assert "limited to l <= 19" in err
     code, out, _ = _capture(
         capsys, ["azumaya", "--l", "11", "--a", "1.0", "--b", "1", "--burnside"]
     )
     assert code == 0
     assert json.loads(out)["burnside"] == {"rank": 121, "full": True, "agrees": True}
+
+
+def test_decimal_burnside_above_its_bound_is_exit_2(capsys):
+    # float ranks past l = 11 can miss the deficiency; the exact rank cannot
+    code, out, err = _capture(
+        capsys, ["azumaya", "--l", "13", "--a", "1.0", "--b", "1", "--burnside"]
+    )
+    assert code == 2
+    assert not out
+    assert "limited to l <= 11" in err and "exact value" in err
+    assert "decimal value" not in err
+    code, out, _ = _capture(
+        capsys, ["azumaya", "--l", "13", "--a", "1", "--b", "1", "--burnside"]
+    )
+    assert code == 0
+    assert json.loads(out)["burnside"] == {"rank": 169, "full": True, "agrees": True}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qweyl import (
@@ -17,28 +16,72 @@ from qweyl import (
     cross_check,
     embed,
 )
-from qweyl.matrep import MatRep, NilpotentRep, _identity, _int_nth_root, _matmul
+from qweyl.matrep import (
+    EXACT_RANK_MAX_LEVEL,
+    NUMERIC_RANK_MAX_LEVEL,
+    MatRep,
+    NilpotentRep,
+    _int_nth_root,
+    _matmul,
+)
+
+
+def _max_entry(m):
+    return max(abs(embed(v)) for row in m for v in row)
 
 
 def _residual(rep):
     """max |YX - qXY - I| entrywise, after embedding."""
-    l = rep.level
-    X = [[complex(embed(v)) for v in row] for row in rep.X]
-    Y = [[complex(embed(v)) for v in row] for row in rep.Y]
-    X, Y = np.array(X), np.array(Y)
-    q = complex(embed(rep.q))
-    return float(np.abs(Y @ X - q * X @ Y - np.eye(l)).max())
+    YX, XY = _matmul(rep.Y, rep.X), _matmul(rep.X, rep.Y)
+    return _max_entry([[v - rep.q * w - int(i == j) for j, (v, w) in enumerate(zip(yx, xy))]
+                       for i, (yx, xy) in enumerate(zip(YX, XY))])
+
+
+def _powers(m, count):
+    """m^0, ..., m^(count-1), over the field of m's entries."""
+    zero = m[0][0] * 0
+    out = [[[zero + int(i == j) for j in range(len(m))] for i in range(len(m))]]
+    for _ in range(1, count):
+        out.append(_matmul(out[-1], m))
+    return out
 
 
 def _power_residual(rep):
+    """max |X^l - a I| and |Y^l - b I| entrywise, after embedding."""
     l = rep.level
-    X = np.array([[complex(embed(v)) for v in row] for row in rep.X])
-    Y = np.array([[complex(embed(v)) for v in row] for row in rep.Y])
-    a = complex(embed(rep.a))
-    b = complex(embed(rep.b))
-    rx = float(np.abs(np.linalg.matrix_power(X, l) - a * np.eye(l)).max())
-    ry = float(np.abs(np.linalg.matrix_power(Y, l) - b * np.eye(l)).max())
-    return max(rx, ry)
+    return max(
+        _max_entry([[v - value * int(i == j) for j, v in enumerate(row)]
+                    for i, row in enumerate(_matmul(_powers(m, l)[-1], m))])
+        for m, value in ((rep.X, rep.a), (rep.Y, rep.b))
+    )
+
+
+def _exact_rank(rows):
+    """Rank of exact rows by elimination on the first nonzero entry."""
+    work = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        pinv = 1 / prow[col]
+        for r in range(rank + 1, len(work)):
+            if work[r][col]:
+                scale = work[r][col] * pinv
+                work[r] = [v - scale * w for v, w in zip(work[r], prow)]
+        rank += 1
+    return rank
+
+
+def _span_rank_reference(l, a, b):
+    """Rank of the l^2 flattened products X^i Y^j of build_rep(l, a, b): the
+    l^2 x l^2 route that burnside_span_dim reduces to l ranks of l x l."""
+    rep = build_rep(l, a, b)
+    assert rep.exact
+    xs, ys = _powers(rep.X, l), _powers(rep.Y, l)
+    return _exact_rank([[v for row in _matmul(Xi, Yj) for v in row] for Xi in xs for Yj in ys])
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +163,7 @@ def test_x_powers_independent():
     # I, X, ..., X^(l-1) are linearly independent for a != 0
     l = 3
     rep = build_rep(l, 1, 1)
-    rows = []
-    P = _identity(l, rep.q)
-    for _ in range(l):
-        rows.append([complex(embed(v)) for row in P for v in row])
-        P = _matmul(P, rep.X)
-    assert np.linalg.matrix_rank(np.array(rows)) == l
+    assert _exact_rank([[v for row in P for v in row] for P in _powers(rep.X, l)]) == l
 
 
 def test_exact_root_handling():
@@ -133,10 +171,6 @@ def test_exact_root_handling():
         build_rep(3, 2, 1)  # 2 has no rational cube root
     rep = build_rep(3, 8, 1)  # but 8 does
     assert rep.exact and rep.X[0][0] == 2
-    rep2 = build_rep(3, 2, 1, lroot_of_a=complex(2) ** (1 / 3))
-    assert not rep2.exact
-    with pytest.raises(Exception):
-        build_rep(3, 8, 1, lroot_of_a=3)  # 3^3 != 8
 
 
 def test_int_nth_root_is_exact_at_every_size():
@@ -157,21 +191,33 @@ def test_int_nth_root_is_exact_at_every_size():
 
 
 def test_burnside_full_at_generic_point():
-    assert burnside_span_dim(build_rep(2, 1, 1)) == 4
-    assert burnside_span_dim(build_rep(3, 1, 1)) == 9
+    assert burnside_span_dim(2, 1, 1) == 4
+    assert burnside_span_dim(3, 1, 1) == 9
 
 
 def test_burnside_deficient_on_boundary():
-    assert burnside_span_dim(build_rep(2, 1, Fraction(1, 4))) < 4
+    assert burnside_span_dim(2, 1, Fraction(1, 4)) < 4
     z = Cyclo.zeta(3)
     bad = ((Cyclo.one(3) - z) ** (-3))
-    rep = build_rep(3, 1, bad)
-    assert rep.exact
-    assert burnside_span_dim(rep) < 9
+    assert burnside_span_dim(3, 1, bad) < 9
 
 
 def test_burnside_nilpotent_full():
-    assert burnside_span_dim(build_rep(3, 0, 0)) == 9
+    assert burnside_span_dim(3, 0, 0) == 9
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_burnside_rows_match_the_full_span_rank(l):
+    locus = (Cyclo.one(l) - Cyclo.zeta(l)) ** (-l)
+    deficient = l * (l + 1) // 2
+    for a, b in [(0, 1), (0, 3 ** l), (0, Fraction(1, 2) ** l), (0, 0),
+                 (2 ** l, 3), (Fraction(-1, 2) ** l, 1)]:
+        assert burnside_span_dim(l, a, b) == _span_rank_reference(l, a, b)
+    for a, b in [(1, locus), (2 ** l, locus / 2 ** l)]:
+        assert burnside_span_dim(l, a, b) == _span_rank_reference(l, a, b) == deficient
+    # a = 2 has no rational l-th root, so no exact representation to compare
+    assert burnside_span_dim(l, 2, 3) == l * l
+    assert burnside_span_dim(l, 2, locus / 2) == deficient
 
 
 def test_rank_dichotomy_random_numeric():
@@ -180,8 +226,7 @@ def test_rank_dichotomy_random_numeric():
         for _ in range(5):
             a = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
             b = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-            rep = build_rep(l, a, b)
-            rank = burnside_span_dim(rep)
+            rank = burnside_span_dim(l, a, b)
             point = MaxIdealPoint([a], [b])
             assert (rank == l * l) == azumaya_test(point, l)
 
@@ -209,16 +254,23 @@ def test_cross_check_boundary_level_three():
 
 
 def test_cross_check_rejects_large_levels():
-    with pytest.raises(ValueError):
-        cross_check(11, [(1, 1)])
+    with pytest.raises(ValueError, match=f"l <= {EXACT_RANK_MAX_LEVEL}"):
+        cross_check(EXACT_RANK_MAX_LEVEL + 1, [(1, 1)])
+    with pytest.raises(ValueError, match=f"l <= {NUMERIC_RANK_MAX_LEVEL}"):
+        cross_check(NUMERIC_RANK_MAX_LEVEL + 1, [(1.0, 1)])
 
 
 def test_importing_qweyl_leaves_numpy_unloaded():
-    # numpy serves only the numeric Burnside rank, which imports it itself
+    # no part of qweyl needs numpy, the numeric Burnside rank included
     import qweyl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
-    code = "import sys, qweyl, qweyl.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, qweyl, qweyl.cli\n"
+        "assert qweyl.cli.run(['azumaya', '--l', '3', '--a', '1.0', '--b', '1', '--burnside']) == 0\n"
+        "assert qweyl.cli.run(['sweep', '--only', '9']) == 0\n"
+        "print('numpy' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
