@@ -372,8 +372,9 @@ def azumaya_test(pt: MaxIdealPoint, level: int) -> bool:
                 return False
         return True
     bad_c = bad.embed()
-    for ai, bi in zip(pt.a, pt.b):
-        prod = complex(_embed(ai)) * complex(_embed(bi))
-        if abs(prod - bad_c) <= NUMERIC_AZUMAYA_TOL:
-            return False
-    return True
+    try:
+        prods = [_embed(ai) * _embed(bi) for ai, bi in zip(pt.a, pt.b)]
+    except OverflowError:
+        raise ValueError("a coordinate is too large for the numeric test, which "
+                         "takes every coordinate as a double") from None
+    return all(abs(prod - bad_c) > NUMERIC_AZUMAYA_TOL for prod in prods)

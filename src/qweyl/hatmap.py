@@ -16,10 +16,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .center import CenterPoly, NotCentralError, theta, theta_inverse
-from .morphisms import Endomorphism, apply_endo, specialize_endomorphism
+from .morphisms import (
+    Endomorphism,
+    apply_endo,
+    check_apply_cost,
+    specialize_endomorphism,
+)
 from .poisson import standard_bracket, transported_bracket
 from .scalars import embed as _embed
-from .weylcore import SYMBOLIC, power
+from .weylcore import SYMBOLIC, power, specialize_element
 
 __all__ = [
     "CentralityFailure",
@@ -304,9 +309,35 @@ def _assemble_report(poly: CenterPoly, levels: Sequence[int], results,
 
 def hat(e: Endomorphism, p: CenterPoly,
         schedule: ScheduleLike = None) -> ConvergenceReport:
-    """Run the transport over the schedule and judge convergence."""
+    """Run the transport over the schedule and judge convergence.
+
+    Refuses, before the first level runs, a schedule with a level at which
+    apply_endo would refuse the substitution (_check_schedule_cost)."""
     levels = _schedule_levels(schedule)
+    _check_schedule_cost(e, [p], levels)
+    return _transport(e, p, levels)
+
+
+def _transport(e: Endomorphism, p: CenterPoly, levels: Sequence[int]) -> ConvergenceReport:
     return _assemble_report(p, levels, [(level, hat_step(e, p, level)) for level in levels])
+
+
+def _check_schedule_cost(e: Endomorphism, polys: Sequence[CenterPoly],
+                         levels: Sequence[int]) -> None:
+    """Raise DegreeLimitExceeded when hat_step of a polynomial at a level
+    would be refused by apply_endo's guards (check_apply_cost).  The
+    estimate of lift_phi(x1^2) on r1 is 3.0M at level 31, 24.7M at 53 and
+    120M at 79, against POWER_COST_LIMIT = 25M.  The images are only
+    specialized: the relations they satisfy do not change the estimate."""
+    if e.context.kind != SYMBOLIC:
+        raise ValueError("transport needs a symbolic endomorphism")
+    if any(p.n != e.context.n for p in polys):
+        raise ValueError("polynomial arity mismatch")
+    for level in levels:
+        xs = [specialize_element(img, level) for img in e.images_x]
+        ds = [specialize_element(img, level) for img in e.images_d]
+        for p in polys:
+            check_apply_cost(xs, ds, theta(p, level))
 
 
 @dataclass(frozen=True)
@@ -338,10 +369,13 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
     endomorphism of the polynomial ring is assembled.
     """
     n = e.context.n
-    reports = {}
+    levels = _schedule_levels(schedule)
+    coords = {}
     for i in range(1, n + 1):
-        reports[f"r{i}"] = hat(e, CenterPoly.r(n, i), schedule)
-        reports[f"s{i}"] = hat(e, CenterPoly.s(n, i), schedule)
+        coords[f"r{i}"] = CenterPoly.r(n, i)
+        coords[f"s{i}"] = CenterPoly.s(n, i)
+    _check_schedule_cost(e, list(coords.values()), levels)
+    reports = {k: _transport(e, p, levels) for k, p in coords.items()}
     converged = all(r.converged for r in reports.values())
     induced = None
     if converged:

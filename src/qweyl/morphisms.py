@@ -10,6 +10,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .weylcore import (
     DEFAULT_DEGREE_LIMIT,
+    POWER_COST_LIMIT,
     ROOT,
     SYMBOLIC,
     AlgebraContext,
@@ -17,6 +18,7 @@ from .weylcore import (
     DegreeLimitExceeded,
     WeylElement,
     _degree_limit,
+    _power_cost,
     _powers,
     bernstein_degree,
     f_element,
@@ -33,6 +35,7 @@ __all__ = [
     "identity_endomorphism",
     "validate",
     "apply_endo",
+    "check_apply_cost",
     "compose",
     "one_dim_rep",
     "lift_phi",
@@ -142,36 +145,17 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     """Image of an element under a validated endomorphism.
 
     Substitutes monomial by monomial, multiplying the generator images in
-    PBW order (all x-images first, then all d-images).  Refuses inputs whose
-    substituted Bernstein degree would exceed the guard (QWEYL_MAX_DEGREE,
-    default 512).
+    PBW order (all x-images first, then all d-images).  Refuses, before
+    any product, the inputs that check_apply_cost refuses.
     """
     if not e.validated:
         raise UnvalidatedError("endomorphism failed (or skipped) validation")
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
-    limit = _degree_limit()
+    max_a, max_b = check_apply_cost(e.images_x, e.images_d, a)
     n = ctx.n
-    deg_x = [bernstein_degree(img) if img else 0 for img in e.images_x]
-    deg_d = [bernstein_degree(img) if img else 0 for img in e.images_d]
-    worst = 0
-    for (al, be) in a.terms:
-        est = sum(al[i] * deg_x[i] for i in range(n)) + sum(
-            be[i] * deg_d[i] for i in range(n)
-        )
-        worst = max(worst, est)
-    if worst > limit:
-        raise DegreeLimitExceeded(
-            f"substituted degree {worst} exceeds the guard {limit}"
-        )
     # incremental power tables, one per generator actually used
-    max_a = [0] * n
-    max_b = [0] * n
-    for (al, be) in a.terms:
-        for i in range(n):
-            max_a[i] = max(max_a[i], al[i])
-            max_b[i] = max(max_b[i], be[i])
     pow_x = [list(islice(_powers(e.images_x[i]), max_a[i] + 1)) for i in range(n)]
     pow_d = [list(islice(_powers(e.images_d[i]), max_b[i] + 1)) for i in range(n)]
     out = ctx.zero()
@@ -185,6 +169,39 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
                 acc = mul(acc, pow_d[i][be[i]])
         out = out + acc
     return out
+
+
+def check_apply_cost(images_x: Sequence[WeylElement], images_d: Sequence[WeylElement],
+                     a: WeylElement) -> Tuple[List[int], List[int]]:
+    """The highest x- and d-exponents of a, after refusing what apply_endo
+    with these generator images would refuse: a substituted Bernstein
+    degree above the guard (QWEYL_MAX_DEGREE, default 512), or a power
+    chain of an image whose estimated cost (_power_cost) exceeds
+    POWER_COST_LIMIT."""
+    limit = _degree_limit()
+    n = a.context.n
+    deg_x = [bernstein_degree(img) if img else 0 for img in images_x]
+    deg_d = [bernstein_degree(img) if img else 0 for img in images_d]
+    worst = 0
+    for (al, be) in a.terms:
+        est = sum(al[i] * deg_x[i] for i in range(n)) + sum(
+            be[i] * deg_d[i] for i in range(n)
+        )
+        worst = max(worst, est)
+    if worst > limit:
+        raise DegreeLimitExceeded(
+            f"substituted degree {worst} exceeds the guard {limit}"
+        )
+    max_a = [max((al[i] for al, _ in a.terms), default=0) for i in range(n)]
+    max_b = [max((be[i] for _, be in a.terms), default=0) for i in range(n)]
+    for img, k in zip(list(images_x) + list(images_d), max_a + max_b):
+        if k and img:
+            cost = _power_cost(img, k)
+            if cost > POWER_COST_LIMIT:
+                raise DegreeLimitExceeded(
+                    f"power chain of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
+                )
+    return max_a, max_b
 
 
 def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:

@@ -4,6 +4,10 @@ Every value here is immutable and arithmetic never mutates its operands, so
 scalars can be shared freely across threads.  All exact domains have decidable
 equality, which the normal-form layers above rely on; floating point enters
 only through explicit embeddings used for limit detection.
+
+Sums of many products of cyclotomic numbers, or of Laurent polynomials over
+Q, are formed as sums of Kronecker-packed integers (pack_cyclo_products,
+pack_laurent_products), which share one slot codec (_SlotCodec).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -488,7 +493,7 @@ class Cyclo:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker-packed sums of cyclotomic products
+# Kronecker-packed sums of products
 # ---------------------------------------------------------------------------
 
 
@@ -499,121 +504,185 @@ def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
     Returns (packed lhs, packed groups, unpack).  Take any sum of products
     P(lhs[i]) * P(r) in which each lhs value meets entries r of at most one
     group, each entry at most once; unpack turns it into the sum of the
-    cyclotomic products, as a reduced Cyclo.  Kronecker substitution
-    (Harvey, arXiv:0712.4046): one C-level integer product stands for a
-    polynomial product.
+    cyclotomic products, as a reduced Cyclo.
 
-    Format.  Each side is put over its common denominator, Da for lhs and Db
-    for the groups, and its coordinate vector is evaluated at 2**bits.  A
-    product then holds the 2*phi - 1 coordinates of the unreduced polynomial
-    product in slots of bits bits.  A coordinate of A*B is at most
-    max|a_i| * sum|b_i|, so no slot of an admissible sum exceeds
-        bound = (sum over lhs of max|a_i|) * (max over groups of sum |b_i|)
-    in absolute value.  With w the fewest bytes with bound < 2**(8w - 1), a
-    slot is k limbs of L bytes: L is the smallest of 1, 2, 4, 8 that is at
-    least w, and k = ceil(w / L) once w > 8.  Then bits = 8kL >= 8w, so
-    every slot sum, and every coordinate of either side, is below
-    2**(bits - 1) in absolute value: it is one signed slot.
-
-    pack writes the coordinates as two's-complement limbs with one
-    struct.pack call; flipping each slot's sign bit makes each slot the
-    digit c + 2**(bits - 1), and subtracting that bias from every slot
-    leaves the value at 2**bits.  unpack adds the bias back, reading slots
-    only up to the top one that the sum's bit length allows, so every slot
-    is one digit.  Slots at or past the level are then added onto
-    slot - level inside the integer (z^level = 1): a folded slot is a
-    coordinate of the cyclic product, where each b_i meets each a_j at most
-    once because phi <= level, so it obeys the same bound.  Flipping the
-    sign bits again makes the digits two's-complement slots, which one
-    struct.unpack call reads.  The digits are then reduced mod the
-    cyclotomic polynomial and divided by Da * Db.
+    Each side is put over its common denominator, Da for lhs and Db for the
+    groups, and its coordinate vectors are packed by one slot codec
+    (_pack_slots).  A product then holds the 2*phi - 1 coordinates of the
+    unreduced polynomial product.  unpack reads slots only up to the top
+    one that the sum's bit length allows.  Slots at or past the level are
+    added onto slot - level inside the integer (z^level = 1): a folded slot
+    is a coordinate of the cyclic product, where each b_i meets each a_j at
+    most once because phi <= level, so it obeys the same width bound.  The
+    digits are then reduced mod the cyclotomic polynomial and divided by
+    Da * Db.
     """
     data = _leveldata(level)
     den_a = math.lcm(*(v.den for v in lhs))
     den_b = math.lcm(*(v.den for g in rhs_groups for v in g))
     vecs_a = [_over(v, den_a) for v in lhs]
     vecs_b = [[_over(v, den_b) for v in g] for g in rhs_groups]
-    # each factor is at least 1, so the bound also covers every coordinate
-    norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
-    norm_b = max((sum(sum(map(abs, v)) for v in g) for g in vecs_b), default=0) or 1
-    w = ((norm_a * norm_b).bit_length() + 8) // 8
-    limb = min(1 << (w - 1).bit_length(), 8)
-    layout = (level, limb, -(-w // limb))
-    codec = _CODECS.get(layout)
-    if codec is None:
-        codec = _CODECS[layout] = _Codec(data, limb, layout[2])
-    return ([codec.pack(v) for v in vecs_a],
-            [[codec.pack(v) for v in g] for g in vecs_b],
-            partial(codec.unpack, den=den_a * den_b))
+    codec, packed_a, packed_b = _pack_slots(vecs_a, vecs_b)
+    return packed_a, packed_b, partial(_cyclo_sum, codec, data, den_a * den_b)
 
 
-# struct codes of the signed and unsigned limbs of each size in bytes
-_LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
-
-
-class _Codec:
-    """Slot layout of pack_cyclo_products at one level: k limbs of L bytes.
-
-    Holds structs(n), the Struct of n slots, and flip(n), the sign bits of
-    n slots, which is also the bias that makes n slot sums digits.  Each is
-    built when its slot count is first used and cached, so a codec holds
-    only the layouts its products need.
-    """
-
-    __slots__ = ("data", "bits", "k", "top", "low", "flip", "structs")
-
-    def __init__(self, data: _LevelData, limb: int, k: int):
-        self.data = data
-        self.bits = bits = 8 * limb * k
-        self.k = k
-        signed, unsigned = _LIMB_CODES[limb]
-        # little-endian: the lower limbs of a slot are unsigned, its top one signed
-        codes = unsigned * (k - 1) + signed
-        self.top = 2 * data.degree - 1  # the slots of an unreduced product
-        self.low = (1 << (bits * data.level)) - 1
-        # the sign bit of each of n slots: a geometric sum in 2**bits
-        self.flip = cache(lambda n: ((1 << bits * n) - 1) // ((1 << bits) - 1) << (bits - 1))
-        self.structs = cache(lambda n: struct.Struct("<" + codes * n))
-
-    def pack(self, vec: Sequence[int]) -> int:
-        k = self.k
-        if k > 1:  # only 8-byte limbs come in more than one per slot
-            limbs = [0] * (k * len(vec))
-            for j in range(k - 1):
-                limbs[j::k] = [(c >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for c in vec]
-            limbs[k - 1::k] = [c >> (64 * (k - 1)) for c in vec]
-            vec = limbs
-        d = self.data.degree
-        flip = self.flip(d)
-        return (int.from_bytes(self.structs(d).pack(*vec), "little") ^ flip) - flip
-
-    def unpack(self, acc: int, den: int) -> Cyclo:
-        data, bits, flip = self.data, self.bits, self.flip
-        level = data.level
-        # |acc| >= 2**(bits*top - 2) when slot top is the highest nonzero one
-        n = min(self.top, (acc.bit_length() + 1) // bits + 1)
-        v = acc + flip(n)
-        if n > level:
-            v = (v & self.low) + (v >> (bits * level)) - flip(n - level)
-            n = level
-        vals = self.structs(n).unpack((v ^ flip(n)).to_bytes(bits // 8 * n, "little"))
-        k = self.k
-        if k > 1:
-            coords = vals[k - 1::k]
-            for j in range(k - 2, -1, -1):
-                coords = [(c << 64) + lo for c, lo in zip(coords, vals[j::k])]
-            vals = coords
-        return Cyclo._normalized(level, _reduce_vec(list(vals), data), den)
-
-
-# codecs by (level, limb bytes, limbs per slot)
-_CODECS: Dict[Tuple[int, int, int], _Codec] = {}
+def _cyclo_sum(codec: "_SlotCodec", data: _LevelData, den: int, acc: int) -> Cyclo:
+    level, bits, flip = data.level, codec.bits, codec.flip
+    n = min(2 * data.degree - 1, codec.slots(acc))
+    v = acc + flip(n)
+    if n > level:
+        v = (v & codec.mask(level)) + (v >> (bits * level)) - flip(n - level)
+        n = level
+    return Cyclo._normalized(level, _reduce_vec(list(codec.read(v, n)), data), den)
 
 
 def _over(v: Cyclo, den: int) -> Sequence[int]:
     """Coordinates of v over den, a multiple of its denominator."""
     f = den // v.den
     return v.num if f == 1 else [c * f for c in v.num]
+
+
+def pack_laurent_products(lhs: Sequence["LaurentPoly"],
+                          rhs_groups: Sequence[Sequence["LaurentPoly"]]):
+    """Pack Laurent polynomials over Q so that sums of their products are
+    integer sums, as pack_cyclo_products does for cyclotomic numbers.
+
+    Returns (packed lhs, packed groups, unpack) for the same sums.  Each
+    side is put over its common denominator, Da for lhs and Db for the
+    groups, and multiplied by t^-m, for m its lowest exponent, so that a
+    value is a dense integer vector from t^0 up (_laurent_vecs) and packs
+    by one slot codec.  unpack adds the two shifts back, drops zero slots and
+    divides by Da * Db; integral coefficients come out as int.
+    """
+    vecs_a, den_a, low_a = _laurent_vecs(lhs)
+    flat, den_b, low_b = _laurent_vecs([v for g in rhs_groups for v in g])
+    flat = iter(flat)
+    vecs_b = [list(islice(flat, len(g))) for g in rhs_groups]
+    codec, packed_a, packed_b = _pack_slots(vecs_a, vecs_b)
+    return packed_a, packed_b, partial(_laurent_sum, codec, low_a + low_b, den_a * den_b)
+
+
+def _laurent_vecs(values: Sequence["LaurentPoly"]) -> Tuple[List[List[int]], int, int]:
+    """(vectors, den, low): the coefficients of each value times den * t^-low,
+    from t^0 up to its top one (a zero value gives [0]), for den the common
+    denominator and low the lowest exponent of the values."""
+    coeffs = [v.coeffs for v in values]
+    low = min(map(min, filter(None, coeffs)), default=0)
+    vecs = [[0] * (max(d, default=low) - low + 1) for d in coeffs]
+    den = math.lcm(*(c.denominator for d in coeffs for c in d.values()))
+    for vec, d in zip(vecs, coeffs):
+        for e, c in d.items():
+            vec[e - low] = c.numerator * (den // c.denominator)
+    return vecs, den, low
+
+
+def _laurent_sum(codec: "_SlotCodec", low: int, den: int, acc: int) -> "LaurentPoly":
+    n = codec.slots(acc)
+    vals = codec.read(acc + codec.flip(n), n)
+    if den == 1:
+        return LaurentPoly._raw({e: c for e, c in enumerate(vals, low) if c})
+    coeffs = {}
+    for e, c in enumerate(vals, low):
+        if c:
+            q, r = divmod(c, den)
+            coeffs[e] = Fraction(c, den) if r else q
+    return LaurentPoly._raw(coeffs)
+
+
+def _pack_slots(vecs_a: Sequence[Sequence[int]], groups_b: Sequence[Sequence[Sequence[int]]]):
+    """(codec, packed vecs_a, packed groups_b): the integer vectors packed by
+    the slot codec for sums of products of vecs_a with those of groups_b,
+    each a in vecs_a meeting the vectors of at most one group, each at most
+    once.
+
+    Kronecker substitution (Harvey, arXiv:0712.4046): a vector is evaluated
+    at 2**bits, so one C-level integer product stands for a polynomial
+    product.  A coordinate of A*B is at most max|a_i| * sum|b_i|, so no slot
+    of an admissible sum exceeds
+        bound = (sum over vecs_a of max|a_i|) * (max over groups of sum |b_i|)
+    in absolute value.  With w the fewest bytes with bound < 2**(8w - 1), a
+    slot is k limbs of L bytes: L is the smallest of 1, 2, 4, 8 that is at
+    least w, and k = ceil(w / L) once w > 8.  Then bits = 8kL >= 8w, so
+    every slot sum, and every coordinate of either side, is below
+    2**(bits - 1) in absolute value: it is one signed slot.
+    """
+    # each factor is at least 1, so the bound also covers every coordinate
+    norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
+    norm_b = max((sum(sum(map(abs, v)) for v in g) for g in groups_b), default=0) or 1
+    w = ((norm_a * norm_b).bit_length() + 8) // 8
+    limb = min(1 << (w - 1).bit_length(), 8)
+    layout = (limb, -(-w // limb))
+    codec = _CODECS.get(layout)
+    if codec is None:
+        codec = _CODECS[layout] = _SlotCodec(*layout)
+    return (codec, [codec.pack(v) for v in vecs_a],
+            [[codec.pack(v) for v in g] for g in groups_b])
+
+
+# struct codes of the signed and unsigned limbs of each size in bytes
+_LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
+
+
+class _SlotCodec:
+    """Signed slots of k limbs of L bytes, shared by both packed domains.
+
+    pack writes a vector as two's-complement limbs with one struct.pack
+    call; flipping each slot's sign bit makes each slot the digit
+    c + 2**(bits - 1), and subtracting that bias from every slot leaves the
+    value at 2**bits.  A sum of packed products is read back by adding the
+    bias of its slots (flip), which makes every slot one digit, and then by
+    read: flipping the sign bits again makes the digits two's-complement
+    slots, which one struct.unpack call reads; only slots of more than one
+    limb join their limbs in Python.
+
+    structs(n), the Struct of n slots, flip(n), the sign bits of n slots,
+    and mask(n), the low n slots, are built when n is first used and
+    cached, so a codec holds only the layouts its products need.
+    """
+
+    __slots__ = ("bits", "k", "flip", "mask", "structs")
+
+    def __init__(self, limb: int, k: int):
+        self.bits = bits = 8 * limb * k
+        self.k = k
+        signed, unsigned = _LIMB_CODES[limb]
+        # little-endian: the lower limbs of a slot are unsigned, its top one signed
+        codes = unsigned * (k - 1) + signed
+        # the sign bit of each of n slots: a geometric sum in 2**bits
+        self.flip = cache(lambda n: ((1 << bits * n) - 1) // ((1 << bits) - 1) << (bits - 1))
+        self.mask = cache(lambda n: (1 << bits * n) - 1)
+        self.structs = cache(lambda n: struct.Struct("<" + codes * n))
+
+    def pack(self, vec: Sequence[int]) -> int:
+        k, n = self.k, len(vec)
+        if k > 1:  # only 8-byte limbs come in more than one per slot
+            limbs = [0] * (k * n)
+            for j in range(k - 1):
+                limbs[j::k] = [(c >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for c in vec]
+            limbs[k - 1::k] = [c >> (64 * (k - 1)) for c in vec]
+            vec = limbs
+        flip = self.flip(n)
+        return (int.from_bytes(self.structs(n).pack(*vec), "little") ^ flip) - flip
+
+    def slots(self, acc: int) -> int:
+        """A slot count that covers a sum of packed values: |acc| >=
+        2**(bits*top - 2) when slot top is its highest nonzero one."""
+        return (acc.bit_length() + 1) // self.bits + 1
+
+    def read(self, v: int, n: int) -> Sequence[int]:
+        """The n signed slots of v, whose slots hold digits (see flip)."""
+        vals = self.structs(n).unpack((v ^ self.flip(n)).to_bytes(self.bits // 8 * n, "little"))
+        k = self.k
+        if k > 1:
+            coords = vals[k - 1::k]
+            for j in range(k - 2, -1, -1):
+                coords = [(c << 64) + lo for c, lo in zip(coords, vals[j::k])]
+            vals = coords
+        return vals
+
+
+# codecs by (limb bytes, limbs per slot)
+_CODECS: Dict[Tuple[int, int], _SlotCodec] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +693,12 @@ def _over(v: Cyclo, den: int) -> Sequence[int]:
 class LaurentPoly:
     """Sparse Laurent polynomial in the single deformation variable t.
 
-    Coefficients are rationals or cyclotomic elements; exponents may be
-    negative.  Zero coefficients are never stored.  Integral rationals are
-    stored as Python ints and Fraction holds only non-integral ones, so
-    integer sums and products stay in fast int arithmetic.  An int equals
+    Coefficients are rationals or cyclotomic elements; the scalars of a
+    symbolic algebra are the rational ones only, which mul packs
+    (pack_laurent_products).  Exponents may be negative.  Zero coefficients
+    are never stored.  Integral rationals are stored as Python ints and
+    Fraction holds only non-integral ones, so integer sums and products
+    stay in fast int arithmetic.  An int equals
     and hashes like the Fraction of the same value, so equality and hashing
     do not depend on which of the two a coefficient is.
     """
@@ -646,6 +717,13 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly values are immutable")
+
+    @staticmethod
+    def _raw(coeffs: Dict[int, object]) -> "LaurentPoly":
+        """Wrap a dict that already holds no zero coefficient."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -697,16 +775,12 @@ class LaurentPoly:
                 d[e] = s
             else:
                 d.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        return out
+        return LaurentPoly._raw(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", {e: -c for e, c in self.coeffs.items()})
-        return out
+        return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _as_laurent(other)
@@ -733,9 +807,7 @@ class LaurentPoly:
                         d[e] = s
                     else:
                         d.pop(e, None)
-            out = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(out, "coeffs", d)
-            return out
+            return LaurentPoly._raw(d)
         if isinstance(other, (int, Fraction, Cyclo)):
             if not other:
                 return LaurentPoly.zero()

@@ -3,9 +3,12 @@
 Elements are finite maps from exponent pairs (alpha, beta) to scalars of the
 ambient coefficient domain; every operation returns a normal form with all
 x-factors to the left of all d-factors.  Three coefficient domains are
-supported, all exact: Laurent polynomials in t (the generic algebra),
-cyclotomic numbers at a fixed primitive root of unity, and first-order
-expansions around such a root (for divided differences).
+supported, all exact: Laurent polynomials in t over Q (the generic
+algebra), cyclotomic numbers at a fixed primitive root of unity, and
+first-order expansions around such a root (for divided differences).  In
+the first two, mul multiplies and sums coefficients as Kronecker-packed
+integers that share one slot codec (scalars.pack_laurent_products and
+scalars.pack_cyclo_products).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .scalars import (
     Jet,
     LaurentPoly,
     pack_cyclo_products,
+    pack_laurent_products,
     qint as _qint_poly,
     specialize as _specialize_scalar,
 )
@@ -52,9 +56,11 @@ JET = "jet"
 
 
 DEFAULT_DEGREE_LIMIT = 512
-# The largest estimated cost (_power_cost) of a power that is computed.  On
-# a 2-core Python 3.11 machine powers ran at 1.3 to 6 million units a second,
-# so a power that passes takes at most about 20 s there.
+# The largest estimated cost (_power_cost) of a power that is computed, and
+# of each power chain apply_endo builds.  On a 2-core Python 3.11 machine,
+# symbolic powers ran at 2.3 to 16 million units a second (rational
+# coefficients the slowest) and powers at a root of unity at 2.4 to 5.1
+# million, so a power that passes takes at most about 11 s there.
 POWER_COST_LIMIT = 25_000_000
 
 
@@ -184,7 +190,10 @@ class AlgebraContext:
         """Coerce a rational (or domain value) into this context's scalars."""
         if self.kind == SYMBOLIC:
             if isinstance(x, LaurentPoly):
-                return x
+                # mul packs rational coefficients only (pack_laurent_products)
+                if all(isinstance(c, (int, Fraction)) for c in x.coeffs.values()):
+                    return x
+                raise TypeError(f"symbolic scalars are Laurent polynomials over Q, not {x!r}")
             if isinstance(x, (int, Fraction)):
                 return LaurentPoly.constant(x)
         elif self.kind == ROOT:
@@ -484,13 +493,17 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
             used[be] = row
     lhs = list(a.terms.values())
     finish = None
-    if ctx.kind == ROOT:
-        # At a root of unity the coefficients are multiplied and summed as
-        # Kronecker-packed integers and unpacked once per output term.  One
-        # packing width serves the whole call, so it is chosen from every
-        # row this product uses.
-        lhs, packed, finish = pack_cyclo_products(
-            ctx.level, lhs, [coeffs for _, coeffs in used.values()])
+    if ctx.kind != JET:
+        # Cyclotomic and rational Laurent coefficients are multiplied and
+        # summed as Kronecker-packed integers and unpacked once per output
+        # term.  One packing width serves the whole call, so it is chosen
+        # from every row this product uses.  First-order expansions keep
+        # plain products.
+        groups = [coeffs for _, coeffs in used.values()]
+        if ctx.kind == ROOT:
+            lhs, packed, finish = pack_cyclo_products(ctx.level, lhs, groups)
+        else:
+            lhs, packed, finish = pack_laurent_products(lhs, groups)
         used = {be: (offsets, p) for (be, (offsets, _)), p in zip(used.items(), packed)}
     out: Dict = {}
     for (al, be), ca in zip(a.terms, lhs):

@@ -170,10 +170,14 @@ def test_non_finite_point_value_is_exit_2(capsys, command, value):
     ["rep", "--l", "3", "--a", "10^400", "--b", "1"],
     ["rep", "--l", "2", "--a", "10^700", "--b", "1"],
     ["rep", "--l", "3", "--a", "0", "--b", "10^400"],
+    ["azumaya", "--l", "3", "--a", "10^400", "--b", "1.0"],
+    ["azumaya", "--l", "3", "--a", "1.0", "--b", "10^400", "--burnside"],
 ])
 def test_point_too_large_for_a_double_is_exit_2(capsys, argv):
     # 10^400 has no rational cube root and no double near it; the exact
-    # square root 10^350 of 10^700 has no double approximation to print
+    # square root 10^350 of 10^700 has no double approximation to print.
+    # A decimal coordinate makes the azumaya test numeric, and 10^400 has
+    # no double.
     code, out, err = _capture(capsys, argv)
     assert code == 2
     assert not out
@@ -254,6 +258,25 @@ def test_lift_validate_hat_roundtrip(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["verdict"] == "converged"
     assert blob["limit"]["expr"] == "1 + r1"
+
+
+def test_hat_past_the_cost_guard_is_exit_2(tmp_path, capsys):
+    # r1 under lift_phi(x1^2) estimates 120M at l = 79, against the limit of
+    # 25M; it is refused before any level runs.  s1 maps to x1^l, whose
+    # chain is cheap, so --poly s1 runs at the same levels.
+    code, out, _ = _capture(capsys, ["lift", "--kind", "phi", "--poly", "x1^2"])
+    path = tmp_path / "endo.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, err = _capture(capsys, ["hat", str(path), "--primes", "79,83,89"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert not out
+    assert err == ("error: power chain of estimated cost 120332800 exceeds the guard "
+                   "25000000\n")
+    code, out, _ = _capture(capsys, ["hat", str(path), "--primes", "79,83,89", "--poly", "s1"])
+    assert code == 0
+    assert json.loads(out)["limit"]["expr"] == "s1"
 
 
 def test_validate_invalid_map(tmp_path, capsys):

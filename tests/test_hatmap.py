@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,13 @@ from qweyl import (
 from qweyl.hatmap import (
     DEFAULT_PRIMES,
     CentralityFailure,
+    _check_schedule_cost,
     is_stable,
     round_coefficient,
 )
+from qweyl.center import theta
+from qweyl.morphisms import apply_endo, specialize_endomorphism
+from qweyl.weylcore import POWER_COST_LIMIT, DegreeLimitExceeded, _power_cost
 
 # large enough that the decaying tails drop below the kill threshold
 MID = DEFAULT_PRIMES[:8]
@@ -56,6 +61,32 @@ def test_schedule_validation():
     assert DEFAULT_PRIMES[-1] == 31
     # composite levels are accepted as given
     assert hat(e, r1, (4, 6, 9)).levels == (4, 6, 9)
+
+
+def test_schedule_cost_guard():
+    # hat_step(r1) on lift_phi(x1^2) raises d1 + x1^2 + (q - 1)*x1^3*d1 to
+    # the l-th power.  Its estimate is 3.0M at l = 31 and 24.7M at l = 53,
+    # under POWER_COST_LIMIT = 25M, so the default schedule and every level
+    # up to 53 pass; at l = 79 it is 120M, which is refused before any level
+    # runs (the chain alone took minutes).
+    ctx = AlgebraContext.symbolic(1)
+    e = lift_phi(ctx, {2: 1})
+    r1, s1 = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
+    cost = {level: _power_cost(specialize_endomorphism(e, level).images_d[0], level)
+            for level in (31, 53, 79)}
+    assert cost == {31: 2_983_936, 53: 24_727_680, 79: 120_332_800}
+    assert cost[53] <= POWER_COST_LIMIT < cost[79]
+    _check_schedule_cost(e, [r1, s1], DEFAULT_PRIMES + (37, 41, 43, 47, 53))
+    start = time.perf_counter()
+    with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
+        hat(e, r1, (31, 53, 79))
+    with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
+        hat_endo(e, (79, 83, 89))
+    with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
+        apply_endo(specialize_endomorphism(e, 79), theta(r1, 79))
+    assert time.perf_counter() - start < 2
+    # s1 maps to x1^l and x1 -> x1, so its only chain is cheap at any level
+    assert hat(e, s1, (79, 83, 89)).limit_expr() == "s1"
 
 
 def test_reports_are_immutable():

@@ -26,8 +26,8 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
-from qweyl.scalars import euler_phi, pack_cyclo_products
-from qweyl.weylcore import JET, ROOT, SYMBOLIC, _powers
+from qweyl.scalars import euler_phi, pack_cyclo_products, pack_laurent_products
+from qweyl.weylcore import JET, ROOT, SYMBOLIC, WeylElement, _powers, _scaled_rows
 from conftest import random_element, standard_contexts
 
 
@@ -451,8 +451,22 @@ def test_ring_axioms_with_cyclotomic_coefficients(rng):
 
 
 # ---------------------------------------------------------------------------
-# packed multiply-accumulate at roots of unity
+# packed multiply-accumulate
 # ---------------------------------------------------------------------------
+
+
+def _plain_mul(a, b):
+    """The reference route of mul: the same scaled rows, but each
+    contribution is one product of coefficients (LaurentPoly.__mul__ or
+    Cyclo.__mul__), summed one at a time, with nothing packed."""
+    out = {}
+    for (al, be), ca in a.terms.items():
+        offsets, coeffs = _scaled_rows(a.context, be, b)
+        for (shift, beta), cb in zip(offsets, coeffs):
+            key = (tuple(x + y for x, y in zip(al, shift)), beta)
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return WeylElement(a.context, out)
+
 
 _WIDE = st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
 _LAURENT = st.dictionaries(
@@ -477,11 +491,37 @@ def _symbolic_pair(draw):
 @given(st.sampled_from((1, 2, 4, 9, 12, 15, 31)), _symbolic_pair())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_packed_mul_matches_the_symbolic_product(level, pair):
-    # symbolic products never pack; specialization is a ring homomorphism
+    # specialization is a ring homomorphism between the two packed domains
     a, b = pair
     assert specialize_element(mul(a, b), level) == mul(
         specialize_element(a, level), specialize_element(b, level)
     )
+
+
+def _integral(element):
+    return all(type(c) is int or c.denominator != 1
+               for p in element.terms.values() for c in p.coeffs.values())
+
+
+@given(_symbolic_pair(), _LAURENT, _LAURENT, st.sampled_from((1, 12)))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_packed_symbolic_mul_matches_the_plain_product(pair, c, u, level):
+    # Coefficients are Fractions with different denominators on each side,
+    # exponents from -3, and numerators up to 2**200, so slots take several
+    # 8-byte limbs.  n is 1 or 2.
+    a, b = pair
+    assert mul(a, b) == _plain_mul(a, b)
+    assert _integral(mul(a, b))  # integral coefficients are stored as int
+    zero = a.context.zero()
+    assert mul(a, zero) == mul(zero, b) == zero
+    # c (x1 + 1) * u (1 - x1) = c u (1 - x1^2): the x1 key cancels to zero
+    ctx = AlgebraContext.symbolic(1)
+    one, x = ctx.one(), ctx.x(1)
+    left, right = (x + one).scale(c), (one - x).scale(u)
+    assert mul(left, right) == _plain_mul(left, right) == (one - x * x).scale(c * u)
+    # the packed product at a root of unity against the same plain route
+    sa, sb = specialize_element(a, level), specialize_element(b, level)
+    assert mul(sa, sb) == _plain_mul(sa, sb)
 
 
 def _split(total):
@@ -512,6 +552,39 @@ def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
         acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
         assert unpack(acc) == sum(a * b for a in lhs for b in rhs)
         assert unpack(acc) == sign * lhs_sum * rhs_sum * (Cyclo.zeta(level, d) + top * top)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize(
+    "lhs_sum, rhs_sum, parts",
+    [(217, 151, 2), (255, 257, 2), (127, 256, 256)]
+    + [(2 ** (8 * w - 1) - 1, 1, 2) for w in (1, 2, 4, 8, 16, 24)],
+)
+def test_packed_laurent_slot_at_the_width_bound(lhs_sum, rhs_sum, parts, sign):
+    # As above, with Laurent polynomials: each lhs value is
+    # c * (t^-3 + t^-2), with max|a_i| = c, and each of the parts rhs
+    # values c * t^5, so every product has the slot of t^2 at the bound
+    # lhs_sum * rhs_sum.  The shifts of the two sides, -3 and 5, are added
+    # back on unpacking.  127 * 256 needs two bytes, while 127 times the
+    # largest of the 256 rhs values fits one: the bound takes the sum of a
+    # group, not its largest value.
+    lhs = [LaurentPoly({-3: sign * c, -2: sign * c}) for c in _split(lhs_sum)]
+    rhs = [LaurentPoly({5: rhs_sum // parts + (i < rhs_sum % parts)}) for i in range(parts)]
+    packed_lhs, (packed_rhs,), unpack = pack_laurent_products(lhs, [rhs])
+    acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
+    assert unpack(acc) == sum((a * b for a in lhs for b in rhs), LaurentPoly.zero())
+    assert unpack(acc).coeffs == {2: sign * lhs_sum * rhs_sum, 3: sign * lhs_sum * rhs_sum}
+
+
+def test_symbolic_scalars_are_laurent_polynomials_over_q(sym1):
+    # mul packs rational coefficients only
+    half = LaurentPoly({-1: Fraction(1, 2), 2: 3})
+    assert sym1.scalar(half) is half
+    for bad in (LaurentPoly({1: Cyclo.zeta(3)}), LaurentPoly({0: 1, 1: Cyclo.one(5)})):
+        with pytest.raises(TypeError, match="over Q"):
+            sym1.scalar(bad)
+        with pytest.raises(TypeError, match="over Q"):
+            sym1.x(1).scale(bad)
 
 
 def test_level_tables_stay_small_at_a_high_level():
