@@ -5,7 +5,6 @@ automorphisms of the classical algebra.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .weylcore import (
@@ -144,40 +143,38 @@ def identity_endomorphism(ctx: AlgebraContext) -> Endomorphism:
 def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     """Image of an element under a validated endomorphism.
 
-    Substitutes monomial by monomial, multiplying the generator images in
-    PBW order (all x-images first, then all d-images).  Refuses, before
-    any product, the inputs that check_apply_cost refuses.
+    Substitutes monomial by monomial, multiplying the powers of the
+    generator images in PBW order (all x-images first, then all d-images).
+    The powers of each image come from one power chain (_powers), which
+    unpacks only the exponents that a uses.  Refuses, before any product,
+    the inputs that check_apply_cost refuses.
     """
     if not e.validated:
         raise UnvalidatedError("endomorphism failed (or skipped) validation")
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
-    max_a, max_b = check_apply_cost(e.images_x, e.images_d, a)
+    check_apply_cost(e.images_x, e.images_d, a)
     n = ctx.n
-    # incremental power tables, one per generator actually used
-    pow_x = [list(islice(_powers(e.images_x[i]), max_a[i] + 1)) for i in range(n)]
-    pow_d = [list(islice(_powers(e.images_d[i]), max_b[i] + 1)) for i in range(n)]
+    pow_x = [_powers(e.images_x[i], {al[i] for al, _ in a.terms if al[i]}) for i in range(n)]
+    pow_d = [_powers(e.images_d[i], {be[i] for _, be in a.terms if be[i]}) for i in range(n)]
     out = ctx.zero()
     for (al, be), c in a.terms.items():
-        acc = ctx.scalar_element(c)
-        for i in range(n):
-            if al[i]:
-                acc = mul(acc, pow_x[i][al[i]])
-        for i in range(n):
-            if be[i]:
-                acc = mul(acc, pow_d[i][be[i]])
-        out = out + acc
+        factors = ([pow_x[i][al[i]] for i in range(n) if al[i]]
+                   + [pow_d[i][be[i]] for i in range(n) if be[i]])
+        acc = factors[0] if factors else ctx.one()
+        for factor in factors[1:]:
+            acc = mul(acc, factor)
+        out = out + acc.scale(c)
     return out
 
 
 def check_apply_cost(images_x: Sequence[WeylElement], images_d: Sequence[WeylElement],
-                     a: WeylElement) -> Tuple[List[int], List[int]]:
-    """The highest x- and d-exponents of a, after refusing what apply_endo
-    with these generator images would refuse: a substituted Bernstein
-    degree above the guard (QWEYL_MAX_DEGREE, default 512), or a power
-    chain of an image whose estimated cost (_power_cost) exceeds
-    POWER_COST_LIMIT."""
+                     a: WeylElement) -> None:
+    """Refuse, before any product, what apply_endo with these generator
+    images would refuse: a substituted Bernstein degree above the guard
+    (QWEYL_MAX_DEGREE, default 512), or a power chain of an image whose
+    estimated cost (_power_cost) exceeds POWER_COST_LIMIT."""
     limit = _degree_limit()
     n = a.context.n
     deg_x = [bernstein_degree(img) if img else 0 for img in images_x]
@@ -201,7 +198,6 @@ def check_apply_cost(images_x: Sequence[WeylElement], images_d: Sequence[WeylEle
                 raise DegreeLimitExceeded(
                     f"power chain of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
                 )
-    return max_a, max_b
 
 
 def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:

@@ -144,7 +144,7 @@ def euler_phi(level: int) -> int:
 
 
 class _LevelData:
-    __slots__ = ("level", "phi", "degree", "low")
+    __slots__ = ("level", "phi", "degree", "low", "block")
 
     def __init__(self, level: int):
         self.level = level
@@ -153,6 +153,10 @@ class _LevelData:
         self.degree = d
         # the nonzero (k, phi_k), k < d: Phi is monic, so z^d = -sum phi_k z^k
         self.low = tuple((k, c) for k, c in enumerate(self.phi[:d]) if c)
+        # m = p^(k-1) at a level p^k, p prime, where Phi(z) = Phi_p(z^m) is
+        # 1 + z^m + ... + z^d; 0 at other levels
+        m = level - d
+        self.block = m if level > 1 and self.phi == (1, *(0,) * (m - 1)) * (d // m) + (1,) else 0
 
 
 _LEVELS: Dict[int, _LevelData] = {}
@@ -509,13 +513,8 @@ def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
     Each side is put over its common denominator, Da for lhs and Db for the
     groups, and its coordinate vectors are packed by one slot codec
     (_pack_slots).  A product then holds the 2*phi - 1 coordinates of the
-    unreduced polynomial product.  unpack reads slots only up to the top
-    one that the sum's bit length allows.  Slots at or past the level are
-    added onto slot - level inside the integer (z^level = 1): a folded slot
-    is a coordinate of the cyclic product, where each b_i meets each a_j at
-    most once because phi <= level, so it obeys the same width bound.  The
-    digits are then reduced mod the cyclotomic polynomial and divided by
-    Da * Db.
+    unreduced polynomial product, which unpack reduces mod Phi
+    (_cyclo_reducer) and divides by Da * Db.
     """
     data = _leveldata(level)
     den_a = math.lcm(*(v.den for v in lhs))
@@ -523,17 +522,65 @@ def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
     vecs_a = [_over(v, den_a) for v in lhs]
     vecs_b = [[_over(v, den_b) for v in g] for g in rhs_groups]
     codec, packed_a, packed_b = _pack_slots(vecs_a, vecs_b)
-    return packed_a, packed_b, partial(_cyclo_sum, codec, data, den_a * den_b)
+    reduce, den = _cyclo_reducer(codec, data), den_a * den_b
+    return packed_a, packed_b, lambda acc: _cyclo_value(codec, data, reduce(acc), den)
 
 
-def _cyclo_sum(codec: "_SlotCodec", data: _LevelData, den: int, acc: int) -> Cyclo:
-    level, bits, flip = data.level, codec.bits, codec.flip
-    n = min(2 * data.degree - 1, codec.slots(acc))
-    v = acc + flip(n)
-    if n > level:
-        v = (v & codec.mask(level)) + (v >> (bits * level)) - flip(n - level)
+def _cyclo_value(codec: "_SlotCodec", data: _LevelData, vec, den: int) -> Cyclo:
+    """The Cyclo of a reduced value over den: a packed value of phi slots,
+    or a coordinate list."""
+    if type(vec) is int:
+        d = data.degree
+        vec = list(codec.read(vec + codec.flip(d), d))
+    return Cyclo._normalized(data.level, vec, den)
+
+
+def _cyclo_reducer(codec: "_SlotCodec", data: _LevelData):
+    """The function that reduces mod Phi a sum of packed products of
+    coordinate vectors, of at most 2*phi - 1 slots: at a prime-power level
+    to a packed value of phi slots, at any other level to its coordinate
+    list.
+
+    The sum's slots are made digits by the bias (see _SlotCodec.flip).
+    Slots at or past the level are added onto slot - level inside the
+    integer (z^level = 1): a folded slot is a coordinate of the cyclic
+    product, where each b_i meets each a_j at most once because
+    phi <= level, so it obeys the width bound of _pack_slots.  At a level
+    p^k, Phi(z) = 1 + z^m + ... + z^(phi - m) for m = p^(k-1), so the top
+    block of m slots, times that sparse repunit, is subtracted from the phi
+    slots below it: each slot then loses one slot of the block, so it is
+    at most twice the bound, which the codec's spare bit holds.  Other
+    levels read their slots and reduce them by _reduce_vec.
+    """
+    level, d, bits, flip = data.level, data.degree, codec.bits, codec.flip
+    n = 2 * d - 1
+    bias = flip(n)
+    fold = n > level
+    if fold:
+        low, shift, refold = codec.mask(level), bits * level, flip(n - level)
         n = level
-    return Cyclo._normalized(level, _reduce_vec(list(codec.read(v, n)), data), den)
+
+    m = data.block
+    if not m:
+        def reduce(acc: int) -> List[int]:
+            v = acc + bias
+            if fold:
+                v = (v & low) + (v >> shift) - refold
+            return _reduce_vec(list(codec.read(v, n)), data)
+        return reduce
+    if n <= d:
+        return lambda acc: acc
+    # the top block and the phi slots below it, with their biases taken off
+    mask, top, repunit = codec.mask(d), bits * d, codec.ones(m, d // m)
+    unbias = flip(n - d) * repunit - flip(d)
+
+    def reduce_packed(acc: int) -> int:
+        v = acc + bias
+        if fold:
+            v = (v & low) + (v >> shift) - refold
+        return (v & mask) - (v >> top) * repunit + unbias
+
+    return reduce_packed
 
 
 def _over(v: Cyclo, den: int) -> Sequence[int]:
@@ -600,23 +647,133 @@ def _pack_slots(vecs_a: Sequence[Sequence[int]], groups_b: Sequence[Sequence[Seq
     product.  A coordinate of A*B is at most max|a_i| * sum|b_i|, so no slot
     of an admissible sum exceeds
         bound = (sum over vecs_a of max|a_i|) * (max over groups of sum |b_i|)
-    in absolute value.  With w the fewest bytes with bound < 2**(8w - 1), a
-    slot is k limbs of L bytes: L is the smallest of 1, 2, 4, 8 that is at
-    least w, and k = ceil(w / L) once w > 8.  Then bits = 8kL >= 8w, so
-    every slot sum, and every coordinate of either side, is below
-    2**(bits - 1) in absolute value: it is one signed slot.
+    in absolute value (_slot_codec).
     """
     # each factor is at least 1, so the bound also covers every coordinate
     norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
     norm_b = max((sum(sum(map(abs, v)) for v in g) for g in groups_b), default=0) or 1
-    w = ((norm_a * norm_b).bit_length() + 8) // 8
+    codec = _slot_codec(norm_a * norm_b)
+    return (codec, [codec.pack(v) for v in vecs_a],
+            [[codec.pack(v) for v in g] for g in groups_b])
+
+
+def _slot_codec(bound: int) -> "_SlotCodec":
+    """The codec whose signed slots hold every integer of absolute value at
+    most 2 * bound: a slot sum that _cyclo_reducer reduces at a prime-power
+    level, with one spare bit.
+
+    With w the fewest bytes with bound < 2**(8w - 2), a slot is k limbs of
+    L bytes: L is the smallest of 1, 2, 4, 8 that is at least w, and
+    k = ceil(w / L) once w > 8.  Then bits = 8kL >= 8w, so 2 * bound is
+    below 2**(bits - 1) in absolute value: it is one signed slot.
+    """
+    w = (bound.bit_length() + 9) // 8
     limb = min(1 << (w - 1).bit_length(), 8)
     layout = (limb, -(-w // limb))
     codec = _CODECS.get(layout)
     if codec is None:
         codec = _CODECS[layout] = _SlotCodec(*layout)
-    return (codec, [codec.pack(v) for v in vecs_a],
-            [[codec.pack(v) for v in g] for g in groups_b])
+    return codec
+
+
+class PackedPowers:
+    """The coefficients of a power chain, kept as packed ints between its
+    steps: cyclotomic numbers at a level, or Laurent polynomials over Q for
+    level None.
+
+    The chain multiplies by the scaled base, whose coefficients are the
+    base's times den, their common denominator (scaled), so every value is
+    an integer vector, and the k-th power is divided by den**k once, when
+    it is unpacked.  A Laurent value is its coefficients from t^(k * low)
+    up, for low the lowest exponent of the base, which bounds the exponents
+    of every scaled row.  A step packs the terms of the chain (values) and
+    the rows they meet (group) by the codec of the bound
+    (sum of the terms' max|a_i|) * (largest sum |b_i| of a row group);
+    a term stays as it is while the limb layout does.  settle then reduces
+    each sum of products mod Phi inside the integer (_cyclo_reducer) and
+    reads it once for its max|a_i|, for the next step's bound.
+    """
+
+    __slots__ = ("data", "den", "low", "codec", "groups")
+
+    # the value 1, as a coordinate list
+    one = (1,)
+
+    def __init__(self, level: Optional[int], coeffs: Sequence):
+        self.data = _leveldata(level) if level else None
+        if level:
+            self.den, self.low = math.lcm(*(c.den for c in coeffs)), 0
+        else:
+            self.den = math.lcm(*(c.denominator for p in coeffs for c in p.coeffs.values()))
+            self.low = min(min(p.coeffs) for p in coeffs)
+        self.codec = None
+        self.groups: Dict[object, List[int]] = {}
+
+    def scaled(self, c):
+        """The integral multiple c * den of a base coefficient."""
+        if self.data:
+            return Cyclo._raw(c.level, tuple(_over(c, self.den)), 1)
+        return LaurentPoly._raw({e: v.numerator * (self.den // v.denominator)
+                                 for e, v in c.coeffs.items()})
+
+    def _vec(self, c) -> Sequence[int]:
+        if self.data:
+            return c.num
+        vec = [0] * (max(c.coeffs) - self.low + 1)
+        for e, v in c.coeffs.items():
+            vec[e - self.low] = v
+        return vec
+
+    def norm(self, coeffs: Sequence) -> int:
+        """sum |b_i| over the coordinates of a group of scaled row values."""
+        return sum(sum(map(abs, self._vec(c))) for c in coeffs)
+
+    def step(self, values: Iterable, bound: int) -> List[int]:
+        """The packed values of a step whose slot sums are at most bound."""
+        old, codec = self.codec, _slot_codec(bound)
+        if codec is old:
+            return [v if type(v) is int else codec.pack(v) for v in values]
+        self.codec = codec
+        self.groups.clear()
+        return [codec.pack(v if type(v) is not int else self._read(old, v)) for v in values]
+
+    def group(self, key, coeffs: Sequence) -> List[int]:
+        """A group of scaled row values, packed by the current codec."""
+        got = self.groups.get(key)
+        if got is None:
+            got = self.groups[key] = [self.codec.pack(self._vec(c)) for c in coeffs]
+        return got
+
+    def _read(self, codec: "_SlotCodec", v: int) -> Sequence[int]:
+        n = self.data.degree if self.data else codec.slots(v)
+        return codec.read(v + codec.flip(n), n)
+
+    def settle(self, sums: Dict) -> Tuple[Dict, int]:
+        """(values, norm): the nonzero sums of a step as values of the
+        chain, and the sum of their max|a_i|."""
+        codec, data = self.codec, self.data
+        if data:
+            reduce, read, d = _cyclo_reducer(codec, data), codec.read, data.degree
+            bias = codec.flip(d)
+        out, norm = {}, 0
+        for key, v in sums.items():
+            if data:
+                v = reduce(v)
+                vec = read(v + bias, d) if type(v) is int else v
+            else:
+                vec = self._read(codec, v)
+            top = max(max(vec), -min(vec))
+            if top:
+                out[key] = v
+                norm += top
+        return out, norm
+
+    def unpack(self, v, k: int):
+        """The value v of the k-th power as a scalar."""
+        den, codec = self.den ** k, self.codec
+        if not self.data:
+            return _laurent_sum(codec, k * self.low, den, v)
+        return _cyclo_value(codec, self.data, v, den)
 
 
 # struct codes of the signed and unsigned limbs of each size in bytes
@@ -636,11 +793,12 @@ class _SlotCodec:
     limb join their limbs in Python.
 
     structs(n), the Struct of n slots, flip(n), the sign bits of n slots,
-    and mask(n), the low n slots, are built when n is first used and
-    cached, so a codec holds only the layouts its products need.
+    mask(n), the low n slots, and ones(m, count), the value with a 1 in
+    every m-th of m * count slots, are built when first used and cached,
+    so a codec holds only the layouts its products need.
     """
 
-    __slots__ = ("bits", "k", "flip", "mask", "structs")
+    __slots__ = ("bits", "k", "flip", "mask", "ones", "structs")
 
     def __init__(self, limb: int, k: int):
         self.bits = bits = 8 * limb * k
@@ -648,8 +806,9 @@ class _SlotCodec:
         signed, unsigned = _LIMB_CODES[limb]
         # little-endian: the lower limbs of a slot are unsigned, its top one signed
         codes = unsigned * (k - 1) + signed
-        # the sign bit of each of n slots: a geometric sum in 2**bits
-        self.flip = cache(lambda n: ((1 << bits * n) - 1) // ((1 << bits) - 1) << (bits - 1))
+        # geometric sums in 2**bits
+        self.ones = cache(lambda m, count: ((1 << bits * m * count) - 1) // ((1 << bits * m) - 1))
+        self.flip = cache(lambda n: self.ones(1, n) << (bits - 1))
         self.mask = cache(lambda n: (1 << bits * n) - 1)
         self.structs = cache(lambda n: struct.Struct("<" + codes * n))
 
@@ -709,8 +868,7 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = c.numerator
+                c = _integral(c)
                 if c:
                     d[int(e)] = c
         object.__setattr__(self, "coeffs", d)
@@ -770,7 +928,7 @@ class LaurentPoly:
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
             cur = d.get(e)
-            s = c if cur is None else cur + c
+            s = c if cur is None else _integral(cur + c)
             if s:
                 d[e] = s
             else:
@@ -800,9 +958,9 @@ class LaurentPoly:
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
                     e = e1 + e2
-                    p = c1 * c2
+                    p = _integral(c1 * c2)
                     cur = d.get(e)
-                    s = p if cur is None else cur + p
+                    s = p if cur is None else _integral(cur + p)
                     if s:
                         d[e] = s
                     else:
@@ -850,6 +1008,11 @@ class LaurentPoly:
             else:
                 bits.append(f"({c})")
         return "LaurentPoly(" + " + ".join(bits) + ")"
+
+
+def _integral(c):
+    """c, with an integral Fraction turned into an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _as_laurent(x) -> Optional[LaurentPoly]:

@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import islice
-from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
     Cyclo,
     Jet,
     LaurentPoly,
+    PackedPowers,
     pack_cyclo_products,
     pack_laurent_products,
-    qint as _qint_poly,
     specialize as _specialize_scalar,
 )
 
@@ -58,9 +56,12 @@ JET = "jet"
 DEFAULT_DEGREE_LIMIT = 512
 # The largest estimated cost (_power_cost) of a power that is computed, and
 # of each power chain apply_endo builds.  On a 2-core Python 3.11 machine,
-# symbolic powers ran at 2.3 to 16 million units a second (rational
-# coefficients the slowest) and powers at a root of unity at 2.4 to 5.1
-# million, so a power that passes takes at most about 11 s there.
+# symbolic powers ran at 7 to 43 million units a second (rational
+# coefficients the slowest) and powers of the lifts of x1^2 and 2 at roots
+# of unity of level 31 and 53 at 5 to 11 million, so such a power that
+# passes takes at most about 5 s there.  The estimate does not count the
+# height of coordinates: the lift of 1 + x1 - 3*x1^3, whose coordinates
+# grow to hundreds of bits, ran at 0.9 to 1.2 million.
 POWER_COST_LIMIT = 25_000_000
 
 
@@ -122,7 +123,7 @@ class AlgebraContext:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "qpow", qpow)
         object.__setattr__(self, "_tpow_cache", {})
-        object.__setattr__(self, "_qint_cache", {})
+        object.__setattr__(self, "_qint_cache", [])
         object.__setattr__(self, "_exp_cache", {})
         object.__setattr__(self, "_binom_rows", [])
 
@@ -236,19 +237,14 @@ class AlgebraContext:
         return val
 
     def qint(self, m: int):
-        """Image of the quantum integer [m] in the coefficient domain."""
-        got = self._qint_cache.get(m)
-        if got is not None:
-            return got
-        if self.kind == SYMBOLIC:
-            val = _qint_poly(m)
-        else:
-            acc = self.scalar(0)
-            for j in range(m):
-                acc = acc + self.t_power(j)
-            val = acc
-        self._qint_cache[m] = val
-        return val
+        """Image of the quantum integer [m] in the coefficient domain,
+        tabulated up to the largest m asked for: [j + 1] = [j] + t^j."""
+        table = self._qint_cache
+        if not table:
+            table.append(self.scalar(0))
+        while len(table) <= m:
+            table.append(table[-1] + self.t_power(len(table) - 1))
+        return table[m]
 
     # element factories -------------------------------------------------------
 
@@ -332,14 +328,9 @@ def _unit(n: int, i: int) -> Tuple[int, ...]:
 
 
 class WeylElement:
-    """Element of the algebra in PBW normal form (x-factors left of d-factors).
+    """Element of the algebra in PBW normal form (x-factors left of d-factors)."""
 
-    The only state besides the terms is a memo: the scaled rows of the
-    element as a right factor (_scaled_rows), filled by mul, so multiplying
-    by the same element again, as a power chain does, builds them once.
-    """
-
-    __slots__ = ("context", "terms", "_rows")
+    __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: Mapping):
         clean = {k: c for k, c in terms.items() if c}
@@ -442,37 +433,90 @@ def _plain_mono(al, be):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_rows(ctx: AlgebraContext, be: Tuple[int, ...], b: WeylElement):
-    """d^be * b as the offsets (ga - js, be + de - js) and the coefficients
-    cb * C_js of its terms, in two lists.
+class _Keys:
+    """Monomials x^al d^be coded as ints: each exponent is a field of s bits,
+    al[0] the highest and be[-1] the lowest, so adding two codes adds their
+    exponents whenever every field of the sum lies in 0 .. 2**s - 1.  A code
+    may have negative fields (an offset), as long as the sums it is added
+    into do not."""
 
-    A term x^al d^be meets a term cb x^ga d^de of b in the terms
-    (cb * C_js) x^(al + ga - js) d^(be + de - js), where C_js is the product
-    of the pair-expansion entries over the pairs i with be[i] and ga[i]
-    nonzero.  These scaled rows depend on be alone, so they are built once
-    per distinct be (and kept on b) and each contribution costs one product.
+    __slots__ = ("n", "s")
+
+    def __init__(self, n: int, top: int):
+        # top: the largest exponent of any monomial that is coded
+        self.n, self.s = n, max(top, 1).bit_length()
+
+    def code(self, al: Sequence[int], be: Sequence[int]) -> int:
+        key = 0
+        for e in (*al, *be):
+            key = (key << self.s) + e
+        return key
+
+    def exps(self, key: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        n, s = self.n, self.s
+        mask = (1 << s) - 1
+        fields = tuple((key >> (s * i)) & mask for i in range(2 * n - 1, -1, -1))
+        return fields[:n], fields[n:]
+
+
+def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
+                 keys: _Keys, right: bool = True):
+    """d^exps * b (right) or b * x^exps (left), as the key offsets and the
+    coefficients of its terms, in two lists.
+
+    A term x^al d^be meets a term cb x^ga d^de of b, on the right, in the
+    terms (cb * C_js) x^(al + ga - js) d^(be + de - js), where C_js is the
+    product of the pair-expansion entries of d^be[i] x^ga[i] over the pairs
+    i where both are nonzero.  On the left, x^ga d^de meets cb x^al d^be in
+    (cb * C_js) x^(al + ga - js) d^(be + de - js), with d^be[i] x^ga[i]
+    expanded the same way.  Either way the term moves by the offset
+    (X - js, D - js), for x^X d^D the term of b, and the scaled rows depend
+    only on exps, the d-exponents (right) or x-exponents (left) of the term
+    they meet, so they are built once per distinct exps and each
+    contribution costs one product.
     """
     n = ctx.n
     expansion = ctx._pair_expansion
     offsets, coeffs = [], []
     for (ga, de), cb in b.terms.items():
-        hot = [i for i in range(n) if be[i] and ga[i]]
+        ks, ms = (exps, ga) if right else (de, exps)
+        hot = [i for i in range(n) if ks[i] and ms[i]]
         combos = [((), cb)]
         for i in hot:
-            entries = expansion(be[i], ga[i])
+            entries = expansion(ks[i], ms[i])
             combos = [(js + (j,), c * e) for js, c in combos
                       for j, e in enumerate(entries) if e]
         for js, c in combos:
             if not c:
                 continue
-            shift = list(ga)
-            beta = [be[i] + de[i] for i in range(n)]
+            x, d = list(ga), list(de)
             for i, j in zip(hot, js):
-                shift[i] -= j
-                beta[i] -= j
-            offsets.append((tuple(shift), tuple(beta)))
+                x[i] -= j
+                d[i] -= j
+            offsets.append(keys.code(x, d))
             coeffs.append(c)
     return offsets, coeffs
+
+
+def _mac(terms) -> Dict[int, object]:
+    """The multiply-accumulate loop of mul and of the power chain: for each
+    (key, value, (offsets, coeffs)) of terms, value * coeff is added into
+    the sum at key + offset.  Values are packed ints, or first-order
+    expansions multiplied as they are."""
+    out: Dict[int, object] = {}
+    get = out.get
+    for key, ca, (offsets, coeffs) in terms:
+        for off, cb in zip(offsets, coeffs):
+            c = ca * cb
+            if c:
+                k = key + off
+                cur = get(k)
+                out[k] = c if cur is None else cur + c
+    return out
+
+
+def _top_exponent(a: WeylElement) -> int:
+    return max(max(al + be) for al, be in a.terms)
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -480,17 +524,13 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.context != b.context:
         raise ContextMismatchError("cannot multiply across contexts")
     ctx = a.context
-    rows = getattr(b, "_rows", None)
-    if rows is None:
-        rows = {}
-        object.__setattr__(b, "_rows", rows)
+    if not (a.terms and b.terms):
+        return ctx.zero()
+    keys = _Keys(ctx.n, _top_exponent(a) + _top_exponent(b))
     used = {}
     for _, be in a.terms:
         if be not in used:
-            row = rows.get(be)
-            if row is None:
-                row = rows[be] = _scaled_rows(ctx, be, b)
-            used[be] = row
+            used[be] = _scaled_rows(ctx, be, b, keys)
     lhs = list(a.terms.values())
     finish = None
     if ctx.kind != JET:
@@ -505,34 +545,90 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
         else:
             lhs, packed, finish = pack_laurent_products(lhs, groups)
         used = {be: (offsets, p) for (be, (offsets, _)), p in zip(used.items(), packed)}
-    out: Dict = {}
-    for (al, be), ca in zip(a.terms, lhs):
-        offsets, coeffs = used[be]
-        for (shift, beta), cb in zip(offsets, coeffs):
-            c = ca * cb
-            if not c:
-                continue
-            key = (tuple(map(add, al, shift)), beta)
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    if finish is not None:
-        out = {k: finish(v) for k, v in out.items()}
-    return WeylElement(ctx, out)
+    out = _mac(zip([keys.code(al, be) for al, be in a.terms], lhs,
+                   [used[be] for _, be in a.terms]))
+    exps = keys.exps
+    if finish is None:
+        return WeylElement(ctx, {exps(k): v for k, v in out.items()})
+    return WeylElement(ctx, {exps(k): finish(v) for k, v in out.items()})
 
 
-def _powers(base: WeylElement):
-    """1, base, base**2, ... without end, each power the previous one times
-    base.
+def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
+    """{k: base**k for each k in exponents}, from one chain that multiplies
+    by base one factor at a time.
 
-    Every step multiplies by the same base, so its scaled rows are built
-    once for the whole chain.  Keeping the base on the right also keeps
-    powering cheap: binary powering would multiply large powers by each
-    other, and every pair of their terms expands under normal ordering.
+    The chain keeps each power as integer-coded keys (_Keys) and, at a root
+    of unity or generic t, as coefficients packed by PackedPowers; only the
+    powers asked for are unpacked.  Each step multiplies by base on the
+    side with fewer pair expansions: acc * base expands each x-exponent ga
+    of base against acc (sum of prod(ga_i + 1) over its terms), base * acc
+    each d-exponent of base.  Both orders give the same power, as base
+    commutes with its own powers.  The scaled rows of base are built once
+    per exponent they meet, for the whole chain.  Binary powering would
+    multiply large powers by each other, and every pair of their terms
+    expands under normal ordering.
     """
-    acc = base.context.one()
-    while True:
-        yield acc
-        acc = mul(acc, base)
+    ctx = base.context
+    wanted = set(exponents)
+    out = {k: ctx.one() for k in wanted if not k}
+    top = max(wanted, default=0)
+    if not top:
+        return out
+    if not base.terms:
+        return {k: base if k else ctx.one() for k in wanted}
+    keys = _Keys(ctx.n, top * _top_exponent(base))
+    left = sum(math.prod(e + 1 for e in ga) for ga, _ in base.terms) > sum(
+        math.prod(e + 1 for e in de) for _, de in base.terms)
+    # a term meets the rows of its d-exponents (acc * base) or of its
+    # x-exponents (base * acc), the low or the high half of its key
+    half = ctx.n * keys.s
+    mask = (1 << half) - 1
+    group = (lambda key: key >> half) if left else (lambda key: key & mask)
+    if ctx.kind == JET:
+        packer = _PlainPowers(ctx.one_scalar())
+    else:
+        packer = PackedPowers(ctx.level if ctx.kind == ROOT else None, list(base.terms.values()))
+    base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
+    rows = {}
+    acc, norm = {0: packer.one}, 1
+    for k in range(1, top + 1):
+        groups = [group(key) for key in acc]
+        used = set(groups)
+        for g in used - rows.keys():
+            offsets, coeffs = _scaled_rows(ctx, keys.exps(g)[1], base, keys, not left)
+            rows[g] = (offsets, coeffs, packer.norm(coeffs))
+        values = packer.step(acc.values(), norm * max((rows[g][2] for g in used), default=0))
+        terms = [(rows[g][0], packer.group(g, rows[g][1])) for g in groups]
+        acc, norm = packer.settle(_mac(zip(acc, values, terms)))
+        if k in wanted:
+            out[k] = WeylElement(ctx, {keys.exps(key): packer.unpack(v, k)
+                                       for key, v in acc.items()})
+    return out
+
+
+class _PlainPowers:
+    """PackedPowers for first-order expansions, which keep plain products."""
+
+    def __init__(self, one):
+        self.one = one
+
+    def scaled(self, c):
+        return c
+
+    def norm(self, coeffs) -> int:
+        return 0
+
+    def step(self, values, bound: int):
+        return values
+
+    def group(self, key, coeffs):
+        return coeffs
+
+    def settle(self, sums):
+        return {key: c for key, c in sums.items() if c}, 0
+
+    def unpack(self, v, k: int):
+        return v
 
 
 def power(a: WeylElement, k: int) -> WeylElement:
@@ -543,7 +639,8 @@ def power(a: WeylElement, k: int) -> WeylElement:
     estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
     in which no pair carries both x and d commutes with itself and is
     raised in closed form; any other base is multiplied up one factor at a
-    time (see _powers).
+    time: the power chain (_powers) builds a**(k-1), and mul multiplies it
+    by a.
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
@@ -563,7 +660,7 @@ def power(a: WeylElement, k: int) -> WeylElement:
         raise DegreeLimitExceeded(
             f"power of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
         )
-    return next(islice(_powers(a), k, None))
+    return mul(_powers(a, (k - 1,))[k - 1], a) if k else a.context.one()
 
 
 def _power_cost(a: WeylElement, k: int) -> int:

@@ -16,6 +16,8 @@ from qweyl import (
     lift_phi,
     lift_psi,
     make_endomorphism,
+    parse_weyl,
+    specialize_element,
     standard_bracket,
     transport_limit,
 )
@@ -145,6 +147,61 @@ def test_hat_step_translation_closed_form():
             )
             assert got == expected
             assert hat_step(e, CenterPoly.s(1, 1), level) == CenterPoly.s(1, 1)
+
+
+def _fiber_value(image, level, lam, b):
+    """(M^l)_00 for M = image(X, Y), the image of d1 at the fiber point
+    (a, b) = (lam^l, b) of the l-dimensional representation, computed
+    without normal ordering.
+
+    There x1^l acts as a and d1^l as b: X = diag(lam q^i), and Y has
+    diagonal 1/(lam q^i (1-q)), superdiagonal 1 and corner
+    b - 1/(a (1-q)^l) at (l-1, 0).  An image whose terms have d-degree at
+    most 1 is then cyclic bidiagonal, with diagonal d_i and u_i at
+    (i, i+1 mod l).  A closed walk of l steps of 0 or +1 on a cycle of
+    length l takes no forward step or l of them, so
+    (M^l)_00 = d_0^l + prod u_i.
+    """
+    inv = (Cyclo.one(level) - Cyclo.zeta(level)).inverse()  # 1/(1-q)
+    corner = b - inv ** level / lam ** level
+    diag, upper = [], []
+    for i in range(level):
+        d_i = u_i = Cyclo.zero(level)
+        for ((al,), (be,)), c in image.terms.items():
+            x_power = Cyclo.zeta(level, i * al) * lam ** al  # x_i^al
+            if be == 0:
+                d_i = d_i + c * x_power
+            elif be == 1:
+                d_i = d_i + c * x_power * Cyclo.zeta(level, -i) * inv / lam
+                u_i = u_i + c * x_power * (corner if i == level - 1 else 1)
+            else:
+                raise ValueError("the image is not bidiagonal")
+        diag.append(d_i)
+        upper.append(u_i)
+    walk = Cyclo.one(level)
+    for u_i in upper:
+        walk = walk * u_i
+    return diag[0] ** level + walk
+
+
+def test_hat_step_matches_the_fiber_oracle():
+    # hat_step(e, r1, l) evaluated at r1 = b, s1 = a is the scalar by which
+    # e(d1)^l acts on the fiber over (a, b); the oracle reads it off the
+    # matrix, through no product of the algebra.  The cubic lift has no
+    # closed form for its transport, and t*x1 has a coefficient in t.
+    ctx = AlgebraContext.symbolic(1)
+    points = [(2, 3), (1, Fraction(1, 7)), (3, 0), (Fraction(-1, 2), 5)]
+    for poly in ("1 + x1 - 3*x1^3", "t*x1"):
+        e = lift_phi(ctx, parse_weyl(poly, ctx))
+        for level in (5, 7, 11):
+            got = hat_step(e, CenterPoly.r(1, 1), level)
+            image = specialize_element(e.images_d[0], level)
+            for lam, b in points:
+                a = Fraction(lam) ** level
+                value = sum((c * Fraction(b) ** r * a ** s
+                             for ((r,), (s,)), c in got.coeffs.items()), Cyclo.zero(level))
+                assert value == _fiber_value(image, level, Fraction(lam), Fraction(b)), \
+                    (poly, level, lam, b)
 
 
 def test_hat_step_multiplicative_per_level():

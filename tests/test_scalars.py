@@ -159,6 +159,23 @@ def test_integral_laurent_coefficients_are_ints():
     assert hash(doubled) == hash(LaurentPoly.one())
 
 
+def test_laurent_arithmetic_stores_integral_results_as_int():
+    # A sum, difference or product of Laurent polynomials whose Fraction
+    # coefficients meet in an integer stores that integer as an int.
+    half, third = LaurentPoly({0: Fraction(1, 2)}), LaurentPoly({1: Fraction(2, 3)})
+    cases = [
+        (half + half, {0: 1}),
+        (half * LaurentPoly({0: 2}), {0: 1}),
+        (LaurentPoly({0: Fraction(3, 2)}) - half, {0: 1}),
+        (third * LaurentPoly({-1: Fraction(3, 2), 0: 3}), {0: 1, 1: 2}),
+        (half * half + half * half, {0: Fraction(1, 2)}),
+        (LaurentPoly({0: Fraction(5, 2), 2: 1}) + LaurentPoly({0: Fraction(-1, 2)}), {0: 2, 2: 1}),
+    ]
+    for got, want in cases:
+        assert got.coeffs == want
+        assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.values()]
+
+
 # ---------------------------------------------------------------------------
 # quantum integers and factorials
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from qweyl import (
     twist_by_f,
 )
 from qweyl.scalars import euler_phi, pack_cyclo_products, pack_laurent_products
-from qweyl.weylcore import JET, ROOT, SYMBOLIC, WeylElement, _powers, _scaled_rows
+from qweyl.weylcore import JET, ROOT, SYMBOLIC, WeylElement, _Keys, _powers, _scaled_rows
 from conftest import random_element, standard_contexts
 
 
@@ -456,14 +456,17 @@ def test_ring_axioms_with_cyclotomic_coefficients(rng):
 
 
 def _plain_mul(a, b):
-    """The reference route of mul: the same scaled rows, but each
-    contribution is one product of coefficients (LaurentPoly.__mul__ or
-    Cyclo.__mul__), summed one at a time, with nothing packed."""
+    """The reference route of mul: the same scaled rows of b as a right
+    factor, but each contribution is one product of coefficients
+    (LaurentPoly.__mul__, Cyclo.__mul__ or Jet.__mul__), summed one at a
+    time, with nothing packed."""
+    keys = _Keys(a.context.n, sum(max((max(al + be) for al, be in x.terms), default=0)
+                                  for x in (a, b)))
     out = {}
     for (al, be), ca in a.terms.items():
-        offsets, coeffs = _scaled_rows(a.context, be, b)
-        for (shift, beta), cb in zip(offsets, coeffs):
-            key = (tuple(x + y for x, y in zip(al, shift)), beta)
+        offsets, coeffs = _scaled_rows(a.context, be, b, keys)
+        for off, cb in zip(offsets, coeffs):
+            key = keys.exps(keys.code(al, be) + off)
             out[key] = out[key] + ca * cb if key in out else ca * cb
     return WeylElement(a.context, out)
 
@@ -610,9 +613,104 @@ def test_power_chain_is_repeated_mul(ctx):
     # chains would give wrong products.
     bases = [ctx.d(1) + ctx.x(1), ctx.d(1) * 3 - ctx.monomial((2,) + (0,) * (ctx.n - 1),
                                                               (1,) + (0,) * (ctx.n - 1))]
-    chains = [_powers(b) for b in bases]
+    chains = [_powers(b, range(6)) for b in bases]
     want = [ctx.one(), ctx.one()]
-    for _ in range(6):
+    for k in range(6):
         for i, (chain, b) in enumerate(zip(chains, bases)):
-            assert next(chain) == want[i]
+            assert chain[k] == want[i]
             want[i] = mul(want[i], b)
+
+
+# ---------------------------------------------------------------------------
+# the packed power chain
+# ---------------------------------------------------------------------------
+
+
+def _expansions(base):
+    """The pair expansions of a chain step: (acc * base, base * acc)."""
+    return (sum(prod(e + 1 for e in ga) for ga, _ in base.terms),
+            sum(prod(e + 1 for e in be) for _, be in base.terms))
+
+
+def _chain_bases(ctx):
+    """Two bases with denominators in their coefficients, which the chain
+    multiplies from each side: d1 + x1^2 + c x1^3 d1 expands 8 pairs as
+    acc * base and 5 as base * acc, and d1 + 2/3 + c x1 d1 4 and 5."""
+    n = ctx.n
+    mono = lambda al, be, c=1: ctx.monomial(al + (0,) * (n - 1), be + (0,) * (n - 1), c)
+    c = ctx.t_power(-1) * ctx.scalar(Fraction(2, 3)) - ctx.scalar(Fraction(1, 2))
+    left = mono((0,), (1,)) + mono((2,), (0,)) + mono((3,), (1,), c)
+    right = mono((0,), (1,)) + mono((0,), (0,), Fraction(2, 3)) + mono((1,), (1,), c)
+    if n == 2:  # a second pair: x2 and d2 meet x1 and d1 without expanding
+        left = left + ctx.monomial((0, 1), (0, 1), Fraction(-5, 7))
+        right = right + ctx.monomial((1, 0), (0, 2), Fraction(3, 4))
+    return left, right
+
+
+@pytest.mark.parametrize("ctx, top", [
+    (AlgebraContext.symbolic(1), 5),
+    (AlgebraContext.symbolic(2), 4),
+    *[(AlgebraContext.root_of_unity(1, level), 5) for level in (3, 7, 8, 9, 6, 12, 15)],
+    (AlgebraContext.root_of_unity(1, 31), 4),
+    (AlgebraContext.root_of_unity(2, 9), 4),
+    (AlgebraContext.first_order_at_root(1, 5), 4),
+], ids=repr)
+def test_power_chain_matches_repeated_plain_products(ctx, top):
+    # Levels 3, 7, 31 (prime), 8 and 9 (prime powers) reduce mod the
+    # cyclotomic polynomial inside the packed integer; 6, 12 and 15 read
+    # their slots and reduce them in Python.  First-order expansions keep
+    # plain products.
+    left, right = _chain_bases(ctx)
+    assert _expansions(left)[0] > _expansions(left)[1]
+    assert _expansions(right)[0] < _expansions(right)[1]
+    for base in (left, right):
+        want = [ctx.one()]
+        for _ in range(top):
+            want.append(_plain_mul(want[-1], base))
+        assert _powers(base, range(top + 1)) == dict(enumerate(want))
+        # only the powers asked for are unpacked
+        assert _powers(base, {top - 2, top}) == {top - 2: want[-3], top: want[-1]}
+        assert power(base, top) == want[-1]
+
+
+@given(_symbolic_pair(), st.sampled_from((1, 2, 6, 8, 9, 31)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_power_chain_matches_plain_products_on_random_bases(pair, level):
+    # wide rational coefficients with negative exponents, n = 1 and 2, and
+    # their specializations, which are prime, prime-power and other levels
+    base = pair[0]
+    for b in (base, specialize_element(base, level)):
+        want = [b.context.one()]
+        for _ in range(3):
+            want.append(_plain_mul(want[-1], b))
+        assert _powers(b, range(4)) == dict(enumerate(want))
+
+
+def test_power_chain_slot_needs_the_spare_bit():
+    # (7 (1 - q) x1)^2 at level 3: the second step's slot bound is
+    # 7 * (7 + 7) = 98, under 2**7, but its reduced product
+    # 49 (1 - q)^2 = -147 q does not fit a signed byte.  The spare bit of
+    # the codec widens the slots; without it the value reads back wrong.
+    ctx = AlgebraContext.root_of_unity(1, 3)
+    base = ctx.x(1).scale(7 - 7 * ctx.t_power(1))
+    want = ctx.monomial((2,), (0,), -147 * ctx.t_power(1))
+    assert _powers(base, {2}) == {2: want}
+    assert mul(base, base) == _plain_mul(base, base) == want
+
+
+def test_power_chain_at_level_4096_stays_small():
+    # Phi_4096 = z^2048 + 1, so the reduction subtracts the top 2048 slots
+    # from the low ones; the codec tables hold only the slot counts used.
+    ctx = AlgebraContext.root_of_unity(1, 4096)
+    base = ctx.d(1) + ctx.x(1).scale(ctx.t_power(-1))
+    want = [ctx.one()]
+    for _ in range(3):
+        want.append(_plain_mul(want[-1], base))
+    tracemalloc.start()
+    try:
+        got = _powers(base, range(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == dict(enumerate(want))
+    assert peak < 16 * 2 ** 20
