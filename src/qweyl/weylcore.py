@@ -239,6 +239,8 @@ class AlgebraContext:
     def qint(self, m: int):
         """Image of the quantum integer [m] in the coefficient domain,
         tabulated up to the largest m asked for: [j + 1] = [j] + t^j."""
+        if m < 0:
+            raise ValueError("quantum integers are defined for m >= 0")
         table = self._qint_cache
         if not table:
             table.append(self.scalar(0))
@@ -440,11 +442,13 @@ class _Keys:
     may have negative fields (an offset), as long as the sums it is added
     into do not."""
 
-    __slots__ = ("n", "s")
+    __slots__ = ("n", "s", "_half", "_low")
 
     def __init__(self, n: int, top: int):
         # top: the largest exponent of any monomial that is coded
         self.n, self.s = n, max(top, 1).bit_length()
+        self._half = n * self.s
+        self._low = (1 << self._half) - 1
 
     def code(self, al: Sequence[int], be: Sequence[int]) -> int:
         key = 0
@@ -457,6 +461,15 @@ class _Keys:
         mask = (1 << s) - 1
         fields = tuple((key >> (s * i)) & mask for i in range(2 * n - 1, -1, -1))
         return fields[:n], fields[n:]
+
+    def part(self, key: int, x_side: bool) -> int:
+        """The x-exponent fields (x_side) or the d-exponent fields of key,
+        as a code that part_exps reads."""
+        return key >> self._half if x_side else key & self._low
+
+    def part_exps(self, code: int) -> Tuple[int, ...]:
+        """The n exponents of a code made by part."""
+        return self.exps(code)[1]
 
 
 def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
@@ -580,10 +593,8 @@ def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
     left = sum(math.prod(e + 1 for e in ga) for ga, _ in base.terms) > sum(
         math.prod(e + 1 for e in de) for _, de in base.terms)
     # a term meets the rows of its d-exponents (acc * base) or of its
-    # x-exponents (base * acc), the low or the high half of its key
-    half = ctx.n * keys.s
-    mask = (1 << half) - 1
-    group = (lambda key: key >> half) if left else (lambda key: key & mask)
+    # x-exponents (base * acc)
+    part = keys.part
     if ctx.kind == JET:
         packer = _PlainPowers(ctx.one_scalar())
     else:
@@ -592,10 +603,10 @@ def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
     rows = {}
     acc, norm = {0: packer.one}, 1
     for k in range(1, top + 1):
-        groups = [group(key) for key in acc]
+        groups = [part(key, left) for key in acc]
         used = set(groups)
         for g in used - rows.keys():
-            offsets, coeffs = _scaled_rows(ctx, keys.exps(g)[1], base, keys, not left)
+            offsets, coeffs = _scaled_rows(ctx, keys.part_exps(g), base, keys, not left)
             rows[g] = (offsets, coeffs, packer.norm(coeffs))
         values = packer.step(acc.values(), norm * max((rows[g][2] for g in used), default=0))
         terms = [(rows[g][0], packer.group(g, rows[g][1])) for g in groups]

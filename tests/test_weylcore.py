@@ -128,6 +128,14 @@ def test_pair_expansion_matches_recursion(kind, level):
             assert a == b, (k, m, j)
 
 
+@pytest.mark.parametrize("ctx", standard_contexts(), ids=repr)
+def test_qint_is_defined_from_zero(ctx):
+    assert ctx.qint(3) == ctx.one_scalar() + ctx.t_power(1) + ctx.t_power(2)
+    with pytest.raises(ValueError):
+        ctx.qint(-1)
+    assert ctx.qint(0) == ctx.scalar(0)
+
+
 # ---------------------------------------------------------------------------
 # the distinguished element
 # ---------------------------------------------------------------------------
