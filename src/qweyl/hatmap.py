@@ -24,7 +24,7 @@ from .morphisms import (
 )
 from .poisson import standard_bracket, transported_bracket
 from .scalars import embed as _embed
-from .weylcore import SYMBOLIC, power, specialize_element
+from .weylcore import SYMBOLIC, DegreeLimitExceeded, _degree_limit, power, specialize_element
 
 __all__ = [
     "CentralityFailure",
@@ -405,7 +405,17 @@ def check_center_preservation(e: Endomorphism, level: int) -> bool:
 def transport_limit(p: CenterPoly, q: CenterPoly,
                     schedule: ScheduleLike = None) -> ConvergenceReport:
     """Bracket transport over the schedule, compared against the standard
-    symplectic bracket when a rounded exact limit exists."""
+    symplectic bracket when a rounded exact limit exists.
+
+    Refuses, before the first level runs, a schedule whose largest level l
+    would give the product of the lifts of p and q a Bernstein degree
+    l * (deg p + deg q) over the guard (QWEYL_MAX_DEGREE, default 512)."""
     levels = _schedule_levels(schedule)
+    degree = levels[-1] * (p.total_degree() + q.total_degree())
+    limit = _degree_limit()
+    if degree > limit:
+        raise DegreeLimitExceeded(
+            f"bracket of lifts of degree {degree} at level {levels[-1]} exceeds the guard {limit}"
+        )
     results = [(level, transported_bracket(p, q, level)) for level in levels]
     return _assemble_report(p, levels, results, standard_bracket(p, q))

@@ -5,9 +5,9 @@ scalars can be shared freely across threads.  All exact domains have decidable
 equality, which the normal-form layers above rely on; floating point enters
 only through explicit embeddings used for limit detection.
 
-Sums of many products of cyclotomic numbers, or of Laurent polynomials over
-Q, are formed as sums of Kronecker-packed integers (pack_cyclo_products,
-pack_laurent_products), which share one slot codec (_SlotCodec).
+The algebra's products and powers multiply and sum cyclotomic numbers, or
+Laurent polynomials over Q, as Kronecker-packed integers (PackedPowers), in
+one slot codec (_SlotCodec) for both domains.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import cache, partial
-from itertools import islice
+from functools import cache
+from itertools import accumulate
+from operator import sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -100,27 +101,18 @@ def _sparse_power(base, e: int, one, size: int):
 # ---------------------------------------------------------------------------
 
 
-def _poly_div_exact_int(num: Sequence[int], den: Sequence[int]) -> List[int]:
-    """Quotient of integer polynomials; den must be monic and divide num."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            out[k - dd] = c
-            for j, dj in enumerate(den):
-                num[k - dd + j] -= c * dj
-    if any(num):
-        raise ExactDivisionError("non-exact integer polynomial division")
-    return out
-
-
 _CYCLO_CACHE: Dict[int, Tuple[int, ...]] = {}
 
 
 def cyclotomic_polynomial(level: int) -> Tuple[int, ...]:
-    """Integer coefficients (ascending) of the level-th cyclotomic polynomial."""
+    """Integer coefficients (ascending) of the level-th cyclotomic polynomial.
+
+    For level n > 1, Phi_n = prod over d | n of (1 - t^d)^mu(n/d), where
+    only the d with n/d squarefree count.  As power series the factors
+    commute and Phi_n has degree phi(n), so each is applied mod
+    t^(phi(n) + 1) by one pass over the coefficients: times 1 - t^d, or
+    divided by it, a running sum along each residue class mod d.
+    """
     if level < 1:
         raise ValueError("level must be positive")
     got = _CYCLO_CACHE.get(level)
@@ -129,12 +121,29 @@ def cyclotomic_polynomial(level: int) -> Tuple[int, ...]:
     if level == 1:
         poly: Tuple[int, ...] = (-1, 1)
     else:
-        num = [-1] + [0] * (level - 1) + [1]  # t^level - 1
-        quot = num
-        for d in range(1, level):
-            if level % d == 0:
-                quot = _poly_div_exact_int(quot, cyclotomic_polynomial(d))
-        poly = tuple(quot)
+        primes, rest, p = [], level, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        if rest > 1:
+            primes.append(rest)
+        deg = level
+        for p in primes:
+            deg = deg // p * (p - 1)
+        vec = [1] + [0] * deg
+        for mask in range(1 << len(primes)):
+            d = level // math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+            if d > deg:
+                continue
+            if bin(mask).count("1") % 2:  # mu(n/d) = -1
+                for r in range(d):
+                    vec[r::d] = accumulate(vec[r::d])
+            else:
+                vec[d:] = map(sub, vec[d:], vec)
+        poly = tuple(vec)
     _CYCLO_CACHE[level] = poly
     return poly
 
@@ -501,31 +510,6 @@ class Cyclo:
 # ---------------------------------------------------------------------------
 
 
-def pack_cyclo_products(level: int, lhs: Sequence[Cyclo],
-                        rhs_groups: Sequence[Sequence[Cyclo]]):
-    """Pack cyclotomic numbers so that sums of their products are integer sums.
-
-    Returns (packed lhs, packed groups, unpack).  Take any sum of products
-    P(lhs[i]) * P(r) in which each lhs value meets entries r of at most one
-    group, each entry at most once; unpack turns it into the sum of the
-    cyclotomic products, as a reduced Cyclo.
-
-    Each side is put over its common denominator, Da for lhs and Db for the
-    groups, and its coordinate vectors are packed by one slot codec
-    (_pack_slots).  A product then holds the 2*phi - 1 coordinates of the
-    unreduced polynomial product, which unpack reduces mod Phi
-    (_cyclo_reducer) and divides by Da * Db.
-    """
-    data = _leveldata(level)
-    den_a = math.lcm(*(v.den for v in lhs))
-    den_b = math.lcm(*(v.den for g in rhs_groups for v in g))
-    vecs_a = [_over(v, den_a) for v in lhs]
-    vecs_b = [[_over(v, den_b) for v in g] for g in rhs_groups]
-    codec, packed_a, packed_b = _pack_slots(vecs_a, vecs_b)
-    reduce, den = _cyclo_reducer(codec, data), den_a * den_b
-    return packed_a, packed_b, lambda acc: _cyclo_value(codec, data, reduce(acc), den)
-
-
 def _cyclo_value(codec: "_SlotCodec", data: _LevelData, vec, den: int) -> Cyclo:
     """The Cyclo of a reduced value over den: a packed value of phi slots,
     or a coordinate list."""
@@ -545,7 +529,7 @@ def _cyclo_reducer(codec: "_SlotCodec", data: _LevelData):
     Slots at or past the level are added onto slot - level inside the
     integer (z^level = 1): a folded slot is a coordinate of the cyclic
     product, where each b_i meets each a_j at most once because
-    phi <= level, so it obeys the width bound of _pack_slots.  At a level
+    phi <= level, so it obeys the width bound of PackedPowers.  At a level
     p^k, Phi(z) = 1 + z^m + ... + z^(phi - m) for m = p^(k-1), so the top
     block of m slots, times that sparse repunit, is subtracted from the phi
     slots below it: each slot then loses one slot of the block, so it is
@@ -589,40 +573,6 @@ def _over(v: Cyclo, den: int) -> Sequence[int]:
     return v.num if f == 1 else [c * f for c in v.num]
 
 
-def pack_laurent_products(lhs: Sequence["LaurentPoly"],
-                          rhs_groups: Sequence[Sequence["LaurentPoly"]]):
-    """Pack Laurent polynomials over Q so that sums of their products are
-    integer sums, as pack_cyclo_products does for cyclotomic numbers.
-
-    Returns (packed lhs, packed groups, unpack) for the same sums.  Each
-    side is put over its common denominator, Da for lhs and Db for the
-    groups, and multiplied by t^-m, for m its lowest exponent, so that a
-    value is a dense integer vector from t^0 up (_laurent_vecs) and packs
-    by one slot codec.  unpack adds the two shifts back, drops zero slots and
-    divides by Da * Db; integral coefficients come out as int.
-    """
-    vecs_a, den_a, low_a = _laurent_vecs(lhs)
-    flat, den_b, low_b = _laurent_vecs([v for g in rhs_groups for v in g])
-    flat = iter(flat)
-    vecs_b = [list(islice(flat, len(g))) for g in rhs_groups]
-    codec, packed_a, packed_b = _pack_slots(vecs_a, vecs_b)
-    return packed_a, packed_b, partial(_laurent_sum, codec, low_a + low_b, den_a * den_b)
-
-
-def _laurent_vecs(values: Sequence["LaurentPoly"]) -> Tuple[List[List[int]], int, int]:
-    """(vectors, den, low): the coefficients of each value times den * t^-low,
-    from t^0 up to its top one (a zero value gives [0]), for den the common
-    denominator and low the lowest exponent of the values."""
-    coeffs = [v.coeffs for v in values]
-    low = min(map(min, filter(None, coeffs)), default=0)
-    vecs = [[0] * (max(d, default=low) - low + 1) for d in coeffs]
-    den = math.lcm(*(c.denominator for d in coeffs for c in d.values()))
-    for vec, d in zip(vecs, coeffs):
-        for e, c in d.items():
-            vec[e - low] = c.numerator * (den // c.denominator)
-    return vecs, den, low
-
-
 def _laurent_sum(codec: "_SlotCodec", low: int, den: int, acc: int) -> "LaurentPoly":
     n = codec.slots(acc)
     vals = codec.read(acc + codec.flip(n), n)
@@ -636,31 +586,11 @@ def _laurent_sum(codec: "_SlotCodec", low: int, den: int, acc: int) -> "LaurentP
     return LaurentPoly._raw(coeffs)
 
 
-def _pack_slots(vecs_a: Sequence[Sequence[int]], groups_b: Sequence[Sequence[Sequence[int]]]):
-    """(codec, packed vecs_a, packed groups_b): the integer vectors packed by
-    the slot codec for sums of products of vecs_a with those of groups_b,
-    each a in vecs_a meeting the vectors of at most one group, each at most
-    once.
-
-    Kronecker substitution (Harvey, arXiv:0712.4046): a vector is evaluated
-    at 2**bits, so one C-level integer product stands for a polynomial
-    product.  A coordinate of A*B is at most max|a_i| * sum|b_i|, so no slot
-    of an admissible sum exceeds
-        bound = (sum over vecs_a of max|a_i|) * (max over groups of sum |b_i|)
-    in absolute value (_slot_codec).
-    """
-    # each factor is at least 1, so the bound also covers every coordinate
-    norm_a = sum(max(map(abs, v)) for v in vecs_a) or 1
-    norm_b = max((sum(sum(map(abs, v)) for v in g) for g in groups_b), default=0) or 1
-    codec = _slot_codec(norm_a * norm_b)
-    return (codec, [codec.pack(v) for v in vecs_a],
-            [[codec.pack(v) for v in g] for g in groups_b])
-
-
 def _slot_codec(bound: int) -> "_SlotCodec":
     """The codec whose signed slots hold every integer of absolute value at
-    most 2 * bound: a slot sum that _cyclo_reducer reduces at a prime-power
-    level, with one spare bit.
+    most 2 * bound, for bound the slot bound of a PackedPowers step: the
+    factor 2 is a spare bit for the sums that _cyclo_reducer reduces at a
+    prime-power level.
 
     With w the fewest bytes with bound < 2**(8w - 2), a slot is k limbs of
     L bytes: L is the smallest of 1, 2, 4, 8 that is at least w, and
@@ -677,37 +607,48 @@ def _slot_codec(bound: int) -> "_SlotCodec":
 
 
 class PackedPowers:
-    """The coefficients of a power chain, kept as packed ints between its
-    steps: cyclotomic numbers at a level, or Laurent polynomials over Q for
-    level None.
+    """The coefficients of a power chain start * base**k, kept as packed
+    ints between its steps: cyclotomic numbers at a level, or Laurent
+    polynomials over Q for level None.
 
-    The chain multiplies by the scaled base, whose coefficients are the
-    base's times den, their common denominator (scaled), so every value is
-    an integer vector, and the k-th power is divided by den**k once, when
-    it is unpacked.  A Laurent value is its coefficients from t^(k * low)
-    up, for low the lowest exponent of the base, which bounds the exponents
-    of every scaled row.  A step packs the terms of the chain (values) and
-    the rows they meet (group) by the codec of the bound
-    (sum of the terms' max|a_i|) * (largest sum |b_i| of a row group);
-    a term stays as it is while the limb layout does.  settle then reduces
-    each sum of products mod Phi inside the integer (_cyclo_reducer) and
-    reads it once for its max|a_i|, for the next step's bound.
+    Kronecker substitution (Harvey, arXiv:0712.4046): an integer vector is
+    evaluated at 2**bits, so one C-level integer product stands for a
+    polynomial product.  The start values are put over den0, their common
+    denominator (start).  The chain multiplies by the scaled base, whose
+    coefficients are the base's times den, their common denominator
+    (scaled).  So every value is an integer vector, and the k-th value is
+    divided by den0 * den**k once, when it is unpacked.  A Laurent value is its coefficients from
+    t^(low0 + k * low) up, for low0 and low the lowest exponents of the
+    start and of the base; low also bounds the exponents of every scaled
+    row.
+
+    In a step each term's value a meets the scaled row values b of one
+    group, each at most once.  A coordinate of a * b is at most
+    max|a_i| * sum|b_i|, so no slot of a step's sums exceeds
+        (sum over the terms of max|a_i|) * (largest sum of |b_i| over a group)
+    in absolute value, and step packs the terms (values) and the rows they
+    meet (group) by the codec of that bound (_slot_codec); a term stays as
+    it is while the limb layout does.  settle then reduces each sum mod Phi
+    inside the integer (_cyclo_reducer) and reads it once for its max|a_i|,
+    for the next step's bound.
     """
 
-    __slots__ = ("data", "den", "low", "codec", "groups")
+    __slots__ = ("data", "den", "low", "den0", "low0", "codec", "groups")
 
-    # the value 1, as a coordinate list
-    one = (1,)
-
-    def __init__(self, level: Optional[int], coeffs: Sequence):
+    def __init__(self, level: Optional[int], coeffs: Sequence, start: Sequence):
         self.data = _leveldata(level) if level else None
-        if level:
-            self.den, self.low = math.lcm(*(c.den for c in coeffs)), 0
-        else:
-            self.den = math.lcm(*(c.denominator for p in coeffs for c in p.coeffs.values()))
-            self.low = min(min(p.coeffs) for p in coeffs)
+        self.den, self.low = self._common(coeffs)
+        self.den0, self.low0 = self._common(start)
         self.codec = None
         self.groups: Dict[object, List[int]] = {}
+
+    def _common(self, values: Sequence) -> Tuple[int, int]:
+        """The common denominator of values and, for Laurent values, their
+        lowest exponent (0 for cyclotomic ones)."""
+        if self.data:
+            return math.lcm(*(c.den for c in values)), 0
+        return (math.lcm(*(c.denominator for p in values for c in p.coeffs.values())),
+                min(min(p.coeffs) for p in values))
 
     def scaled(self, c):
         """The integral multiple c * den of a base coefficient."""
@@ -716,17 +657,29 @@ class PackedPowers:
         return LaurentPoly._raw({e: v.numerator * (self.den // v.denominator)
                                  for e, v in c.coeffs.items()})
 
-    def _vec(self, c) -> Sequence[int]:
+    def _vec(self, c, den: int, low: int) -> Sequence[int]:
+        """The integer vector of c * den: its coordinates, or its
+        coefficients from t^low up."""
         if self.data:
-            return c.num
-        vec = [0] * (max(c.coeffs) - self.low + 1)
+            return _over(c, den)
+        vec = [0] * (max(c.coeffs) - low + 1)
         for e, v in c.coeffs.items():
-            vec[e - self.low] = v
+            vec[e - low] = v.numerator * (den // v.denominator)
         return vec
+
+    def start(self, terms: Mapping) -> Tuple[Dict, int]:
+        """(values, norm) of the start terms, as settle gives them: each
+        value times den0 as an integer vector, and the sum of their
+        max|a_i|."""
+        out, norm = {}, 0
+        for key, c in terms.items():
+            vec = out[key] = self._vec(c, self.den0, self.low0)
+            norm += max(map(abs, vec))
+        return out, norm
 
     def norm(self, coeffs: Sequence) -> int:
         """sum |b_i| over the coordinates of a group of scaled row values."""
-        return sum(sum(map(abs, self._vec(c))) for c in coeffs)
+        return sum(sum(map(abs, self._vec(c, 1, self.low))) for c in coeffs)
 
     def step(self, values: Iterable, bound: int) -> List[int]:
         """The packed values of a step whose slot sums are at most bound."""
@@ -741,7 +694,8 @@ class PackedPowers:
         """A group of scaled row values, packed by the current codec."""
         got = self.groups.get(key)
         if got is None:
-            got = self.groups[key] = [self.codec.pack(self._vec(c)) for c in coeffs]
+            got = self.groups[key] = [self.codec.pack(self._vec(c, 1, self.low))
+                                      for c in coeffs]
         return got
 
     def _read(self, codec: "_SlotCodec", v: int) -> Sequence[int]:
@@ -769,10 +723,10 @@ class PackedPowers:
         return out, norm
 
     def unpack(self, v, k: int):
-        """The value v of the k-th power as a scalar."""
-        den, codec = self.den ** k, self.codec
+        """The value v of start * base**k as a scalar."""
+        den, codec = self.den0 * self.den ** k, self.codec
         if not self.data:
-            return _laurent_sum(codec, k * self.low, den, v)
+            return _laurent_sum(codec, self.low0 + k * self.low, den, v)
         return _cyclo_value(codec, self.data, v, den)
 
 
@@ -781,7 +735,8 @@ _LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
 
 
 class _SlotCodec:
-    """Signed slots of k limbs of L bytes, shared by both packed domains.
+    """Signed slots of k limbs of L bytes, the one slot layout of
+    PackedPowers for both of its domains.
 
     pack writes a vector as two's-complement limbs with one struct.pack
     call; flipping each slot's sign bit makes each slot the digit
@@ -853,8 +808,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial in the single deformation variable t.
 
     Coefficients are rationals or cyclotomic elements; the scalars of a
-    symbolic algebra are the rational ones only, which mul packs
-    (pack_laurent_products).  Exponents may be negative.  Zero coefficients
+    symbolic algebra are the rational ones only, which the algebra's
+    products pack (PackedPowers).  Exponents may be negative.  Zero coefficients
     are never stored.  Integral rationals are stored as Python ints and
     Fraction holds only non-integral ones, so integer sums and products
     stay in fast int arithmetic.  An int equals

@@ -6,9 +6,9 @@ x-factors to the left of all d-factors.  Three coefficient domains are
 supported, all exact: Laurent polynomials in t over Q (the generic
 algebra), cyclotomic numbers at a fixed primitive root of unity, and
 first-order expansions around such a root (for divided differences).  In
-the first two, mul multiplies and sums coefficients as Kronecker-packed
-integers that share one slot codec (scalars.pack_laurent_products and
-scalars.pack_cyclo_products).
+the first two, products and powers multiply and sum coefficients as
+Kronecker-packed integers (scalars.PackedPowers): mul is one step of the
+power chain (_chain) that power and apply_endo run.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .scalars import (
     Jet,
     LaurentPoly,
     PackedPowers,
-    pack_cyclo_products,
-    pack_laurent_products,
     specialize as _specialize_scalar,
 )
 
@@ -191,7 +189,7 @@ class AlgebraContext:
         """Coerce a rational (or domain value) into this context's scalars."""
         if self.kind == SYMBOLIC:
             if isinstance(x, LaurentPoly):
-                # mul packs rational coefficients only (pack_laurent_products)
+                # the power chain packs rational coefficients only (PackedPowers)
                 if all(isinstance(c, (int, Fraction)) for c in x.coeffs.values()):
                     return x
                 raise TypeError(f"symbolic scalars are Laurent polynomials over Q, not {x!r}")
@@ -512,7 +510,7 @@ def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
 
 
 def _mac(terms) -> Dict[int, object]:
-    """The multiply-accumulate loop of mul and of the power chain: for each
+    """The multiply-accumulate loop of the power chain: for each
     (key, value, (offsets, coeffs)) of terms, value * coeff is added into
     the sum at key + offset.  Values are packed ints, or first-order
     expansions multiplied as they are."""
@@ -533,75 +531,67 @@ def _top_exponent(a: WeylElement) -> int:
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product in PBW normal form; bilinear over the coefficient domain."""
+    """Product in PBW normal form; bilinear over the coefficient domain.
+
+    One step of the power chain (_chain) that starts from a and multiplies
+    by b.
+    """
     if a.context != b.context:
         raise ContextMismatchError("cannot multiply across contexts")
-    ctx = a.context
     if not (a.terms and b.terms):
-        return ctx.zero()
-    keys = _Keys(ctx.n, _top_exponent(a) + _top_exponent(b))
-    used = {}
-    for _, be in a.terms:
-        if be not in used:
-            used[be] = _scaled_rows(ctx, be, b, keys)
-    lhs = list(a.terms.values())
-    finish = None
-    if ctx.kind != JET:
-        # Cyclotomic and rational Laurent coefficients are multiplied and
-        # summed as Kronecker-packed integers and unpacked once per output
-        # term.  One packing width serves the whole call, so it is chosen
-        # from every row this product uses.  First-order expansions keep
-        # plain products.
-        groups = [coeffs for _, coeffs in used.values()]
-        if ctx.kind == ROOT:
-            lhs, packed, finish = pack_cyclo_products(ctx.level, lhs, groups)
-        else:
-            lhs, packed, finish = pack_laurent_products(lhs, groups)
-        used = {be: (offsets, p) for (be, (offsets, _)), p in zip(used.items(), packed)}
-    out = _mac(zip([keys.code(al, be) for al, be in a.terms], lhs,
-                   [used[be] for _, be in a.terms]))
-    exps = keys.exps
-    if finish is None:
-        return WeylElement(ctx, {exps(k): v for k, v in out.items()})
-    return WeylElement(ctx, {exps(k): finish(v) for k, v in out.items()})
+        return a.context.zero()
+    return _chain(a, b, {1}, False)[1]
 
 
 def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
-    """{k: base**k for each k in exponents}, from one chain that multiplies
-    by base one factor at a time.
+    """{k: base**k for each k in exponents}, from one power chain (_chain)
+    that starts from 1.
 
-    The chain keeps each power as integer-coded keys (_Keys) and, at a root
-    of unity or generic t, as coefficients packed by PackedPowers; only the
-    powers asked for are unpacked.  Each step multiplies by base on the
-    side with fewer pair expansions: acc * base expands each x-exponent ga
-    of base against acc (sum of prod(ga_i + 1) over its terms), base * acc
-    each d-exponent of base.  Both orders give the same power, as base
-    commutes with its own powers.  The scaled rows of base are built once
-    per exponent they meet, for the whole chain.  Binary powering would
-    multiply large powers by each other, and every pair of their terms
-    expands under normal ordering.
+    Each step multiplies by base on the side with fewer pair expansions:
+    acc * base expands each x-exponent ga of base against acc (sum of
+    prod(ga_i + 1) over its terms), base * acc each d-exponent of base.
+    Both orders give the same power, as base commutes with its own powers.
+    Binary powering would multiply large powers by each other, and every
+    pair of their terms expands under normal ordering.
     """
     ctx = base.context
     wanted = set(exponents)
     out = {k: ctx.one() for k in wanted if not k}
-    top = max(wanted, default=0)
-    if not top:
+    if not max(wanted, default=0):
         return out
     if not base.terms:
         return {k: base if k else ctx.one() for k in wanted}
-    keys = _Keys(ctx.n, top * _top_exponent(base))
     left = sum(math.prod(e + 1 for e in ga) for ga, _ in base.terms) > sum(
         math.prod(e + 1 for e in de) for _, de in base.terms)
+    out.update(_chain(ctx.one(), base, wanted, left))
+    return out
+
+
+def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[int, WeylElement]:
+    """{k: start * base**k (base**k * start when left) for each k >= 1 in
+    wanted}, for nonzero start and base, multiplying by base one factor at
+    a time.
+
+    The chain keeps each value as integer-coded keys (_Keys) and, at a root
+    of unity or generic t, as coefficients packed by PackedPowers; only the
+    values asked for are unpacked.  First-order expansions keep plain
+    products (_PlainPowers).  The scaled rows of base are built once per
+    exponent they meet, for the whole chain.
+    """
+    ctx = base.context
+    top = max(wanted)
+    keys = _Keys(ctx.n, _top_exponent(start) + top * _top_exponent(base))
+    if ctx.kind == JET:
+        packer = _PlainPowers()
+    else:
+        packer = PackedPowers(ctx.level if ctx.kind == ROOT else None,
+                              list(base.terms.values()), list(start.terms.values()))
+    acc, norm = packer.start({keys.code(al, be): c for (al, be), c in start.terms.items()})
+    base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
     # a term meets the rows of its d-exponents (acc * base) or of its
     # x-exponents (base * acc)
     part = keys.part
-    if ctx.kind == JET:
-        packer = _PlainPowers(ctx.one_scalar())
-    else:
-        packer = PackedPowers(ctx.level if ctx.kind == ROOT else None, list(base.terms.values()))
-    base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
-    rows = {}
-    acc, norm = {0: packer.one}, 1
+    rows, out = {}, {}
     for k in range(1, top + 1):
         groups = [part(key, left) for key in acc]
         used = set(groups)
@@ -620,8 +610,8 @@ def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
 class _PlainPowers:
     """PackedPowers for first-order expansions, which keep plain products."""
 
-    def __init__(self, one):
-        self.one = one
+    def start(self, terms):
+        return terms, 0
 
     def scaled(self, c):
         return c

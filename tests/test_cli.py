@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -26,6 +30,16 @@ def test_normalize(capsys):
     code, out, _ = _capture(capsys, ["normalize", "--n", "1", "d1*x1"])
     assert code == 0
     assert out.strip() == "1 + t*x1*d1"
+
+
+def test_python_dash_m_runs_the_cli():
+    import qweyl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
+    out = subprocess.run([sys.executable, "-m", "qweyl", "normalize", "--n", "1", "d1*x1"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout == "1 + t*x1*d1\n"
 
 
 def test_normalize_specialized(capsys):
@@ -336,6 +350,30 @@ def test_transport(capsys):
     assert blob["verdict"] == "converged"
     assert blob["matches_standard"] is True
     assert blob["limit"]["expr"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--n", "1", "r1^9999", "s1"],
+    ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,1000000007"],
+])
+def test_transport_over_degree_guard_is_exit_2_before_work(argv):
+    # l * (deg p + deg q) is 31 * 10000 and 1000000007 * 2, over 512: the
+    # first would build Gauss-binomial rows to a d-exponent of 9999 * 31,
+    # the second a table of 10**9 coefficients at its last level.  The
+    # child may map 1 GiB, so without the guard it fails instead of taking
+    # the machine's memory.
+    import qweyl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
+    env.pop("QWEYL_MAX_DEGREE", None)
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "qweyl", *argv], env=env, capture_output=True,
+                         text=True, timeout=60, preexec_fn=limit)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 2
+    assert not out.stdout
+    assert "exceeds the guard 512" in out.stderr
 
 
 def test_json_output_deterministic(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qweyl.scalars import (
     Cyclo,
     Jet,
     LaurentPoly,
+    _CYCLO_CACHE,
     _conv,
     cyclotomic_polynomial,
     embed,
@@ -62,6 +64,49 @@ def test_cyclotomic_degree_is_totient():
 
     for level in range(1, 31):
         assert euler_phi(level) == phi(level)
+
+
+def _poly_div_exact_int(num, den):
+    """Quotient of integer polynomials; den must be monic and divide num."""
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        if c:
+            out[k - dd] = c
+            for j, dj in enumerate(den):
+                num[k - dd + j] -= c * dj
+    assert not any(num), "non-exact integer polynomial division"
+    return out
+
+
+def _cyclotomic_by_division(level, table):
+    """The reference route: t^level - 1 divided by Phi_d for every proper
+    divisor d of the level, memoized in table."""
+    if level not in table:
+        quot = [-1] + [0] * (level - 1) + [1]
+        for d in range(1, level):
+            if level % d == 0:
+                quot = _poly_div_exact_int(quot, _cyclotomic_by_division(d, table))
+        table[level] = tuple(quot)
+    return table[level]
+
+
+def test_cyclotomic_polynomial_matches_the_division_route():
+    table = {}
+    for level in range(1, 301):
+        assert cyclotomic_polynomial(level) == _cyclotomic_by_division(level, table)
+
+
+def test_cyclotomic_polynomial_of_a_high_level_is_fast():
+    # 30030 = 2*3*5*7*11*13: the division route divides by 63 polynomials,
+    # each step linear in the level
+    _CYCLO_CACHE.pop(30030, None)
+    began = time.perf_counter()
+    poly = cyclotomic_polynomial(30030)
+    assert time.perf_counter() - began < 1
+    assert len(poly) == 5761 and poly[0] == poly[-1] == 1
 
 
 def test_zeta_primitivity():

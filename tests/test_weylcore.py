@@ -26,7 +26,7 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
-from qweyl.scalars import euler_phi, pack_cyclo_products, pack_laurent_products
+from qweyl.scalars import PackedPowers, euler_phi
 from qweyl.weylcore import JET, ROOT, SYMBOLIC, WeylElement, _Keys, _powers, _scaled_rows
 from conftest import random_element, standard_contexts
 
@@ -539,30 +539,47 @@ def _split(total):
     return [total - total // 3, total // 3]
 
 
+def _packed_sum(level, lhs, rhs):
+    """sum(a * b for a in lhs for b in rhs) by one step of the power
+    chain's packer: lhs are the start values, rhs one group of integral
+    scaled row values, and level None packs Laurent polynomials."""
+    packer = PackedPowers(level, rhs, lhs)
+    values, norm = packer.start(dict(enumerate(lhs)))
+    packed = packer.step(values.values(), norm * packer.norm(rhs))
+    acc = sum(a * b for a in packed for b in packer.group(0, rhs))
+    sums, _ = packer.settle({0: acc})
+    return packer.unpack(sums[0], 1)
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize(
     "lhs_sum, rhs_sum",
     [(217, 151), (255, 257)] + [(2 ** (8 * w - 1) - 1, 1) for w in (1, 2, 4, 8, 16, 24)],
 )
 def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
-    # The width is chosen from the bound lhs_sum * rhs_sum, and two slots
-    # reach it: each lhs value is c * (z + z^(d-1)) and each rhs value
-    # c * z^(d-1), d = phi(level), so every product lands in slots d and
-    # 2d - 2.  A slot sum of 2**(8w - 1) - 1 fills w-byte slots exactly: one
-    # limb for w = 1, 2, 4, 8, and two or three 8-byte limbs for w = 16, 24.
-    # 217 * 151 = 2**15 - 1 fills two bytes; 255 * 257 = 2**16 - 1 needs the
-    # sign bit of a third byte and so takes four.  Slot 2d - 2 is past the
-    # level at 31 and 9 and is folded; slot d, and slot 6 at level 12, is
-    # reduced mod the cyclotomic polynomial.
-    for level in (31, 9, 12):
+    # The start values are sign * c/7 * (z - z^j) for c in _split(lhs_sum)
+    # and the group holds rhs_sum values z^(d-1), d = phi(level).  Over
+    # their denominator 7 the start values' max|a_i| sum to lhs_sum, and
+    # the group's sum |b_i| is rhs_sum, so the width comes from the bound
+    # B = lhs_sum * rhs_sum.  Every product adds to slots d and d - 1 + j,
+    # so both reach B.  At the prime level 31 (j = 2) and at 9 = 3^2 (j = 4),
+    # d - 1 + j is the level: that slot folds onto slot 0, and reducing
+    # slot d mod Phi subtracts B from it again, so slot 0 reaches -2B, the
+    # most the codec's spare bit holds.  Every case but 255 * 257 needs
+    # that bit: 2B is 2**16 - 2 for 217 * 151 and 2**(8w) - 2 for
+    # 2**(8w - 1) - 1, one bit past the bytes that hold B.  255 * 257 needs
+    # the sign bit of a third byte for B itself.  A codec chosen from the
+    # group's largest value, 1, in place of its sum would hold 2 * lhs_sum,
+    # which 217 * 151 and 255 * 257 overflow.  Level 12 (j = 3) reads slots
+    # 4 and 6 and reduces them in Python.
+    for level, j in ((31, 2), (9, 4), (12, 3)):
         d = euler_phi(level)
-        top = Cyclo.zeta(level, d - 1)
-        lhs = [sign * c * (Cyclo.zeta(level) + top) for c in _split(lhs_sum)]
-        rhs = [c * top for c in _split(rhs_sum)]
-        packed_lhs, (packed_rhs,), unpack = pack_cyclo_products(level, lhs, [rhs])
-        acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
-        assert unpack(acc) == sum(a * b for a in lhs for b in rhs)
-        assert unpack(acc) == sign * lhs_sum * rhs_sum * (Cyclo.zeta(level, d) + top * top)
+        z = lambda e: Cyclo.zeta(level, e)
+        lhs = [sign * Fraction(c, 7) * (z(1) - z(j)) for c in _split(lhs_sum)]
+        rhs = [z(d - 1)] * rhs_sum
+        got = _packed_sum(level, lhs, rhs)
+        assert got == sum(a * b for a in lhs for b in rhs)
+        assert got == sign * Fraction(lhs_sum * rhs_sum, 7) * (z(d) - z(d - 1 + j))
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -572,19 +589,22 @@ def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
     + [(2 ** (8 * w - 1) - 1, 1, 2) for w in (1, 2, 4, 8, 16, 24)],
 )
 def test_packed_laurent_slot_at_the_width_bound(lhs_sum, rhs_sum, parts, sign):
-    # As above, with Laurent polynomials: each lhs value is
-    # c * (t^-3 + t^-2), with max|a_i| = c, and each of the parts rhs
-    # values c * t^5, so every product has the slot of t^2 at the bound
-    # lhs_sum * rhs_sum.  The shifts of the two sides, -3 and 5, are added
-    # back on unpacking.  127 * 256 needs two bytes, while 127 times the
-    # largest of the 256 rhs values fits one: the bound takes the sum of a
-    # group, not its largest value.
-    lhs = [LaurentPoly({-3: sign * c, -2: sign * c}) for c in _split(lhs_sum)]
+    # As above, with Laurent polynomials: each start value is
+    # sign * c/7 * (t^-3 + t^-2), with max|a_i| = c over the denominator 7,
+    # and the group holds parts values c * t^5 whose c sum to rhs_sum, so
+    # every product has the slots of t^2 and t^3 at the bound
+    # lhs_sum * rhs_sum.  Laurent sums are not reduced, so a slot reaches
+    # the bound, not twice it.  The shifts of the two sides, -3 and 5, and
+    # the start's denominator are taken back on unpacking.  127 * 256 is
+    # the sum over a group of 256 values.
+    lhs = [LaurentPoly({-3: sign * Fraction(c, 7), -2: sign * Fraction(c, 7)})
+           for c in _split(lhs_sum)]
     rhs = [LaurentPoly({5: rhs_sum // parts + (i < rhs_sum % parts)}) for i in range(parts)]
-    packed_lhs, (packed_rhs,), unpack = pack_laurent_products(lhs, [rhs])
-    acc = sum(pa * pb for pa in packed_lhs for pb in packed_rhs)
-    assert unpack(acc) == sum((a * b for a in lhs for b in rhs), LaurentPoly.zero())
-    assert unpack(acc).coeffs == {2: sign * lhs_sum * rhs_sum, 3: sign * lhs_sum * rhs_sum}
+    rhs = [b for b in rhs if b]  # scaled rows hold no zero
+    got = _packed_sum(None, lhs, rhs)
+    assert got == sum((a * b for a in lhs for b in rhs), LaurentPoly.zero())
+    bound = Fraction(sign * lhs_sum * rhs_sum, 7)
+    assert got.coeffs == {2: bound, 3: bound}
 
 
 def test_symbolic_scalars_are_laurent_polynomials_over_q(sym1):
