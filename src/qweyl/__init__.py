@@ -12,7 +12,6 @@ from .scalars import (
     Jet,
     LaurentPoly,
     Rational,
-    ExactDivisionError,
     cyclotomic_polynomial,
     embed,
     qint,

@@ -13,7 +13,6 @@ from .weylcore import (
     AlgebraContext,
     WeylElement,
     _unit,
-    commutator,
     mul,
 )
 
@@ -258,15 +257,33 @@ def _center_mono(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _noncentral_term(a: WeylElement):
+    """The first term key (alpha, beta) of a with an exponent not divisible
+    by the level, or None."""
+    ctx = a.context
+    if ctx.kind != ROOT or ctx.level < 2:
+        raise ValueError("need a root-of-unity context of level >= 2")
+    for alpha, beta in a.terms:
+        if any(e % ctx.level for e in alpha + beta):
+            return alpha, beta
+    return None
+
+
 def is_central(a: WeylElement) -> bool:
-    """True iff a commutes with every generator (sufficient, they generate)."""
+    """True iff a lies in the center.
+
+    At a primitive l-th root of unity with l >= 2 the center is the
+    polynomial algebra on x_i^l and d_i^l, so an element is central exactly
+    when every exponent of every term of its normal form is a multiple of l;
+    the exponents are read, nothing is multiplied.  At level 1 (q = 1) the
+    algebra is the classical Weyl algebra, whose center is the scalars.
+    """
     ctx = a.context
     if not ctx.is_specialized:
         raise ValueError("centrality is tested in specialized contexts")
-    for i in range(1, ctx.n + 1):
-        if commutator(a, ctx.x(i)) or commutator(a, ctx.d(i)):
-            return False
-    return True
+    if ctx.level == 1:
+        return a.is_scalar()
+    return _noncentral_term(a) is None
 
 
 def theta(p: CenterPoly, level: int, qpow: int = 1) -> WeylElement:
@@ -289,23 +306,21 @@ def theta(p: CenterPoly, level: int, qpow: int = 1) -> WeylElement:
 def theta_inverse(a: WeylElement) -> CenterPoly:
     """Decompose a central element over the commutative model.
 
-    A PBW combination lies in the center exactly when every exponent is a
-    multiple of the level, so the divisibility scan is the centrality check.
+    The centrality test is is_central's exponent read: a term with an
+    exponent not divisible by the level raises NotCentralError.
     """
-    ctx = a.context
-    if ctx.kind != ROOT or ctx.level < 2:
-        raise ValueError("need a root-of-unity context of level >= 2")
-    level = ctx.level
+    bad = _noncentral_term(a)
+    level = a.context.level
+    if bad is not None:
+        raise NotCentralError(
+            f"monomial x^{list(bad[0])} d^{list(bad[1])} has an exponent "
+            f"not divisible by {level}"
+        )
     coeffs = {}
     for (alpha, beta), c in a.terms.items():
-        if any(e % level for e in alpha) or any(e % level for e in beta):
-            raise NotCentralError(
-                f"monomial x^{list(alpha)} d^{list(beta)} has an exponent "
-                f"not divisible by {level}"
-            )
         key = (tuple(e // level for e in beta), tuple(e // level for e in alpha))
         coeffs[key] = c
-    return CenterPoly(ctx.n, coeffs)
+    return CenterPoly(a.context.n, coeffs)
 
 
 def f_power_closed_form(ctx: AlgebraContext) -> WeylElement:

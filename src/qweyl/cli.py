@@ -17,7 +17,6 @@ from .center import (
     MaxIdealPoint,
     NotCentralError,
     azumaya_test,
-    is_central,
     theta,
     theta_inverse,
 )
@@ -119,19 +118,12 @@ def _cmd_poisson(args) -> int:
 def _cmd_center_check(args) -> int:
     ctx = AlgebraContext.root_of_unity(args.n, args.l)
     element = parse_weyl(args.expr, ctx)
-    central = is_central(element)
-    out = {"schema": SCHEMA, "l": args.l, "central": central}
-    code = 0
-    if central:
-        out["decomposition"] = print_center(theta_inverse(element))
-    else:
-        try:
-            theta_inverse(element)
-        except NotCentralError as err:
-            out["reason"] = str(err)
-        code = 1
-    print(_json_out(out))
-    return code
+    try:
+        out = {"central": True, "decomposition": print_center(theta_inverse(element))}
+    except NotCentralError as err:
+        out = {"central": False, "reason": str(err)}
+    print(_json_out({"schema": SCHEMA, "l": args.l, **out}))
+    return 0 if out["central"] else 1
 
 
 def _cmd_azumaya(args) -> int:

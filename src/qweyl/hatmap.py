@@ -23,7 +23,7 @@ from .morphisms import (
     specialize_endomorphism,
 )
 from .poisson import standard_bracket, transported_bracket
-from .scalars import embed as _embed
+from .scalars import _check_level, embed as _embed
 from .weylcore import SYMBOLIC, DegreeLimitExceeded, _degree_limit, power, specialize_element
 
 __all__ = [
@@ -60,7 +60,8 @@ ScheduleLike = Optional[Sequence[int]]
 
 def _schedule_levels(schedule: ScheduleLike) -> List[int]:
     """The levels of a schedule: DEFAULT_PRIMES for None, else the given
-    distinct ascending levels >= 2, at least three of them."""
+    distinct ascending levels >= 2, at least three of them, none above
+    scalars.MAX_LEVEL."""
     if schedule is None:
         return list(DEFAULT_PRIMES)
     levels = [int(v) for v in schedule]
@@ -68,6 +69,7 @@ def _schedule_levels(schedule: ScheduleLike) -> List[int]:
         raise ValueError("levels must be distinct, ascending, and >= 2")
     if len(levels) < 3:
         raise ValueError("the stability criterion needs at least three levels")
+    _check_level(levels[-1])
     return levels
 
 

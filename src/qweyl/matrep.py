@@ -135,28 +135,6 @@ def _zeros(l: int, zero) -> Matrix:
     return [[zero] * l for _ in range(l)]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        arow = a[i]
-        for j in range(size):
-            acc = None
-            for k in range(size):
-                v = arow[k]
-                if not v:
-                    continue
-                w = b[k][j]
-                if not w:
-                    continue
-                p = v * w
-                acc = p if acc is None else acc + p
-            row.append(acc if acc is not None else a[0][0] * 0)
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------

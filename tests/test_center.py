@@ -10,6 +10,7 @@ from qweyl import (
     MaxIdealPoint,
     NotCentralError,
     azumaya_test,
+    commutator,
     embed,
     f_element,
     f_power_closed_form,
@@ -176,11 +177,45 @@ def test_azumaya_matches_f_power_vanishing(rng):
             assert azumaya_test(MaxIdealPoint([a], [b]), level) == bool(value)
 
 
+def _commutes_with_generators(a):
+    """Reference centrality: a commutes with every generator, which suffices
+    because they generate the algebra; 2n commutators of products."""
+    ctx = a.context
+    gens = [g for i in range(1, ctx.n + 1) for g in (ctx.x(i), ctx.d(i))]
+    return not any(commutator(a, g) for g in gens)
+
+
+def _mixed_sum(rng, ctx, central_terms, other_terms):
+    """Sum of monomials whose exponents are multiples of the level and of
+    monomials with any exponents up to level + 1, coefficients in Q(q)."""
+    level, n = ctx.level, ctx.n
+    out = ctx.zero()
+    for k in range(central_terms + other_terms):
+        if k < central_terms:
+            al = tuple(level * rng.randint(0, 2) for _ in range(n))
+            be = tuple(level * rng.randint(0, 1) for _ in range(n))
+        else:
+            al = tuple(rng.randint(0, level + 1) for _ in range(n))
+            be = tuple(rng.randint(0, level + 1) for _ in range(n))
+        c = ctx.scalar(Fraction(rng.randint(1, 4), rng.randint(1, 3))) * ctx.t_power(k)
+        out = out + ctx.monomial(al, be, c)
+    return out
+
+
 def test_central_monomials_have_divisible_exponents(rng):
-    # random central PBW monomials: exponents are multiples of the level
-    for level in (2, 3, 5):
-        ctx = AlgebraContext.root_of_unity(1, level)
-        for a in range(0, 2 * level + 1):
-            for b in range(0, 2 * level + 1):
-                m = ctx.monomial((a,), (b,))
-                assert is_central(m) == (a % level == 0 and b % level == 0)
+    # is_central reads exponents; the reference multiplies out commutators
+    verdicts = []
+    for level in range(1, 13):
+        for qpow in [k for k in range(1, max(level, 2)) if math.gcd(k, level) == 1]:
+            for n in (1, 2):
+                ctx = AlgebraContext.root_of_unity(n, level, qpow)
+                elements = [ctx.zero(), ctx.one().scale(3), ctx.x(n), ctx.d(1)]
+                elements += [_mixed_sum(rng, ctx, 2, 0), _mixed_sum(rng, ctx, 0, 2)]
+                elements += [_mixed_sum(rng, ctx, rng.randint(1, 3), 1) for _ in range(2)]
+                for a in elements:
+                    verdict = is_central(a)
+                    assert verdict == _commutes_with_generators(a), (level, qpow, a)
+                    verdicts.append(verdict)
+    assert len(verdicts) > 500 and verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+

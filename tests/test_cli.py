@@ -95,34 +95,39 @@ def test_malformed_degree_guard_is_exit_2(capsys, monkeypatch, value):
 
 
 def test_poisson_center_syntax(capsys):
-    code, out, _ = _capture(capsys, ["poisson", "--n", "1", "--l", "2", "r1", "s1"])
-    assert code == 0
-    assert out.strip() == "1 - 4*r1*s1"
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "2", "r1", "s1"]) == (
+        0, "1 - 4*r1*s1\n", "")
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "3", "r1^2", "s1^2 + r1"]) == (
+        0, "4*r1*s1 + (12 + 24*q)*r1^2*s1^2\n", "")
 
 
 def test_poisson_weyl_syntax(capsys):
-    code, out, _ = _capture(capsys, ["poisson", "--n", "1", "--l", "2", "d1^2", "x1^2"])
-    assert code == 0
-    assert out.strip() == "1 - 4*x1^2*d1^2"
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "2", "d1^2", "x1^2"]) == (
+        0, "1 - 4*x1^2*d1^2\n", "")
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "5", "d1^5", "x1^5"]) == (
+        0, "1 + (5 + 10*q - 5*q^2 + 15*q^3)*x1^5*d1^5\n", "")
 
 
 def test_poisson_non_central_is_exit_1(capsys):
-    code, _, err = _capture(capsys, ["poisson", "--n", "1", "--l", "3", "d1", "x1^3"])
-    assert code == 1
-    assert "central" in err
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "3", "d1", "x1^3"]) == (
+        1, "", "error: first bracket argument is not central\n")
+    assert _capture(capsys, ["poisson", "--n", "1", "--l", "3", "x1^3", "d1"]) == (
+        1, "", "error: second bracket argument is not central\n")
 
 
 def test_center_check(capsys):
-    code, out, _ = _capture(capsys, ["center-check", "--l", "3", "x1^3*d1^3"])
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["central"] is True
-    assert blob["decomposition"] == "r1*s1"
-
-    code, out, _ = _capture(capsys, ["center-check", "--l", "3", "x1"])
-    assert code == 1
-    blob = json.loads(out)
-    assert blob["central"] is False and "reason" in blob
+    assert _capture(capsys, ["center-check", "--l", "3", "x1^3*d1^3"]) == (
+        0, '{\n  "central": true,\n  "decomposition": "r1*s1",\n  "l": 3,\n  "schema": 1\n}\n',
+        "")
+    for level, expr, reason in [
+        (3, "x1", "monomial x^[1] d^[0] has an exponent not divisible by 3"),
+        (4, "x1^2*d1^2", "monomial x^[2] d^[2] has an exponent not divisible by 4"),
+    ]:
+        assert _capture(capsys, ["center-check", "--l", str(level), expr]) == (
+            1, f'{{\n  "central": false,\n  "l": {level},\n  "reason": "{reason}",\n'
+               '  "schema": 1\n}\n', "")
+    assert _capture(capsys, ["center-check", "--l", "1", "x1"]) == (
+        2, "", "error: need a root-of-unity context of level >= 2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +357,10 @@ def test_transport(capsys):
     assert blob["limit"]["expr"] == "1"
 
 
-@pytest.mark.parametrize("argv", [
-    ["transport", "--n", "1", "r1^9999", "s1"],
-    ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,1000000007"],
-])
-def test_transport_over_degree_guard_is_exit_2_before_work(argv):
-    # l * (deg p + deg q) is 31 * 10000 and 1000000007 * 2, over 512: the
-    # first would build Gauss-binomial rows to a d-exponent of 9999 * 31,
-    # the second a table of 10**9 coefficients at its last level.  The
-    # child may map 1 GiB, so without the guard it fails instead of taking
-    # the machine's memory.
+def _run_in_1gib_child(argv):
+    """Run python -m qweyl with argv in a child that may map 1 GiB, so an
+    unguarded run fails instead of taking the machine's memory; returns the
+    wall time and the completed process."""
     import qweyl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
@@ -370,10 +369,35 @@ def test_transport_over_degree_guard_is_exit_2_before_work(argv):
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "qweyl", *argv], env=env, capture_output=True,
                          text=True, timeout=60, preexec_fn=limit)
-    assert time.perf_counter() - start < 1.0
+    return time.perf_counter() - start, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--n", "1", "r1^9999", "s1"],
+    ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,257"],
+])
+def test_transport_over_degree_guard_is_exit_2_before_work(argv):
+    # l * (deg p + deg q) is 31 * 10000 and 257 * 2, over 512: the first
+    # would build Gauss-binomial rows to a d-exponent of 9999 * 31.
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
     assert out.returncode == 2
     assert not out.stdout
     assert "exceeds the guard 512" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--n", "1", "--l", "1000000007", "x1"],
+    ["transport", "--n", "1", "1", "2", "--primes", "3,5,1000000007"],
+    ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,1000000007"],
+])
+def test_level_over_bound_is_exit_2_before_work(argv):
+    # Phi_l of l = 1000000007 would be a table of 10**9 coefficients; the
+    # constants 1 and 2 pass the transport degree guard.
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: level 1000000007 exceeds the level bound 65536\n")
 
 
 def test_json_output_deterministic(capsys):

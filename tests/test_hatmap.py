@@ -56,7 +56,7 @@ def _subst(poly: CenterPoly, images: dict) -> CenterPoly:
 def test_schedule_validation():
     e = identity_endomorphism(AlgebraContext.symbolic(1))
     r1 = CenterPoly.r(1, 1)
-    for bad in ((5, 3, 7), (3, 3, 5, 7), (1, 3, 5), ()):
+    for bad in ((5, 3, 7), (3, 3, 5, 7), (1, 3, 5), (), (3, 5, 65537)):
         with pytest.raises(ValueError):
             hat(e, r1, bad)
     assert hat(e, r1).levels == DEFAULT_PRIMES

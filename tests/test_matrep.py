@@ -22,8 +22,30 @@ from qweyl.matrep import (
     MatRep,
     NilpotentRep,
     _int_nth_root,
-    _matmul,
 )
+
+
+def _matmul(a, b):
+    """Product of two square matrices over the field of their entries."""
+    size = len(a)
+    out = []
+    for i in range(size):
+        row = []
+        arow = a[i]
+        for j in range(size):
+            acc = None
+            for k in range(size):
+                v = arow[k]
+                if not v:
+                    continue
+                w = b[k][j]
+                if not w:
+                    continue
+                p = v * w
+                acc = p if acc is None else acc + p
+            row.append(acc if acc is not None else a[0][0] * 0)
+        out.append(row)
+    return out
 
 
 def _max_entry(m):

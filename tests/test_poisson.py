@@ -8,7 +8,6 @@ from qweyl import (
     CenterPoly,
     Cyclo,
     DivisionFailureError,
-    ExactDivisionError,
     Jet,
     LaurentPoly,
     NotCentralError,
@@ -262,6 +261,10 @@ def test_transported_bracket_trivial_pairs():
 # reference route: commutator over symbolic t, coefficientwise exact division
 # by (t - q), specialization, and scaling -- cross-checks the production path
 # ---------------------------------------------------------------------------
+
+
+class ExactDivisionError(ArithmeticError):
+    """Raised when a polynomial division that must be exact leaves a remainder."""
 
 
 def exact_div(p, root):

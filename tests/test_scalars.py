@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qweyl.scalars import (
+    MAX_LEVEL,
     Cyclo,
     Jet,
     LaurentPoly,
@@ -64,6 +65,10 @@ def test_cyclotomic_degree_is_totient():
 
     for level in range(1, 31):
         assert euler_phi(level) == phi(level)
+    # the largest level with tables, 2^16, and the first one refused
+    assert euler_phi(MAX_LEVEL) == MAX_LEVEL // 2
+    with pytest.raises(ValueError, match="level 65537 exceeds the level bound 65536"):
+        cyclotomic_polynomial(MAX_LEVEL + 1)
 
 
 def _poly_div_exact_int(num, den):
