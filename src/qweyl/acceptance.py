@@ -27,7 +27,7 @@ from .hatmap import (
 from .matrep import cross_check
 from .morphisms import compose, lift_phi, lift_psi
 from .poisson import bracket_of_lifts, lift, poisson_bracket, transported_bracket
-from .scalars import Cyclo, Jet, embed, qint, specialize
+from .scalars import Cyclo, Jet, cyclotomic_polynomial, embed, qint, specialize
 from .weylcore import (
     AlgebraContext,
     act_on_polynomial,
@@ -192,7 +192,8 @@ def criterion_poisson_axioms() -> Tuple[bool, str]:
     for level in (2, 3, 5):
         for n in (1, 2) if level <= 3 else (1,):
             ctx = AlgebraContext.root_of_unity(n, level)
-            jet_eps = Jet(Cyclo.zero(level), Cyclo.one(level))
+            # Phi_l(t) and t^l - 1 vanish at q
+            phi, cycle = Jet(level, cyclotomic_polynomial(level)), Jet.t_power(level, level) - 1
             for _ in range(14):
                 P = theta(_random_center_poly(rng, n), level)
                 Q = theta(_random_center_poly(rng, n), level)
@@ -204,9 +205,10 @@ def criterion_poisson_axioms() -> Tuple[bool, str]:
                 R = theta(_random_center_poly(rng, n), level)
                 if poisson_bracket(P + R, Q) != br + poisson_bracket(R, Q):
                     return False, f"bilinearity fails at l={level}"
-                # independence of the chosen lifts: inject (t-q)*junk
-                junk = lift(_random_element(rng, ctx, max_terms=3)).scale(jet_eps)
-                if bracket_of_lifts(lift(P) + junk, lift(Q)) != br:
+                # independence of the chosen lifts: inject Phi_l(t)*junk and
+                # (t^l - 1)*junk
+                junk = lift(_random_element(rng, ctx, max_terms=3))
+                if bracket_of_lifts(lift(P) + junk.scale(phi), lift(Q) + junk.scale(cycle)) != br:
                     return False, f"lift-independence fails at l={level}"
                 pairs += 1
             for _ in range(7):

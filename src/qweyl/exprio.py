@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .center import CenterPoly, _center_mono
-from .scalars import Cyclo, Jet, LaurentPoly, _scalar_invert
+from .scalars import Cyclo, LaurentPoly, _scalar_invert
 from .weylcore import (
     SYMBOLIC,
     AlgebraContext,
@@ -422,8 +422,6 @@ def _scalar_pieces(c) -> List[Tuple[str, bool]]:
         return _cyclo_pieces(c)
     if isinstance(c, LaurentPoly):
         return _laurent_pieces(c)
-    if isinstance(c, Jet):  # debug rendering only; jets stay internal
-        return [(f"[{c.val!s} ; {c.dt!s}]", False)]
     return [(str(c), False)]
 
 

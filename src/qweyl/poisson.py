@@ -3,10 +3,11 @@
 The bracket of two central elements P, Q at a primitive l-th root q is the
 normalizer lambda_q times the value at t = q of [P~, Q~]/(t - q), where P~
 and Q~ are lifts to the generic algebra.  Since only the value and the first
-divided difference at q survive, the commutator of lifts is computed over
-first-order expansions around q; this is an exact homomorphic image of the
-computation over the full Laurent ring and detects non-vanishing values the
-same way.
+divided difference at q survive, the commutator of lifts is computed with
+coefficients in Q[t]/(Phi_l(t)^2) (scalars.Jet), which (t - q)^2 divides
+for every primitive l-th root q: this is an exact homomorphic image of the
+computation over the full Laurent ring, and bracket_of_lifts reads each
+coefficient's value and derivative at q (Jet.at_root).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .center import CenterPoly, NotCentralError, is_central, theta, theta_inverse
-from .scalars import Cyclo, Jet
+from .scalars import Cyclo
 from .weylcore import JET, ROOT, AlgebraContext, WeylElement, mul
 
 __all__ = [
@@ -74,17 +75,16 @@ def _poisson_context(level: int, qpow: int) -> PoissonContext:
 
 
 def lift(a: WeylElement) -> WeylElement:
-    """Canonical t-constant lift of a specialized element.
+    """Canonical lift of a specialized element to first order at its root.
 
-    Each coefficient is promoted to a constant in t, carried to first order
-    around the root; specializing back recovers the input exactly.
+    Each coefficient sum_k c_k zeta^k becomes the polynomial
+    sum_k c_k t^(k / qpow mod l) (Jet.lift), whose value at q = zeta^qpow
+    it is; specializing back recovers the input exactly.
     """
     ctx = a.context
     if ctx.kind != ROOT:
         raise ValueError("only root-of-unity elements are lifted")
-    jctx = AlgebraContext.first_order_at_root(ctx.n, ctx.level, ctx.qpow)
-    zero = Cyclo.zero(ctx.level)
-    return WeylElement(jctx, {k: Jet(c, zero) for k, c in a.terms.items()})
+    return AlgebraContext.first_order_at_root(ctx.n, ctx.level, ctx.qpow).from_terms(a.terms)
 
 
 def bracket_of_lifts(lift_p: WeylElement, lift_q: WeylElement) -> WeylElement:
@@ -100,13 +100,14 @@ def bracket_of_lifts(lift_p: WeylElement, lift_q: WeylElement) -> WeylElement:
     comm = mul(lift_p, lift_q) - mul(lift_q, lift_p)
     target = AlgebraContext.root_of_unity(jctx.n, jctx.level, jctx.qpow)
     out = {}
-    for key, jet in comm.terms.items():
-        if jet.val:
+    for key, w in comm.terms.items():
+        value, slope = w.at_root(jctx.qpow)
+        if value:
             raise DivisionFailureError(
                 "commutator coefficient does not vanish at the root; "
                 "inputs were not lifts of central elements"
             )
-        c = pc.lam * jet.dt
+        c = pc.lam * slope
         if c:
             out[key] = c
     return WeylElement(target, out)

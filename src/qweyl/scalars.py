@@ -37,23 +37,6 @@ RationalLike = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial convolution
-# ---------------------------------------------------------------------------
-
-def _conv(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Coefficients of the product of two dense integer polynomials."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-# ---------------------------------------------------------------------------
 # powering, shared by every domain of the tower and by the algebras above it
 # ---------------------------------------------------------------------------
 
@@ -158,50 +141,69 @@ def euler_phi(level: int) -> int:
     return len(cyclotomic_polynomial(level)) - 1
 
 
-class _LevelData:
-    __slots__ = ("level", "phi", "degree", "low", "block")
+def _division(f: Tuple[int, ...]) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """(d, the nonzero (k, f_k) for k < d) of a monic f of degree d, whose
+    synthetic division rewrites z^d as -sum f_k z^k."""
+    d = len(f) - 1
+    return d, tuple((k, c) for k, c in enumerate(f[:d]) if c)
 
-    def __init__(self, level: int):
-        self.level = level
-        self.phi = cyclotomic_polynomial(level)
-        d = len(self.phi) - 1
-        self.degree = d
-        # the nonzero (k, phi_k), k < d: Phi is monic, so z^d = -sum phi_k z^k
-        self.low = tuple((k, c) for k, c in enumerate(self.phi[:d]) if c)
+
+class _LevelData:
+    """The ring Z[z]/(f) of the coordinate vectors of one class at one
+    level, for a monic f of degree `degree`: Phi_level for Cyclo and
+    Phi_level^2 for Jet.  A vector is reduced first by cycle, a sparse
+    multiple of f: z^level - 1, or (z^level - 1)^2 = z^(2 level) -
+    2 z^level + 1, both divisible by f; then by f itself."""
+
+    __slots__ = ("level", "kind", "degree", "stages", "fold", "block")
+
+    def __init__(self, level: int, kind: type, modulus: Tuple[int, ...],
+                 cycle: Tuple[int, ...]):
+        self.level, self.kind = level, kind
+        self.stages = (_division(cycle), _division(modulus))
+        d = self.degree = len(modulus) - 1
+        # z^level = 1 holds, so packed sums fold inside the integer
+        self.fold = len(cycle) - 1 == level
         # m = p^(k-1) at a level p^k, p prime, where Phi(z) = Phi_p(z^m) is
-        # 1 + z^m + ... + z^d; 0 at other levels
+        # 1 + z^m + ... + z^d; 0 at other levels and for Jet
         m = level - d
-        self.block = m if level > 1 and self.phi == (1, *(0,) * (m - 1)) * (d // m) + (1,) else 0
+        self.block = m if self.fold and level > 1 and modulus == (1, *(0,) * (m - 1)) * (d // m) + (1,) else 0
 
 
 _LEVELS: Dict[int, _LevelData] = {}
+_JET_LEVELS: Dict[int, _LevelData] = {}
 
 
 def _leveldata(level: int) -> _LevelData:
     got = _LEVELS.get(level)
     if got is None:
-        got = _LEVELS[level] = _LevelData(level)
+        phi = cyclotomic_polynomial(level)  # checks the level first
+        got = _LEVELS[level] = _LevelData(level, Cyclo, phi, (-1, *(0,) * (level - 1), 1))
+    return got
+
+
+def _jetdata(level: int) -> _LevelData:
+    got = _JET_LEVELS.get(level)
+    if got is None:
+        phi, zeros = cyclotomic_polynomial(level), (0,) * (level - 1)
+        got = _JET_LEVELS[level] = _LevelData(level, Jet, tuple(_product(phi, phi)),
+                                              (1, *zeros, -2, *zeros, 1))
     return got
 
 
 def _reduce_vec(vec: List[int], data: _LevelData) -> List[int]:
-    """Reduce an integer coefficient vector mod Phi_level, in place."""
-    level, d = data.level, data.degree
-    if len(vec) > level:
-        # z^level = 1 holds mod every cyclotomic polynomial of that level;
-        # folding from the top lets entries past 2*level fold twice
-        for idx in range(len(vec) - 1, level - 1, -1):
-            vec[idx - level] += vec[idx]
-        del vec[level:]
-    # synthetic division by Phi, from the top entry down
-    low = data.low
-    for idx in range(len(vec) - 1, d - 1, -1):
-        c = vec[idx]
-        if c:
-            base = idx - d
-            for k, p in low:
-                vec[base + k] -= c * p
-    del vec[d:]
+    """Reduce an integer coefficient vector mod the ring's modulus, in place,
+    by synthetic division from the top entry down: by the sparse cycle, then
+    by the modulus."""
+    for d, low in data.stages:
+        for idx in range(len(vec) - 1, d - 1, -1):
+            c = vec[idx]
+            if c:
+                base = idx - d
+                for k, p in low:
+                    vec[base + k] -= c * p
+        del vec[d:]
+    d = data.degree
     if len(vec) < d:
         vec.extend([0] * (d - len(vec)))
     return vec
@@ -261,23 +263,45 @@ def _zeta_fixed(level: int, prec: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic field elements
+# coordinate vectors: cyclotomic numbers and first-order expansions
 # ---------------------------------------------------------------------------
 
 
-class Cyclo:
-    """Element of the cyclotomic field Q(zeta_level).
+def _product(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Coefficients of the product of two dense integer polynomials.
 
-    The residue is stored reduced mod the level-th cyclotomic polynomial as an
-    integer vector over a positive common denominator with content 1, so
-    equality is a plain tuple comparison.  The distinguished embedding sends
-    the generator to exp(2*pi*i/level).
+    When a factor has at most two nonzero coefficients, a shifted multiple
+    of the other is added for each; otherwise one Kronecker-packed integer
+    product (_SlotCodec) gives them all, in slots that hold
+    max|a_i| * sum|b_i|, the largest coefficient the product can have.
+    """
+    n = len(a) + len(b) - 1
+    if len(a) - a.count(0) > 2:
+        if len(b) - b.count(0) > 2:
+            codec = _slot_codec(max(map(abs, a)) * sum(map(abs, b)))
+            return list(codec.read(codec.pack(a) * codec.pack(b) + codec.flip(n), n))
+        a, b = b, a
+    out, m = [0] * n, len(b)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i:i + m] = [c + ai * bj for c, bj in zip(out[i:i + m], b)]
+    return out
+
+
+class _Residue:
+    """Element of Q[z]/(f) for the monic integer polynomial f of a class and
+    level (_LevelData), the one arithmetic of Cyclo and Jet.
+
+    The residue is stored reduced mod f as an integer vector of deg f
+    coordinates over a positive common denominator with content 1, so
+    equality is a plain tuple comparison.  Each subclass names its ring by
+    _data.
     """
 
     __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs: Iterable[RationalLike], den: int = 1):
-        data = _leveldata(level)
+        data = self._data(level)
         fracs = [Fraction(c) for c in coeffs]
         common = den
         for f in fracs:
@@ -287,24 +311,24 @@ class Cyclo:
             _reduce_vec(vec, data)
         elif len(vec) < data.degree:
             vec.extend([0] * (data.degree - len(vec)))
-        obj = Cyclo._normalized(level, vec, common)
+        obj = self._normalized(level, vec, common)
         object.__setattr__(self, "level", obj.level)
         object.__setattr__(self, "num", obj.num)
         object.__setattr__(self, "den", obj.den)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Cyclo values are immutable")
+        raise AttributeError(f"{type(self).__name__} values are immutable")
 
-    @staticmethod
-    def _raw(level: int, num: Tuple[int, ...], den: int) -> "Cyclo":
-        obj = object.__new__(Cyclo)
+    @classmethod
+    def _raw(cls, level: int, num: Tuple[int, ...], den: int):
+        obj = object.__new__(cls)
         object.__setattr__(obj, "level", level)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
         return obj
 
-    @staticmethod
-    def _normalized(level: int, num: List[int], den: int) -> "Cyclo":
+    @classmethod
+    def _normalized(cls, level: int, num: List[int], den: int):
         if den < 0:
             den = -den
             num = [-c for c in num]
@@ -315,30 +339,23 @@ class Cyclo:
                 num = [c // g for c in num]
             if not any(num):
                 den = 1
-        return Cyclo._raw(level, tuple(num), den)
+        return cls._raw(level, tuple(num), den)
 
     # construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, level: int) -> "Cyclo":
-        return cls._raw(level, (0,) * euler_phi(level), 1)
+    def zero(cls, level: int):
+        return cls._raw(level, (0,) * cls._data(level).degree, 1)
 
     @classmethod
-    def one(cls, level: int) -> "Cyclo":
+    def one(cls, level: int):
         return cls.from_rational(level, 1)
 
     @classmethod
-    def from_rational(cls, level: int, value: RationalLike) -> "Cyclo":
+    def from_rational(cls, level: int, value: RationalLike):
         f = Fraction(value)
-        d = euler_phi(level)
+        d = cls._data(level).degree
         return cls._raw(level, (f.numerator,) + (0,) * (d - 1), f.denominator)
-
-    @classmethod
-    def zeta(cls, level: int, power: int = 1) -> "Cyclo":
-        data = _leveldata(level)
-        vec = [0] * max(data.degree, (power % level) + 1)
-        vec[power % level] = 1
-        return cls._normalized(level, _reduce_vec(vec, data), 1)
 
     # queries ---------------------------------------------------------------
 
@@ -355,20 +372,21 @@ class Cyclo:
 
     # arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other) -> Optional["Cyclo"]:
-        if isinstance(other, Cyclo):
+    def _coerce(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
             if other.level == self.level:
                 return other
             r = other.as_rational()
             if r is not None:
-                return Cyclo.from_rational(self.level, r)
+                return cls.from_rational(self.level, r)
             if self.as_rational() is not None:
                 return None  # handled by reflected op on the other side
             raise ValueError(
-                f"cyclotomic level mismatch: {self.level} vs {other.level}"
+                f"{cls.__name__} level mismatch: {self.level} vs {other.level}"
             )
         if isinstance(other, (int, Fraction)):
-            return Cyclo.from_rational(self.level, other)
+            return cls.from_rational(self.level, other)
         return None
 
     def __add__(self, other):
@@ -376,7 +394,7 @@ class Cyclo:
         if o is None:
             return NotImplemented
         num = [a * o.den + b * self.den for a, b in zip(self.num, o.num)]
-        return Cyclo._normalized(self.level, num, self.den * o.den)
+        return self._normalized(self.level, num, self.den * o.den)
 
     __radd__ = __add__
 
@@ -385,7 +403,7 @@ class Cyclo:
         if o is None:
             return NotImplemented
         num = [a * o.den - b * self.den for a, b in zip(self.num, o.num)]
-        return Cyclo._normalized(self.level, num, self.den * o.den)
+        return self._normalized(self.level, num, self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -394,17 +412,59 @@ class Cyclo:
         return o - self
 
     def __neg__(self):
-        return Cyclo._raw(self.level, tuple(-c for c in self.num), self.den)
+        return self._raw(self.level, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        vec = _conv(self.num, o.num)
-        _reduce_vec(vec, _leveldata(self.level))
-        return Cyclo._normalized(self.level, vec, self.den * o.den)
+        vec = _reduce_vec(_product(self.num, o.num), self._data(self.level))
+        return self._normalized(self.level, vec, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        return _power(self, exponent, self.one(self.level))
+
+    # comparisons / misc ----------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            if other.level == self.level:
+                return self.num == other.num and self.den == other.den
+            a, b = self.as_rational(), other.as_rational()
+            return a is not None and a == b
+        if isinstance(other, (int, Fraction)):
+            return self.as_rational() == Fraction(other)
+        return NotImplemented
+
+    def __hash__(self):
+        r = self.as_rational()
+        if r is not None:
+            return hash(r)
+        return hash((self.level, self.num, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.level}, {list(self.num)!r}, den={self.den})"
+
+
+class Cyclo(_Residue):
+    """Element of the cyclotomic field Q(zeta_level), reduced mod the
+    level-th cyclotomic polynomial.  The distinguished embedding sends the
+    generator to exp(2*pi*i/level).
+    """
+
+    __slots__ = ()
+    _data = staticmethod(_leveldata)
+
+    @classmethod
+    def zeta(cls, level: int, power: int = 1) -> "Cyclo":
+        data = _leveldata(level)
+        vec = [0] * max(data.degree, (power % level) + 1)
+        vec[power % level] = 1
+        return cls._normalized(level, _reduce_vec(vec, data), 1)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -421,7 +481,7 @@ class Cyclo:
     def __pow__(self, exponent: int) -> "Cyclo":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return _power(self, exponent, Cyclo.one(self.level))
+        return super().__pow__(exponent)
 
     def inverse(self) -> "Cyclo":
         """x^-1 = rest / N(x), where rest is the product of the conjugates
@@ -440,24 +500,6 @@ class Cyclo:
                     vec[j * k % level] += c
                 rest = rest * Cyclo._normalized(level, _reduce_vec(vec, data), self.den)
         return rest * (1 / (self * rest).as_rational())
-
-    # comparisons / misc ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Cyclo):
-            if other.level == self.level:
-                return self.num == other.num and self.den == other.den
-            a, b = self.as_rational(), other.as_rational()
-            return a is not None and a == b
-        if isinstance(other, (int, Fraction)):
-            return self.as_rational() == Fraction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        return hash((self.level, self.num, self.den))
 
     def embed(self) -> complex:
         """Distinguished complex embedding, generator -> exp(2*pi*i/level).
@@ -494,9 +536,6 @@ class Cyclo:
             # a zero midpoint says only that the value is below the radius
             prec += rad.bit_length() + _EMBED_GUARD + 1 - size.bit_length() if size else prec
 
-    def __repr__(self):
-        return f"Cyclo({self.level}, {list(self.num)!r}, den={self.den})"
-
     def __str__(self):
         terms = []
         for j, c in enumerate(self.num):
@@ -516,20 +555,20 @@ class Cyclo:
 # ---------------------------------------------------------------------------
 
 
-def _cyclo_value(codec: "_SlotCodec", data: _LevelData, vec, den: int) -> Cyclo:
-    """The Cyclo of a reduced value over den: a packed value of phi slots,
-    or a coordinate list."""
+def _residue_value(codec: "_SlotCodec", data: _LevelData, vec, den: int) -> _Residue:
+    """The Cyclo or Jet of a reduced value over den: a packed value of
+    degree slots, or a coordinate list."""
     if type(vec) is int:
         d = data.degree
         vec = list(codec.read(vec + codec.flip(d), d))
-    return Cyclo._normalized(data.level, vec, den)
+    return data.kind._normalized(data.level, vec, den)
 
 
-def _cyclo_reducer(codec: "_SlotCodec", data: _LevelData):
-    """The function that reduces mod Phi a sum of packed products of
-    coordinate vectors, of at most 2*phi - 1 slots: at a prime-power level
-    to a packed value of phi slots, at any other level to its coordinate
-    list.
+def _residue_reducer(codec: "_SlotCodec", data: _LevelData):
+    """The function that reduces mod the ring's modulus f a sum of packed
+    products of coordinate vectors, of at most 2*deg f - 1 slots: at a
+    prime-power level to a packed value of phi slots, at any other level,
+    and for a Jet, to its coordinate list.
 
     The sum's slots are made digits by the bias (see _SlotCodec.flip).
     Slots at or past the level are added onto slot - level inside the
@@ -540,12 +579,13 @@ def _cyclo_reducer(codec: "_SlotCodec", data: _LevelData):
     block of m slots, times that sparse repunit, is subtracted from the phi
     slots below it: each slot then loses one slot of the block, so it is
     at most twice the bound, which the codec's spare bit holds.  Other
-    levels read their slots and reduce them by _reduce_vec.
+    levels, and jets, where z^level = 1 does not hold, read their slots and
+    reduce them by _reduce_vec.
     """
     level, d, bits, flip = data.level, data.degree, codec.bits, codec.flip
     n = 2 * d - 1
     bias = flip(n)
-    fold = n > level
+    fold = data.fold and n > level
     if fold:
         low, shift, refold = codec.mask(level), bits * level, flip(n - level)
         n = level
@@ -573,7 +613,7 @@ def _cyclo_reducer(codec: "_SlotCodec", data: _LevelData):
     return reduce_packed
 
 
-def _over(v: Cyclo, den: int) -> Sequence[int]:
+def _over(v: _Residue, den: int) -> Sequence[int]:
     """Coordinates of v over den, a multiple of its denominator."""
     f = den // v.den
     return v.num if f == 1 else [c * f for c in v.num]
@@ -594,9 +634,9 @@ def _laurent_sum(codec: "_SlotCodec", low: int, den: int, acc: int) -> "LaurentP
 
 def _slot_codec(bound: int) -> "_SlotCodec":
     """The codec whose signed slots hold every integer of absolute value at
-    most 2 * bound, for bound the slot bound of a PackedPowers step: the
-    factor 2 is a spare bit for the sums that _cyclo_reducer reduces at a
-    prime-power level.
+    most 2 * bound, for bound the slot bound of a PackedPowers step or of
+    a product (_product): the factor 2 is a spare bit for the sums that
+    _residue_reducer reduces at a prime-power level.
 
     With w the fewest bytes with bound < 2**(8w - 2), a slot is k limbs of
     L bytes: L is the smallest of 1, 2, 4, 8 that is at least w, and
@@ -614,8 +654,9 @@ def _slot_codec(bound: int) -> "_SlotCodec":
 
 class PackedPowers:
     """The coefficients of a power chain start * base**k, kept as packed
-    ints between its steps: cyclotomic numbers at a level, or Laurent
-    polynomials over Q for level None.
+    ints between its steps: cyclotomic numbers or first-order expansions
+    (Cyclo or Jet) at a level, or Laurent polynomials over Q, as the base's
+    coefficients are.
 
     Kronecker substitution (Harvey, arXiv:0712.4046): an integer vector is
     evaluated at 2**bits, so one C-level integer product stands for a
@@ -623,8 +664,8 @@ class PackedPowers:
     denominator (start).  The chain multiplies by the scaled base, whose
     coefficients are the base's times den, their common denominator
     (scaled).  So every value is an integer vector, and the k-th value is
-    divided by den0 * den**k once, when it is unpacked.  A Laurent value is its coefficients from
-    t^(low0 + k * low) up, for low0 and low the lowest exponents of the
+    divided by den0 * den**k once, when it is unpacked.  A Laurent value is
+    its coefficients from t^(low0 + k * low) up, for low0 and low the lowest exponents of the
     start and of the base; low also bounds the exponents of every scaled
     row.
 
@@ -634,15 +675,16 @@ class PackedPowers:
         (sum over the terms of max|a_i|) * (largest sum of |b_i| over a group)
     in absolute value, and step packs the terms (values) and the rows they
     meet (group) by the codec of that bound (_slot_codec); a term stays as
-    it is while the limb layout does.  settle then reduces each sum mod Phi
-    inside the integer (_cyclo_reducer) and reads it once for its max|a_i|,
+    it is while the limb layout does.  settle then reduces each sum mod the
+    ring's modulus (_residue_reducer) and reads it once for its max|a_i|,
     for the next step's bound.
     """
 
     __slots__ = ("data", "den", "low", "den0", "low0", "codec", "groups")
 
-    def __init__(self, level: Optional[int], coeffs: Sequence, start: Sequence):
-        self.data = _leveldata(level) if level else None
+    def __init__(self, coeffs: Sequence, start: Sequence):
+        c = coeffs[0]
+        self.data = None if isinstance(c, LaurentPoly) else c._data(c.level)
         self.den, self.low = self._common(coeffs)
         self.den0, self.low0 = self._common(start)
         self.codec = None
@@ -650,7 +692,7 @@ class PackedPowers:
 
     def _common(self, values: Sequence) -> Tuple[int, int]:
         """The common denominator of values and, for Laurent values, their
-        lowest exponent (0 for cyclotomic ones)."""
+        lowest exponent (0 for coordinate vectors)."""
         if self.data:
             return math.lcm(*(c.den for c in values)), 0
         return (math.lcm(*(c.denominator for p in values for c in p.coeffs.values())),
@@ -659,7 +701,7 @@ class PackedPowers:
     def scaled(self, c):
         """The integral multiple c * den of a base coefficient."""
         if self.data:
-            return Cyclo._raw(c.level, tuple(_over(c, self.den)), 1)
+            return c._raw(c.level, tuple(_over(c, self.den)), 1)
         return LaurentPoly._raw({e: v.numerator * (self.den // v.denominator)
                                  for e, v in c.coeffs.items()})
 
@@ -713,7 +755,7 @@ class PackedPowers:
         chain, and the sum of their max|a_i|."""
         codec, data = self.codec, self.data
         if data:
-            reduce, read, d = _cyclo_reducer(codec, data), codec.read, data.degree
+            reduce, read, d = _residue_reducer(codec, data), codec.read, data.degree
             bias = codec.flip(d)
         out, norm = {}, 0
         for key, v in sums.items():
@@ -733,7 +775,7 @@ class PackedPowers:
         den, codec = self.den0 * self.den ** k, self.codec
         if not self.data:
             return _laurent_sum(codec, self.low0 + k * self.low, den, v)
-        return _cyclo_value(codec, self.data, v, den)
+        return _residue_value(codec, self.data, v, den)
 
 
 # struct codes of the signed and unsigned limbs of each size in bytes
@@ -989,103 +1031,70 @@ def _as_laurent(x) -> Optional[LaurentPoly]:
 # ---------------------------------------------------------------------------
 
 
-class Jet:
-    """Truncated expansion  val + dt*(t - root)  of a scalar around a fixed
-    root of unity; products drop the (t - root)^2 term.
+class Jet(_Residue):
+    """Element of Q[t]/(Phi_level(t)^2): the coefficients of a first-order
+    context, 2*phi(level) coordinates.
 
-    This is the coefficient domain used for divided commutators: it carries
-    exactly the value at the root and the first divided difference.
+    For every primitive level-th root of unity q, (t - q)^2 divides
+    Phi_level(t)^2, so this ring maps onto Q(q)[t]/(t - q)^2: a residue w
+    gives the value w(q) and the first divided difference w'(q) (at_root)
+    of every Laurent polynomial in t that reduces to it.  This is the
+    coefficient domain of divided commutators.
+
+    Reduction folds by (t^level - 1)^2, a sparse multiple of Phi_level^2,
+    before it divides by Phi_level^2 itself.  The fold alone would keep the
+    residue mod (t^level - 1)^2, which carries the values at every root of
+    t^level = 1, t = 1 among them: there the q-binomial coefficients of the
+    normal ordering are ordinary binomials, and their coordinates grew to
+    about four times the bits of those mod Phi_level^2.
     """
 
-    __slots__ = ("val", "dt")
+    __slots__ = ()
+    _data = staticmethod(_jetdata)
 
-    def __init__(self, val: Cyclo, dt: Cyclo):
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "dt", dt)
+    @classmethod
+    def t_power(cls, level: int, e: int) -> "Jet":
+        """t^e for e = m*level + r, 0 <= r < level: mod (t^level - 1)^2,
+        t^e = (1 + (t^level - 1))^m t^r = m t^(level + r) - (m - 1) t^r."""
+        m, r = divmod(e, level)
+        vec = [0] * (2 * level)
+        vec[r], vec[level + r] = 1 - m, m
+        return cls._raw(level, tuple(_reduce_vec(vec, _jetdata(level))), 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet values are immutable")
+    @classmethod
+    def lift(cls, c: Cyclo, qpow: int) -> "Jet":
+        """The residue of sum_k c_k t^(k / qpow mod level), for c_k the
+        coordinates of c, whose value at q = zeta^qpow is c."""
+        level = c.level
+        inv = pow(qpow, -1, level)
+        vec = [0] * (2 * level)
+        for k, ck in enumerate(c.num):
+            vec[k * inv % level] = ck
+        return cls._normalized(level, _reduce_vec(vec, _jetdata(level)), c.den)
 
-    @property
-    def level(self) -> int:
-        return self.val.level
-
-    def _coerce(self, other) -> Optional["Jet"]:
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, Fraction)):
-            lv = self.level
-            return Jet(Cyclo.from_rational(lv, other), Cyclo.zero(lv))
-        if isinstance(other, Cyclo):
-            return Jet(other, Cyclo.zero(other.level))
-        return None
-
-    def __bool__(self):
-        return bool(self.val) or bool(self.dt)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val + o.val, self.dt + o.dt)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.val, -self.dt)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val - o.val, self.dt - o.dt)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.val * o.val, self.val * o.dt + self.dt * o.val)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Jet":
-        vi = self.val.inverse()
-        return Jet(vi, -(vi * vi * self.dt))
-
-    def __pow__(self, exponent: int) -> "Jet":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        lv = self.level
-        return _power(self, exponent, Jet(Cyclo.one(lv), Cyclo.zero(lv)))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.val == o.val and self.dt == o.dt
-
-    def __hash__(self):
-        return hash((self.val, self.dt))
-
-    def __repr__(self):
-        return f"Jet({self.val!s}, dt={self.dt!s})"
+    def at_root(self, qpow: int) -> Tuple[Cyclo, Cyclo]:
+        """(w(q), w'(q)) at q = zeta^qpow, for w the residue's polynomial
+        sum_e w_e t^e and w' = sum_e e w_e t^(e - 1) its formal derivative."""
+        level = self.level
+        value, slope = [0] * level, [0] * level
+        for e, c in enumerate(self.num):
+            if c:
+                value[e * qpow % level] += c
+                slope[(e - 1) * qpow % level] += e * c
+        data = _leveldata(level)
+        return (Cyclo._normalized(level, _reduce_vec(value, data), self.den),
+                Cyclo._normalized(level, _reduce_vec(slope, data), self.den))
 
 
 def _scalar_invert(v):
-    """Inverse of an exact scalar: a rational, Cyclo, Jet or monomial LaurentPoly.
+    """Inverse of an exact scalar: a rational, Cyclo or monomial LaurentPoly.
 
     Raises ZeroDivisionError on zero and ValueError on a Laurent polynomial
     with more than one term.
     """
     if isinstance(v, (int, Fraction)):
         return 1 / Fraction(v)
-    if isinstance(v, (Cyclo, Jet)):
+    if isinstance(v, Cyclo):
         return v.inverse()
     if isinstance(v, LaurentPoly):
         return v ** -1

@@ -5,10 +5,10 @@ ambient coefficient domain; every operation returns a normal form with all
 x-factors to the left of all d-factors.  Three coefficient domains are
 supported, all exact: Laurent polynomials in t over Q (the generic
 algebra), cyclotomic numbers at a fixed primitive root of unity, and
-first-order expansions around such a root (for divided differences).  In
-the first two, products and powers multiply and sum coefficients as
-Kronecker-packed integers (scalars.PackedPowers): mul is one step of the
-power chain (_chain) that power and apply_endo run.
+first-order expansions around such a root (for divided differences), which
+are residues mod Phi_level(t)^2.  In each, products and powers multiply
+and sum coefficients as Kronecker-packed integers (scalars.PackedPowers):
+mul is one step of the power chain (_chain) that power and apply_endo run.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ class AlgebraContext:
 
     @classmethod
     def first_order_at_root(cls, n: int, level: int, qpow: int = 1) -> "AlgebraContext":
-        """Coefficients carry value and first divided difference at t = q."""
+        """Coefficients are residues mod Phi_level(t)^2 (scalars.Jet), which
+        carry the value and first divided difference at t = q."""
         return cls._interned(n, JET, level=level, qpow=qpow)
 
     # identity --------------------------------------------------------------
@@ -177,11 +178,9 @@ class AlgebraContext:
     @property
     def q(self):
         """The deformation scalar of a specialized context."""
-        if self.kind == ROOT:
-            return Cyclo.zeta(self.level, self.qpow)
-        if self.kind == JET:
-            return Jet(Cyclo.zeta(self.level, self.qpow), Cyclo.zero(self.level))
-        raise ValueError("symbolic contexts have no fixed q")
+        if self.kind != ROOT:
+            raise ValueError("only root-of-unity contexts have a fixed q")
+        return Cyclo.zeta(self.level, self.qpow)
 
     # scalar domain ----------------------------------------------------------
 
@@ -208,10 +207,10 @@ class AlgebraContext:
         else:
             if isinstance(x, Jet):
                 return x
-            if isinstance(x, Cyclo):
-                return Jet(x, Cyclo.zero(self.level))
+            if isinstance(x, Cyclo) and x.level == self.level:
+                return Jet.lift(x, self.qpow)
             if isinstance(x, (int, Fraction)):
-                return Jet(Cyclo.from_rational(self.level, x), Cyclo.zero(self.level))
+                return Jet.from_rational(self.level, x)
         raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
 
     def one_scalar(self):
@@ -227,10 +226,7 @@ class AlgebraContext:
         elif self.kind == ROOT:
             val = Cyclo.zeta(self.level, (e * self.qpow) % self.level)
         else:
-            lv = self.level
-            zeta_e = Cyclo.zeta(lv, (e * self.qpow) % lv)
-            zeta_prev = Cyclo.zeta(lv, ((e - 1) * self.qpow) % lv)
-            val = Jet(zeta_e, e * zeta_prev)
+            val = Jet.t_power(self.level, e)
         self._tpow_cache[e] = val
         return val
 
@@ -512,8 +508,7 @@ def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
 def _mac(terms) -> Dict[int, object]:
     """The multiply-accumulate loop of the power chain: for each
     (key, value, (offsets, coeffs)) of terms, value * coeff is added into
-    the sum at key + offset.  Values are packed ints, or first-order
-    expansions multiplied as they are."""
+    the sum at key + offset.  Values and coeffs are packed ints."""
     out: Dict[int, object] = {}
     get = out.get
     for key, ca, (offsets, coeffs) in terms:
@@ -572,20 +567,15 @@ def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[in
     wanted}, for nonzero start and base, multiplying by base one factor at
     a time.
 
-    The chain keeps each value as integer-coded keys (_Keys) and, at a root
-    of unity or generic t, as coefficients packed by PackedPowers; only the
-    values asked for are unpacked.  First-order expansions keep plain
-    products (_PlainPowers).  The scaled rows of base are built once per
-    exponent they meet, for the whole chain.
+    The chain keeps each value as integer-coded keys (_Keys) and as
+    coefficients packed by PackedPowers; only the values asked for are
+    unpacked.  The scaled rows of base are built once per exponent they
+    meet, for the whole chain.
     """
     ctx = base.context
     top = max(wanted)
     keys = _Keys(ctx.n, _top_exponent(start) + top * _top_exponent(base))
-    if ctx.kind == JET:
-        packer = _PlainPowers()
-    else:
-        packer = PackedPowers(ctx.level if ctx.kind == ROOT else None,
-                              list(base.terms.values()), list(start.terms.values()))
+    packer = PackedPowers(list(base.terms.values()), list(start.terms.values()))
     acc, norm = packer.start({keys.code(al, be): c for (al, be), c in start.terms.items()})
     base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
     # a term meets the rows of its d-exponents (acc * base) or of its
@@ -605,31 +595,6 @@ def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[in
             out[k] = WeylElement(ctx, {keys.exps(key): packer.unpack(v, k)
                                        for key, v in acc.items()})
     return out
-
-
-class _PlainPowers:
-    """PackedPowers for first-order expansions, which keep plain products."""
-
-    def start(self, terms):
-        return terms, 0
-
-    def scaled(self, c):
-        return c
-
-    def norm(self, coeffs) -> int:
-        return 0
-
-    def step(self, values, bound: int):
-        return values
-
-    def group(self, key, coeffs):
-        return coeffs
-
-    def settle(self, sums):
-        return {key: c for key, c in sums.items() if c}, 0
-
-    def unpack(self, v, k: int):
-        return v
 
 
 def power(a: WeylElement, k: int) -> WeylElement:
@@ -724,7 +689,8 @@ def specialize_element(a: WeylElement, level: int) -> WeylElement:
     """Coefficientwise specialization t -> zeta_level into the root-of-unity
     algebra.
 
-    Also lowers first-order expansions back to their value at their own root.
+    Also lowers first-order expansions back to their value at their own root
+    (Jet.at_root).
     """
     ctx = a.context
     if ctx.kind == SYMBOLIC:
@@ -734,7 +700,7 @@ def specialize_element(a: WeylElement, level: int) -> WeylElement:
         if ctx.level != level:
             raise ValueError("first-order expansions specialize at their own root")
         target = AlgebraContext.root_of_unity(ctx.n, level, ctx.qpow)
-        terms = {k: c.val for k, c in a.terms.items()}
+        terms = {k: c.at_root(ctx.qpow)[0] for k, c in a.terms.items()}
     else:
         raise ValueError("element is already specialized")
     return WeylElement(target, terms)

@@ -372,6 +372,48 @@ def _run_in_1gib_child(argv):
     return time.perf_counter() - start, out
 
 
+# the sr coefficient of the bracket {r1, s1} at levels 3, 5 and 7, exact and
+# the imaginary part of its embedding
+_SR = ((3, "3 + 6*q", 5.196152422706632),
+       (5, "5 + 10*q - 5*q^2 + 15*q^3", -2.2451398828979268),
+       (7, "7 + 14*q - 14*q^2 + 42*q^3 - 28*q^4 + 28*q^5", 0.3705301811448943))
+
+
+def _diverged_transport_stdout(poly, standard, s, noise):
+    """The report of transport --primes 3,5,7 of poly and s1, whose bracket
+    at level l is s1^s + sr_l r1 s1^(s + 1).  noise holds the real parts of
+    the embedded sr_5 and sr_7, which cancel to about 1e-22."""
+    primes = [{"centrality": True, "l": level, "coeffs": [
+        {"approx": [1.0, 0.0], "exact": "1", "monomial": [[0], [s]]},
+        {"approx": [real, imag], "exact": exact, "monomial": [[1], [s + 1]]},
+    ]} for (level, exact, imag), real in zip(_SR, (0.0, *noise))]
+    report = {
+        "limit": None, "matches_standard": None, "poly": poly, "primes": primes,
+        "schema": 1, "standard": standard, "verdict": "diverged", "witness": [[1], [s + 1]],
+        "tolerances": {"eps_conv": 1e-06, "eps_kill": 1e-09, "max_round_den": 64,
+                       "round_tol": 1e-06},
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["transport", "--n", "1", "r1", "s1", "--primes", "3,5,7"],
+     (1, _diverged_transport_stdout("r1", "1", 0, (2.117582368135751e-22, 3.044024654195142e-22)),
+      "")),
+    (["transport", "--n", "1", "r1*s1", "s1", "--primes", "3,5,7"],
+     (1, _diverged_transport_stdout("r1*s1", "s1", 1,
+                                    (1.1117307432712692e-21, 1.852884572118782e-22)), "")),
+    (["poisson", "--n", "2", "--l", "4", "r1*s2 + r2", "s1^2*r2 + s2"],
+     (0, "1 + 4*r2*s2 + 2*r2*s1*s2 - r1*s1^2 + 4*r1*r2*s1^2*s2\n", "")),
+], ids=["transport-r1-s1", "transport-r1s1-s1", "poisson-n2-l4"])
+def test_bracket_commands_print_the_pinned_output(argv, want):
+    # exit code, stdout and stderr byte for byte.  Each runs in a fresh
+    # process, as the command does: the approx noise depends on the
+    # precision that earlier embeddings in the process left cached.
+    _, out = _run_in_1gib_child(argv)
+    assert (out.returncode, out.stdout, out.stderr) == want
+
+
 @pytest.mark.parametrize("argv", [
     ["transport", "--n", "1", "r1^9999", "s1"],
     ["transport", "--n", "1", "r1", "s1", "--primes", "3,5,257"],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from qweyl import (
     NotCentralError,
     PoissonContext,
     bracket_of_lifts,
+    cyclotomic_polynomial,
     embed,
     is_central,
     lift,
@@ -25,6 +27,7 @@ from qweyl import (
     theta,
     transported_bracket,
 )
+from qweyl.scalars import euler_phi
 
 
 def _random_central(rng, ctx, max_terms=3):
@@ -170,16 +173,19 @@ def test_bracket_axioms_random(rng):
 def test_bracket_independent_of_lift(rng):
     for level in (2, 3, 5):
         ctx = AlgebraContext.root_of_unity(1, level)
-        eps = Jet(Cyclo.zero(level), Cyclo.one(level))
+        # Phi_l(t) and t^l - 1 vanish at q, so they change a lift but not
+        # its value
+        vanishing = [Jet(level, cyclotomic_polynomial(level)), Jet.t_power(level, level) - 1]
         for _ in range(6):
             P = _random_central(rng, ctx)
             Q = _random_central(rng, ctx)
             br = poisson_bracket(P, Q)
             junk = lift(ctx.from_terms({
                 ((rng.randint(0, 3),), (rng.randint(0, 3),)): Fraction(rng.randint(-3, 3))
-            })).scale(eps)
-            assert bracket_of_lifts(lift(P) + junk, lift(Q)) == br
-            assert bracket_of_lifts(lift(P), lift(Q) + junk) == br
+            }))
+            for eps in vanishing:
+                assert bracket_of_lifts(lift(P) + junk.scale(eps), lift(Q)) == br
+                assert bracket_of_lifts(lift(P), lift(Q) + junk.scale(eps)) == br
 
 
 def test_bracket_of_bad_lifts_raises():
@@ -383,3 +389,71 @@ def test_bracket_at_non_principal_roots():
         coef = (level * (q - Cyclo.one(level))) * fact.inverse()
         br = poisson_bracket(ctx.monomial((0,), (level,)), ctx.monomial((level,), (0,)))
         assert br == ctx.one() + ctx.monomial((level,), (level,), coef)
+
+
+# ---------------------------------------------------------------------------
+# oracle from the generic algebra: the bracket is lambda_q times the
+# derivative at q of the commutator of rational Laurent lifts
+# ---------------------------------------------------------------------------
+
+
+def _laurent_lift(a, sym):
+    """a with each coefficient sum_k c_k zeta^k lifted to the Laurent
+    polynomial sum_k c_k t^(k / qpow mod l) over Q, whose value at
+    q = zeta^qpow it is."""
+    level = a.context.level
+    inv = pow(a.context.qpow, -1, level)
+    return sym.from_terms({
+        key: LaurentPoly({k * inv % level: f for k, f in enumerate(c.coefficients())})
+        for key, c in a.terms.items()
+    })
+
+
+def _bracket_by_derivative(p, q):
+    """lambda_q w'(q) for each coefficient w of the commutator of the
+    lifts, which must vanish at q; [l]! and Jet take no part."""
+    from qweyl import WeylElement
+    from qweyl.poisson import _poisson_context
+
+    ctx = p.context
+    level, qpow = ctx.level, ctx.qpow
+    sym = AlgebraContext.symbolic(ctx.n)
+    lp, lq = _laurent_lift(p, sym), _laurent_lift(q, sym)
+    lam = _poisson_context(level, qpow).lam
+    out = {}
+    for key, w in (mul(lp, lq) - mul(lq, lp)).terms.items():
+        assert not specialize(w, level, qpow)
+        slope = LaurentPoly({e - 1: e * c for e, c in w.coeffs.items()})
+        out[key] = lam * specialize(slope, level, qpow)
+    return WeylElement(ctx, out)
+
+
+def _central_with_cyclotomic_coefficients(rng, ctx):
+    """Two or three monomials x_i^(l a) d_j^(l b), a and b 0 or 1, with
+    coefficients that are not rational."""
+    n, level = ctx.n, ctx.level
+    out = ctx.zero()
+    for _ in range(rng.randint(2, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        al = tuple(level * rng.randint(0, 1) * (k == i) for k in range(n))
+        be = tuple(level * rng.randint(0, 1) * (k == j) for k in range(n))
+        c = Cyclo(level, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(euler_phi(level))])
+        out = out + ctx.monomial(al, be, c)
+    return out
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_bracket_matches_the_derivative_of_the_generic_commutator(level):
+    rng = random.Random(level)
+    for qpow in range(1, level):
+        if math.gcd(qpow, level) != 1:
+            continue
+        for n in (1, 2):
+            ctx = AlgebraContext.root_of_unity(n, level, qpow)
+            # x1^l and d1^l make the bracket nonzero
+            unit, zero = (level,) + (0,) * (n - 1), (0,) * n
+            p = _central_with_cyclotomic_coefficients(rng, ctx) + ctx.monomial(unit, zero)
+            q = _central_with_cyclotomic_coefficients(rng, ctx) + ctx.monomial(zero, unit)
+            br = poisson_bracket(p, q)
+            assert br and br == _bracket_by_derivative(p, q)

@@ -14,7 +14,7 @@ from qweyl.scalars import (
     Jet,
     LaurentPoly,
     _CYCLO_CACHE,
-    _conv,
+    _product,
     cyclotomic_polynomial,
     embed,
     euler_phi,
@@ -26,7 +26,7 @@ from qweyl.weylcore import AlgebraContext, power
 
 
 # ---------------------------------------------------------------------------
-# integer convolution (every Cyclo product runs through it)
+# integer convolution (every Cyclo and Jet product runs through it)
 # ---------------------------------------------------------------------------
 
 
@@ -36,11 +36,14 @@ from qweyl.weylcore import AlgebraContext, power
 )
 @settings(max_examples=120, deadline=None)
 def test_conv_backends_agree(a, b):
+    # shifted sums when a factor has at most two nonzero entries, else one
+    # packed integer product
     expected = [
         sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
         for k in range(len(a) + len(b) - 1)
     ]
-    assert _conv(a, b) == expected
+    assert _product(a, b) == expected
+    assert _product(b, a) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +149,12 @@ def test_cyclo_field_axioms_random():
 
 def _powering_cases():
     cyclo = Cyclo(7, [1, Fraction(-1, 3), 0, 2])
-    jet = Jet(Cyclo(5, [Fraction(1, 2), 1]), Cyclo(5, [0, 2, 0, -1]))
+    jet = Jet(5, [Fraction(1, 2), 1, 0, 2, 0, 0, -1, 0, 0, Fraction(-3, 4)])
     monomial = LaurentPoly({3: Fraction(-2, 3)})
     ctx = AlgebraContext.symbolic(1)
     return [
         pytest.param(cyclo, Cyclo.one(7), cyclo.inverse(), id="cyclo"),
-        pytest.param(jet, Jet(Cyclo.one(5), Cyclo.zero(5)), jet.inverse(), id="jet"),
+        pytest.param(jet, Jet.one(5), None, id="jet"),
         pytest.param(LaurentPoly({-1: 2, 0: Fraction(1, 3), 2: -1}), LaurentPoly.one(), None,
                      id="laurent"),
         pytest.param(monomial, LaurentPoly.one(), LaurentPoly({-3: Fraction(-3, 2)}),
@@ -353,21 +356,32 @@ def test_embed_error_bound_under_cancellation():
 
 def test_jet_ring_rules():
     lv = 5
-    z = Cyclo.zeta(lv)
-    t = Jet(z, Cyclo.one(lv))  # t = zeta + (t - zeta)
-    # derivative of t^3 at zeta is 3 zeta^2
+    t = Jet(lv, [0, 1])
+    # t^l = 1 + (t^l - 1) and (t^l - 1)^2 = 0, so t^(m l + r) = m t^(l+r) - (m-1) t^r
+    assert (t ** lv - 1) * (t ** lv - 1) == 0
+    assert t ** (2 * lv) == 2 * t ** lv - 1
+    assert t ** (3 * lv + 2) == 3 * t ** (lv + 2) - 2 * t ** 2
+    assert Jet(lv, [1] * (3 * lv)) == Jet(lv, [0] * lv + [3] * lv)  # 1 + t^l + t^2l = 3 t^l
+    # the value and derivative of t^3 at every primitive root q are q^3, 3 q^2
     cube = t * t * t
-    assert cube.val == z ** 3
-    assert cube.dt == 3 * z ** 2
-    inv = t.inverse()
-    assert (t * inv).val == 1 and not (t * inv).dt
+    for qpow in (1, 2, 3, 4):
+        q = Cyclo.zeta(lv, qpow)
+        assert cube.at_root(qpow) == (q ** 3, 3 * q ** 2)
+    with pytest.raises(ValueError):
+        t ** -1
 
 
 def test_jet_matches_divided_difference():
-    # for p(t) = 2 t^2 - t: p(z) and p'(z)
+    # for p(t) = 2 t^2 - t: p(q) and p'(q), also through the reduction of
+    # t^(2l + 1) = 2 t^(l+1) - t (its derivative at q is 2l + 1 times q^(2l))
     lv = 7
-    z = Cyclo.zeta(lv)
-    t = Jet(z, Cyclo.one(lv))
+    t = Jet(lv, [0, 1])
     p = 2 * (t * t) - t
-    assert p.val == 2 * z ** 2 - z
-    assert p.dt == 4 * z - 1
+    for qpow in (1, 3, 6):
+        q = Cyclo.zeta(lv, qpow)
+        assert p.at_root(qpow) == (2 * q ** 2 - q, 4 * q - 1)
+        assert (t ** (2 * lv + 1)).at_root(qpow) == (q, (2 * lv + 1) * q ** (2 * lv))
+    # lifting a cyclotomic number keeps its value at its root
+    c = Cyclo(lv, [Fraction(1, 3), 0, -2, 5])
+    for qpow in (1, 3, 6):
+        assert Jet.lift(c, qpow).at_root(qpow)[0] == c

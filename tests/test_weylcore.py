@@ -539,11 +539,11 @@ def _split(total):
     return [total - total // 3, total // 3]
 
 
-def _packed_sum(level, lhs, rhs):
+def _packed_sum(lhs, rhs):
     """sum(a * b for a in lhs for b in rhs) by one step of the power
-    chain's packer: lhs are the start values, rhs one group of integral
-    scaled row values, and level None packs Laurent polynomials."""
-    packer = PackedPowers(level, rhs, lhs)
+    chain's packer: lhs are the start values and rhs one group of integral
+    scaled row values, Cyclo or Laurent polynomials."""
+    packer = PackedPowers(rhs, lhs)
     values, norm = packer.start(dict(enumerate(lhs)))
     packed = packer.step(values.values(), norm * packer.norm(rhs))
     acc = sum(a * b for a in packed for b in packer.group(0, rhs))
@@ -577,7 +577,7 @@ def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
         z = lambda e: Cyclo.zeta(level, e)
         lhs = [sign * Fraction(c, 7) * (z(1) - z(j)) for c in _split(lhs_sum)]
         rhs = [z(d - 1)] * rhs_sum
-        got = _packed_sum(level, lhs, rhs)
+        got = _packed_sum(lhs, rhs)
         assert got == sum(a * b for a in lhs for b in rhs)
         assert got == sign * Fraction(lhs_sum * rhs_sum, 7) * (z(d) - z(d - 1 + j))
 
@@ -601,7 +601,7 @@ def test_packed_laurent_slot_at_the_width_bound(lhs_sum, rhs_sum, parts, sign):
            for c in _split(lhs_sum)]
     rhs = [LaurentPoly({5: rhs_sum // parts + (i < rhs_sum % parts)}) for i in range(parts)]
     rhs = [b for b in rhs if b]  # scaled rows hold no zero
-    got = _packed_sum(None, lhs, rhs)
+    got = _packed_sum(lhs, rhs)
     assert got == sum((a * b for a in lhs for b in rhs), LaurentPoly.zero())
     bound = Fraction(sign * lhs_sum * rhs_sum, 7)
     assert got.coeffs == {2: bound, 3: bound}
@@ -682,12 +682,13 @@ def _chain_bases(ctx):
     (AlgebraContext.root_of_unity(1, 31), 4),
     (AlgebraContext.root_of_unity(2, 9), 4),
     (AlgebraContext.first_order_at_root(1, 5), 4),
+    (AlgebraContext.first_order_at_root(2, 6, 5), 3),
 ], ids=repr)
 def test_power_chain_matches_repeated_plain_products(ctx, top):
     # Levels 3, 7, 31 (prime), 8 and 9 (prime powers) reduce mod the
     # cyclotomic polynomial inside the packed integer; 6, 12 and 15 read
-    # their slots and reduce them in Python.  First-order expansions keep
-    # plain products.
+    # their slots and reduce them in Python, as do first-order expansions,
+    # residues mod Phi_l^2, which fold by t^(2l) = 2 t^l - 1, not t^l = 1.
     left, right = _chain_bases(ctx)
     assert _expansions(left)[0] > _expansions(left)[1]
     assert _expansions(right)[0] < _expansions(right)[1]
