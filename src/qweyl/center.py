@@ -12,6 +12,7 @@ from .weylcore import (
     ROOT,
     AlgebraContext,
     WeylElement,
+    _check_pairs,
     _unit,
     mul,
 )
@@ -51,6 +52,7 @@ class CenterPoly:
     def __init__(self, n: int, coeffs: Optional[Mapping[ExpPair, object]] = None):
         if n < 1:
             raise ValueError("need at least one variable pair")
+        _check_pairs(n)
         clean: Dict[ExpPair, object] = {}
         if coeffs:
             for (a, b), c in coeffs.items():
@@ -86,6 +88,7 @@ class CenterPoly:
 
     @classmethod
     def constant(cls, n: int, c) -> "CenterPoly":
+        _check_pairs(n)
         z = (0,) * n
         return cls(n, {(z, z): c})
 

@@ -22,12 +22,13 @@ through the parser on every exact normal form.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .center import CenterPoly, _center_mono
-from .scalars import Cyclo, LaurentPoly, _scalar_invert
+from .scalars import Cyclo, LaurentPoly
 from .weylcore import (
     SYMBOLIC,
     AlgebraContext,
@@ -242,12 +243,11 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
                 raise ParseError(str(err), node[3]) from None
         if not base.is_scalar():
             raise ParseError("negative power of a non-invertible element", node[3])
-        value = base.scalar_value()
         try:
-            inv = _scalar_invert(value)
+            value = base.scalar_value() ** e
         except (ZeroDivisionError, ValueError):
             raise ParseError("negative power of a non-invertible scalar", node[3]) from None
-        return ctx.scalar_element(inv ** -e)
+        return ctx.scalar_element(value)
     raise AssertionError(f"unknown node {op}")
 
 
@@ -274,7 +274,7 @@ def _eval_product(factors, ctx: AlgebraContext) -> WeylElement:
                 alpha = [a + b for a, b in zip(alpha, al)]
                 beta = [a + b for a, b in zip(beta, be)]
                 if c != one:
-                    coeff = coeff * c
+                    coeff = c if coeff is one else coeff * c
                 continue
         acc = ctx.monomial(alpha, beta, coeff) * value
     return ctx.monomial(alpha, beta, coeff) if acc is None else acc
@@ -363,44 +363,24 @@ def _eval_center(node, n: int) -> CenterPoly:
 # ---------------------------------------------------------------------------
 
 
-def _rational_text(c: Fraction) -> Tuple[str, bool]:
-    """(body without sign, is_negative)"""
-    neg = c < 0
-    c = abs(c)
-    body = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return body, neg
+def _rational_text(num: int, den: int) -> Tuple[str, bool]:
+    """(body without sign, is_negative) of num / den, for den > 0."""
+    g = math.gcd(num, den)
+    body, den = str(abs(num) // g), den // g
+    return (body if den == 1 else f"{body}/{den}"), num < 0
 
 
-def _cyclo_pieces(c: Cyclo) -> List[Tuple[str, bool]]:
+def _vector_pieces(c, var: str) -> List[Tuple[str, bool]]:
+    """The terms of sum_k c.num[k] var^(c.low + k) / c.den: a Cyclo in q or
+    a LaurentPoly in t."""
     pieces = []
-    for j, num in enumerate(c.num):
+    for e, num in enumerate(c.num, c.low):
         if not num:
             continue
-        coef = Fraction(num, c.den)
-        body, neg = _rational_text(coef)
-        if j == 0:
-            pieces.append((body, neg))
-        else:
-            zj = "q" if j == 1 else f"q^{j}"
-            pieces.append((zj if body == "1" else f"{body}*{zj}", neg))
-    return pieces
-
-
-def _laurent_pieces(p: LaurentPoly) -> List[Tuple[str, bool]]:
-    pieces = []
-    for e in sorted(p.coeffs):
-        c = p.coeffs[e]
-        te = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-        if isinstance(c, Cyclo):
-            inner = _cyclo_pieces(c)
-            if len(inner) == 1:
-                body, neg = inner[0]
-            else:
-                body, neg = "(" + _join_pieces(inner) + ")", False
-        else:
-            body, neg = _rational_text(c)
-        if te:
-            body = te if body == "1" else f"{body}*{te}"
+        body, neg = _rational_text(num, c.den)
+        if e:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if body == "1" else f"{body}*{power}"
         pieces.append((body, neg))
     return pieces
 
@@ -417,11 +397,11 @@ def _join_pieces(pieces: List[Tuple[str, bool]]) -> str:
 
 def _scalar_pieces(c) -> List[Tuple[str, bool]]:
     if isinstance(c, Fraction):
-        return [_rational_text(c)]
+        return [_rational_text(c.numerator, c.denominator)]
     if isinstance(c, Cyclo):
-        return _cyclo_pieces(c)
+        return _vector_pieces(c, "q")
     if isinstance(c, LaurentPoly):
-        return _laurent_pieces(c)
+        return _vector_pieces(c, "t")
     return [(str(c), False)]
 
 

@@ -5,9 +5,12 @@ scalars can be shared freely across threads.  All exact domains have decidable
 equality, which the normal-form layers above rely on; floating point enters
 only through explicit embeddings used for limit detection.
 
-The algebra's products and powers multiply and sum cyclotomic numbers, or
-Laurent polynomials over Q, as Kronecker-packed integers (PackedPowers), in
-one slot codec (_SlotCodec) for both domains.
+Cyclotomic numbers (Cyclo), first-order expansions (Jet) and Laurent
+polynomials over Q (LaurentPoly) are all stored as integer vectors over a
+positive denominator with content 1 (_lowest_terms), and share one
+arithmetic: their products multiply the vectors by _product, and the
+algebra's products and powers multiply and sum them as Kronecker-packed
+integers (PackedPowers), in one slot codec (_SlotCodec) for every domain.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from operator import sub
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -288,6 +292,21 @@ def _product(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
+def _lowest_terms(num: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
+    """(num, den) for the vector num / den, with den positive and
+    gcd(den, *num) = 1, so den = 1 for zero: the normal form of every
+    coordinate vector of the tower."""
+    if den < 0:
+        den = -den
+        num = [-c for c in num]
+    if den > 1:  # den == 1 forces content gcd 1, nothing to cancel
+        g = math.gcd(den, *num)
+        if g > 1:
+            den //= g
+            num = [c // g for c in num]
+    return num, den
+
+
 class _Residue:
     """Element of Q[z]/(f) for the monic integer polynomial f of a class and
     level (_LevelData), the one arithmetic of Cyclo and Jet.
@@ -295,10 +314,12 @@ class _Residue:
     The residue is stored reduced mod f as an integer vector of deg f
     coordinates over a positive common denominator with content 1, so
     equality is a plain tuple comparison.  Each subclass names its ring by
-    _data.
+    _data.  low, the exponent of the first coordinate, is always 0:
+    PackedPowers reads low and den of every value, as of a LaurentPoly.
     """
 
     __slots__ = ("level", "num", "den")
+    low = 0
 
     def __init__(self, level: int, coeffs: Iterable[RationalLike], den: int = 1):
         data = self._data(level)
@@ -329,16 +350,7 @@ class _Residue:
 
     @classmethod
     def _normalized(cls, level: int, num: List[int], den: int):
-        if den < 0:
-            den = -den
-            num = [-c for c in num]
-        if den > 1:  # den == 1 forces content gcd 1, nothing to cancel
-            g = math.gcd(den, *num)
-            if g > 1:
-                den //= g
-                num = [c // g for c in num]
-            if not any(num):
-                den = 1
+        num, den = _lowest_terms(num, den)
         return cls._raw(level, tuple(num), den)
 
     # construction helpers -------------------------------------------------
@@ -550,18 +562,21 @@ class Cyclo(_Residue):
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+def _at_root(num: Sequence[int], low: int, den: int, level: int, qpow: int) -> Cyclo:
+    """sum_k num[k] q^(low + k) / den at q = zeta_level^qpow, as a Cyclo:
+    the coordinates are added into one vector of level entries, since
+    q^level = 1, which is reduced once."""
+    data = _leveldata(level)  # checks the level before the vector is made
+    vec = [0] * level
+    for e, c in enumerate(num, low):
+        if c:
+            vec[e * qpow % level] += c
+    return Cyclo._normalized(level, _reduce_vec(vec, data), den)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker-packed sums of products
 # ---------------------------------------------------------------------------
-
-
-def _residue_value(codec: "_SlotCodec", data: _LevelData, vec, den: int) -> _Residue:
-    """The Cyclo or Jet of a reduced value over den: a packed value of
-    degree slots, or a coordinate list."""
-    if type(vec) is int:
-        d = data.degree
-        vec = list(codec.read(vec + codec.flip(d), d))
-    return data.kind._normalized(data.level, vec, den)
 
 
 def _residue_reducer(codec: "_SlotCodec", data: _LevelData):
@@ -619,19 +634,6 @@ def _over(v: _Residue, den: int) -> Sequence[int]:
     return v.num if f == 1 else [c * f for c in v.num]
 
 
-def _laurent_sum(codec: "_SlotCodec", low: int, den: int, acc: int) -> "LaurentPoly":
-    n = codec.slots(acc)
-    vals = codec.read(acc + codec.flip(n), n)
-    if den == 1:
-        return LaurentPoly._raw({e: c for e, c in enumerate(vals, low) if c})
-    coeffs = {}
-    for e, c in enumerate(vals, low):
-        if c:
-            q, r = divmod(c, den)
-            coeffs[e] = Fraction(c, den) if r else q
-    return LaurentPoly._raw(coeffs)
-
-
 def _slot_codec(bound: int) -> "_SlotCodec":
     """The codec whose signed slots hold every integer of absolute value at
     most 2 * bound, for bound the slot bound of a PackedPowers step or of
@@ -656,7 +658,8 @@ class PackedPowers:
     """The coefficients of a power chain start * base**k, kept as packed
     ints between its steps: cyclotomic numbers or first-order expansions
     (Cyclo or Jet) at a level, or Laurent polynomials over Q, as the base's
-    coefficients are.
+    coefficients are.  Each is an integer vector num from t^low (low = 0
+    for a Cyclo or Jet) over a denominator den.
 
     Kronecker substitution (Harvey, arXiv:0712.4046): an integer vector is
     evaluated at 2**bits, so one C-level integer product stands for a
@@ -665,9 +668,9 @@ class PackedPowers:
     coefficients are the base's times den, their common denominator
     (scaled).  So every value is an integer vector, and the k-th value is
     divided by den0 * den**k once, when it is unpacked.  A Laurent value is
-    its coefficients from t^(low0 + k * low) up, for low0 and low the lowest exponents of the
-    start and of the base; low also bounds the exponents of every scaled
-    row.
+    its coefficients from t^(low0 + k * low) up, for low0 and low the lowest
+    exponents of the start and of the base; low also bounds the exponents
+    of every scaled row.
 
     In a step each term's value a meets the scaled row values b of one
     group, each at most once.  A coordinate of a * b is at most
@@ -685,35 +688,21 @@ class PackedPowers:
     def __init__(self, coeffs: Sequence, start: Sequence):
         c = coeffs[0]
         self.data = None if isinstance(c, LaurentPoly) else c._data(c.level)
-        self.den, self.low = self._common(coeffs)
-        self.den0, self.low0 = self._common(start)
+        self.den, self.low = math.lcm(*(c.den for c in coeffs)), min(c.low for c in coeffs)
+        self.den0, self.low0 = math.lcm(*(c.den for c in start)), min(c.low for c in start)
         self.codec = None
         self.groups: Dict[object, List[int]] = {}
 
-    def _common(self, values: Sequence) -> Tuple[int, int]:
-        """The common denominator of values and, for Laurent values, their
-        lowest exponent (0 for coordinate vectors)."""
-        if self.data:
-            return math.lcm(*(c.den for c in values)), 0
-        return (math.lcm(*(c.denominator for p in values for c in p.coeffs.values())),
-                min(min(p.coeffs) for p in values))
-
     def scaled(self, c):
         """The integral multiple c * den of a base coefficient."""
-        if self.data:
-            return c._raw(c.level, tuple(_over(c, self.den)), 1)
-        return LaurentPoly._raw({e: v.numerator * (self.den // v.denominator)
-                                 for e, v in c.coeffs.items()})
+        num = tuple(_over(c, self.den))
+        return c._raw(c.level, num, 1) if self.data else LaurentPoly._normalized(c.low, num, 1)
 
     def _vec(self, c, den: int, low: int) -> Sequence[int]:
-        """The integer vector of c * den: its coordinates, or its
-        coefficients from t^low up."""
-        if self.data:
-            return _over(c, den)
-        vec = [0] * (max(c.coeffs) - low + 1)
-        for e, v in c.coeffs.items():
-            vec[e - low] = v.numerator * (den // v.denominator)
-        return vec
+        """The integer vector of c * den from t^low up: a Cyclo's or Jet's
+        coordinates, or a Laurent value's coefficients shifted by c.low - low."""
+        vec = _over(c, den)
+        return [0] * (c.low - low) + list(vec) if c.low > low else vec
 
     def start(self, terms: Mapping) -> Tuple[Dict, int]:
         """(values, norm) of the start terms, as settle gives them: each
@@ -727,7 +716,7 @@ class PackedPowers:
 
     def norm(self, coeffs: Sequence) -> int:
         """sum |b_i| over the coordinates of a group of scaled row values."""
-        return sum(sum(map(abs, self._vec(c, 1, self.low))) for c in coeffs)
+        return sum(sum(map(abs, c.num)) for c in coeffs)
 
     def step(self, values: Iterable, bound: int) -> List[int]:
         """The packed values of a step whose slot sums are at most bound."""
@@ -771,11 +760,13 @@ class PackedPowers:
         return out, norm
 
     def unpack(self, v, k: int):
-        """The value v of start * base**k as a scalar."""
-        den, codec = self.den0 * self.den ** k, self.codec
-        if not self.data:
-            return _laurent_sum(codec, self.low0 + k * self.low, den, v)
-        return _residue_value(codec, self.data, v, den)
+        """The value v of start * base**k, a packed value or a coordinate
+        list as settle gives it, as a scalar."""
+        den, data = self.den0 * self.den ** k, self.data
+        vec = self._read(self.codec, v) if type(v) is int else v
+        if data:
+            return data.kind._normalized(data.level, vec, den)
+        return LaurentPoly._normalized(self.low0 + k * self.low, vec, den)
 
 
 # struct codes of the signed and unsigned limbs of each size in bytes
@@ -852,177 +843,207 @@ _CODECS: Dict[Tuple[int, int], _SlotCodec] = {}
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in the single deformation variable t.
+# Longest coefficient vector of a Laurent polynomial, in powers of t.  A
+# power that passes weylcore's cost guard (POWER_COST_LIMIT) has a shorter
+# one; a sum such as t^(10^11) + 1 would ask for a list of 10^11 entries.
+MAX_SPAN = 1 << 24
 
-    Coefficients are rationals or cyclotomic elements; the scalars of a
-    symbolic algebra are the rational ones only, which the algebra's
-    products pack (PackedPowers).  Exponents may be negative.  Zero coefficients
-    are never stored.  Integral rationals are stored as Python ints and
-    Fraction holds only non-integral ones, so integer sums and products
-    stay in fast int arithmetic.  An int equals
-    and hashes like the Fraction of the same value, so equality and hashing
-    do not depend on which of the two a coefficient is.
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise ValueError(f"a Laurent polynomial spanning {span} powers of t "
+                         f"exceeds the span bound {MAX_SPAN}")
+
+
+def _rational(c) -> RationalLike:
+    """c, which must be an int or a Fraction, as a Laurent coefficient."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"Laurent polynomials are over Q, not over {type(c).__name__}")
+    return c
+
+
+class LaurentPoly:
+    """Laurent polynomial over Q in the single deformation variable t.
+
+    Stored as a Cyclo is: low, the lowest exponent, and num, the integer
+    coefficients of t^low, t^(low + 1), ... with no zero at either end,
+    over den, a positive denominator with content 1 (gcd(den, *num) = 1).
+    Zero is num = () at low = 0, so equality compares the three fields.
+    Products multiply the vectors by _product: shifted sums when a factor
+    has at most two terms, else one Kronecker-packed product; the algebra's
+    products pack them (PackedPowers).  coeffs reads the value as a map
+    from exponent to coefficient, with integral coefficients as int.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("low", "num", "den")
 
-    def __init__(self, coeffs: Optional[Mapping[int, object]] = None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = _integral(c)
-                if c:
-                    d[int(e)] = c
-        object.__setattr__(self, "coeffs", d)
+    def __new__(cls, coeffs: Optional[Mapping[int, RationalLike]] = None):
+        items = [(int(e), _rational(c)) for e, c in coeffs.items()] if coeffs else []
+        low = min((e for e, _ in items), default=0)
+        span = max((e for e, _ in items), default=low - 1) - low + 1
+        _check_span(span)
+        den = math.lcm(*(c.denominator for _, c in items))
+        vec = [0] * span
+        for e, c in items:
+            vec[e - low] += c.numerator * (den // c.denominator)
+        return cls._normalized(low, vec, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly values are immutable")
 
-    @staticmethod
-    def _raw(coeffs: Dict[int, object]) -> "LaurentPoly":
-        """Wrap a dict that already holds no zero coefficient."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
+    @classmethod
+    def _normalized(cls, low: int, num: Sequence[int], den: int) -> "LaurentPoly":
+        """The value sum_k num[k] t^(low + k) / den, with the zeros at both
+        ends of num dropped and in lowest terms."""
+        if not (num and num[0] and num[-1]):
+            end = len(num)
+            while end and not num[end - 1]:
+                end -= 1
+            start = 0
+            while start < end and not num[start]:
+                start += 1
+            num = num[start:end]
+            low = low + start if num else 0
+        if den != 1:
+            num, den = _lowest_terms(num, den)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "low", low)
+        object.__setattr__(obj, "num", tuple(num))
+        object.__setattr__(obj, "den", den)
+        return obj
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._normalized(0, (), 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._normalized(0, (1,), 1)
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
+        return cls.t_power(0, c)
 
     @classmethod
     def t_power(cls, e: int, c=1) -> "LaurentPoly":
-        return cls({e: c})
+        return cls._normalized(int(e), (_rational(c).numerator,), c.denominator)
 
     # queries ----------------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    @property
+    def coeffs(self) -> Mapping[int, RationalLike]:
+        """Read-only map of the nonzero coefficients by exponent, ascending;
+        integral coefficients are ints, the others Fractions."""
+        den, out = self.den, {}
+        for e, c in enumerate(self.num, self.low):
+            if c:
+                q, r = divmod(c, den)
+                out[e] = Fraction(c, den) if r else q
+        return MappingProxyType(out)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
+    def __bool__(self):
+        return bool(self.num)
 
     def constant_value(self):
         return self.coeffs.get(0, 0)
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.num) == 1
 
     def min_exponent(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
+        return self.low
 
     def max_exponent(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
+        return self.low + len(self.num) - 1 if self.num else 0
 
     # arithmetic ---------------------------------------------------------------
+
+    def _plus(self, o: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * o."""
+        if not o.num:
+            return self
+        if not self.num:
+            return o if sign > 0 else -o
+        low = min(self.low, o.low)
+        span = max(self.low + len(self.num), o.low + len(o.num)) - low
+        _check_span(span)
+        vec = [0] * span
+        i, j, k = self.low - low, o.low - low, o.low - low + len(o.num)
+        vec[i:i + len(self.num)] = [o.den * c for c in self.num]
+        f = sign * self.den
+        vec[j:k] = [a + f * c for a, c in zip(vec[j:k], o.num)]
+        return LaurentPoly._normalized(low, vec, self.den * o.den)
 
     def __add__(self, other):
         other = _as_laurent(other)
         if other is None:
             return NotImplemented
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = d.get(e)
-            s = c if cur is None else _integral(cur + c)
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        return LaurentPoly._raw(d)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._normalized(self.low, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = _as_laurent(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _as_laurent(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            d: Dict[int, object] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    p = _integral(c1 * c2)
-                    cur = d.get(e)
-                    s = p if cur is None else _integral(cur + p)
-                    if s:
-                        d[e] = s
-                    else:
-                        d.pop(e, None)
-            return LaurentPoly._raw(d)
-        if isinstance(other, (int, Fraction, Cyclo)):
-            if not other:
+            if not (self.num and other.num):
                 return LaurentPoly.zero()
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            _check_span(len(self.num) + len(other.num) - 1)
+            return LaurentPoly._normalized(self.low + other.low, _product(self.num, other.num),
+                                           self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly._normalized(self.low, [c * other.numerator for c in self.num],
+                                           self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
         if self.is_monomial():
-            (e, c), = self.coeffs.items()
-            if exponent < 0 and isinstance(c, int):
-                c = Fraction(c)
-            return LaurentPoly({e * exponent: c ** exponent})
+            c, den, k = self.num[0], self.den, exponent
+            if k < 0:
+                c, den, k = den, c, -k
+            return LaurentPoly._normalized(self.low * exponent, (c ** k,), den ** k)
         if exponent < 0:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
         return _power(self, exponent, LaurentPoly.one())
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, Cyclo)):
+            return self.low == other.low and self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction)):
             if not other:
-                return not self.coeffs
-            return self.is_constant() and self.constant_value() == other
+                return not self.num
+            return not self.low and self.num == (other.numerator,) and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.low, self.num, self.den))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            te = "" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if te:
-                bits.append(f"({c})*{te}")
-            else:
-                bits.append(f"({c})")
-        return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
-def _integral(c):
-    """c, with an integral Fraction turned into an int."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        bits = [f"({c})" + ("" if not e else "*t" if e == 1 else f"*t^{e}")
+                for e, c in self.coeffs.items()]
+        return "LaurentPoly(" + (" + ".join(bits) or "0") + ")"
 
 
 def _as_laurent(x) -> Optional[LaurentPoly]:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction, Cyclo)):
-        return LaurentPoly({0: x})
+    if isinstance(x, (int, Fraction)):
+        return LaurentPoly._normalized(0, (x.numerator,), x.denominator)
     return None
 
 
@@ -1075,30 +1096,9 @@ class Jet(_Residue):
     def at_root(self, qpow: int) -> Tuple[Cyclo, Cyclo]:
         """(w(q), w'(q)) at q = zeta^qpow, for w the residue's polynomial
         sum_e w_e t^e and w' = sum_e e w_e t^(e - 1) its formal derivative."""
-        level = self.level
-        value, slope = [0] * level, [0] * level
-        for e, c in enumerate(self.num):
-            if c:
-                value[e * qpow % level] += c
-                slope[(e - 1) * qpow % level] += e * c
-        data = _leveldata(level)
-        return (Cyclo._normalized(level, _reduce_vec(value, data), self.den),
-                Cyclo._normalized(level, _reduce_vec(slope, data), self.den))
-
-
-def _scalar_invert(v):
-    """Inverse of an exact scalar: a rational, Cyclo or monomial LaurentPoly.
-
-    Raises ZeroDivisionError on zero and ValueError on a Laurent polynomial
-    with more than one term.
-    """
-    if isinstance(v, (int, Fraction)):
-        return 1 / Fraction(v)
-    if isinstance(v, Cyclo):
-        return v.inverse()
-    if isinstance(v, LaurentPoly):
-        return v ** -1
-    raise TypeError(f"cannot invert {type(v).__name__}")
+        num, den, level = self.num, self.den, self.level
+        return (_at_root(num, 0, den, level, qpow),
+                _at_root([e * c for e, c in enumerate(num)], -1, den, level, qpow))
 
 
 # ---------------------------------------------------------------------------
@@ -1110,22 +1110,13 @@ def qint(m: int) -> LaurentPoly:
     """The quantum integer 1 + t + ... + t^(m-1); zero for m = 0."""
     if m < 0:
         raise ValueError("quantum integers are defined for m >= 0")
-    return LaurentPoly({j: 1 for j in range(m)})
+    return LaurentPoly._normalized(0, (1,) * m, 1)
 
 
 def specialize(p: LaurentPoly, level: int, qpow: int = 1) -> Cyclo:
-    """Evaluate a Laurent polynomial at the chosen primitive root of unity.
-
-    Rational coefficients land in Q(zeta_level); cyclotomic coefficients must
-    already live there.  This is a ring homomorphism.
-    """
-    if level < 1:
-        raise ValueError("level must be positive")
-    acc = Cyclo.zero(level)
-    for e, c in p.coeffs.items():
-        z = Cyclo.zeta(level, (e * qpow) % level)
-        acc = acc + c * z
-    return acc
+    """Evaluate a Laurent polynomial at the root of unity zeta_level^qpow,
+    a ring homomorphism into Q(zeta_level)."""
+    return _at_root(p.num, p.low, p.den, level, qpow)
 
 
 def embed(value) -> complex:

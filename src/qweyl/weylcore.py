@@ -6,9 +6,10 @@ x-factors to the left of all d-factors.  Three coefficient domains are
 supported, all exact: Laurent polynomials in t over Q (the generic
 algebra), cyclotomic numbers at a fixed primitive root of unity, and
 first-order expansions around such a root (for divided differences), which
-are residues mod Phi_level(t)^2.  In each, products and powers multiply
-and sum coefficients as Kronecker-packed integers (scalars.PackedPowers):
-mul is one step of the power chain (_chain) that power and apply_endo run.
+are residues mod Phi_level(t)^2.  Each scalar is an integer vector over a
+denominator, and in each domain products and powers multiply and sum
+coefficients as Kronecker-packed integers (scalars.PackedPowers): mul is
+one step of the power chain (_chain) that power and apply_endo run.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ DEFAULT_DEGREE_LIMIT = 512
 POWER_COST_LIMIT = 25_000_000
 
 
+# Largest number of generator pairs.  Every monomial holds 2n exponents:
+# x1 alone took 0.28 s at n = 10^4, 7.2 s at 10^5 and over 5 minutes at
+# 10^6, and n = 10^8 ran out of memory; at this bound it takes 0.1 s on a
+# 2-core machine.
+MAX_PAIRS = 1 << 12
+
+
+def _check_pairs(n: int) -> None:
+    """Refuse, before any n-tuple is built, more than MAX_PAIRS pairs."""
+    if n > MAX_PAIRS:
+        raise ValueError(f"n = {n} exceeds the pair bound {MAX_PAIRS}")
+
+
 class ContextMismatchError(ValueError):
     """Operands live in different algebras."""
 
@@ -108,6 +122,7 @@ class AlgebraContext:
                  qpow: int = 1):
         if n < 1:
             raise ValueError("need at least one generator pair")
+        _check_pairs(n)
         if kind in (ROOT, JET):
             if level is None or level < 1:
                 raise ValueError("root-of-unity contexts need a positive level")
@@ -188,10 +203,7 @@ class AlgebraContext:
         """Coerce a rational (or domain value) into this context's scalars."""
         if self.kind == SYMBOLIC:
             if isinstance(x, LaurentPoly):
-                # the power chain packs rational coefficients only (PackedPowers)
-                if all(isinstance(c, (int, Fraction)) for c in x.coeffs.values()):
-                    return x
-                raise TypeError(f"symbolic scalars are Laurent polynomials over Q, not {x!r}")
+                return x
             if isinstance(x, (int, Fraction)):
                 return LaurentPoly.constant(x)
         elif self.kind == ROOT:
@@ -320,6 +332,7 @@ _CONTEXTS: Dict[tuple, "AlgebraContext"] = {}
 def _unit(n: int, i: int) -> Tuple[int, ...]:
     if not 1 <= i <= n:
         raise IndexError(f"generator index {i} out of range 1..{n}")
+    _check_pairs(n)
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
@@ -604,9 +617,11 @@ def power(a: WeylElement, k: int) -> WeylElement:
     would exceed the guard (QWEYL_MAX_DEGREE, default 512), or whose
     estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
     in which no pair carries both x and d commutes with itself and is
-    raised in closed form; any other base is multiplied up one factor at a
-    time: the power chain (_powers) builds a**(k-1), and mul multiplies it
-    by a.
+    raised in closed form, by the power of its coefficient; only a Laurent
+    coefficient of more than one term makes that cost more than a few
+    products, so the cost guard skips the others.  Any other base is
+    multiplied up one factor at a time: the power chain (_powers) builds
+    a**(k-1), and mul multiplies it by a.
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
@@ -619,14 +634,20 @@ def power(a: WeylElement, k: int) -> WeylElement:
     if len(a.terms) == 1:
         ((al, be), c), = a.terms.items()
         if not any(x and y for x, y in zip(al, be)):
+            if isinstance(c, LaurentPoly) and not c.is_monomial():
+                _check_power_cost(a, k)
             key = (tuple(k * x for x in al), tuple(k * y for y in be))
             return WeylElement(a.context, {key: c ** k})
+    _check_power_cost(a, k)
+    return mul(_powers(a, (k - 1,))[k - 1], a) if k else a.context.one()
+
+
+def _check_power_cost(a: WeylElement, k: int) -> None:
     cost = _power_cost(a, k)
     if cost > POWER_COST_LIMIT:
         raise DegreeLimitExceeded(
             f"power of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
         )
-    return mul(_powers(a, (k - 1,))[k - 1], a) if k else a.context.one()
 
 
 def _power_cost(a: WeylElement, k: int) -> int:

@@ -54,6 +54,54 @@ def test_qcomm(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["normalize", "--n", "1", "(1/2*t^-1*d1+2/3*x1*t^2)^6"],
+     "(5/27*t^3 + 2/9*t^4 + 1/9*t^5 + 1/27*t^6) + (1/4 + 13/36*t + 1/3*t^2 + 7/36*t^3"
+     " + 1/12*t^4 + 1/36*t^5)*d1^2 + (1/3*t^3 + 22/27*t^4 + 25/27*t^5 + 19/27*t^6"
+     " + 10/27*t^7 + 4/27*t^8 + 1/27*t^9)*x1*d1 + (4/9*t^6 + 52/81*t^7 + 16/27*t^8"
+     " + 28/81*t^9 + 4/27*t^10 + 4/81*t^11)*x1^2 + (5/48*t^-3 + 1/12*t^-2 + 1/16*t^-1"
+     " + 1/24 + 1/48*t)*d1^4 + (5/36 + 1/4*t + 1/3*t^2 + 7/18*t^3 + 5/18*t^4 + 1/6*t^5"
+     " + 1/12*t^6 + 1/36*t^7)*x1*d1^3 + (5/27*t^3 + 1/3*t^4 + 17/27*t^5 + 2/3*t^6"
+     " + 2/3*t^7 + 4/9*t^8 + 7/27*t^9 + 1/9*t^10 + 1/27*t^11)*x1^2*d1^2 + (20/81*t^6"
+     " + 4/9*t^7 + 16/27*t^8 + 56/81*t^9 + 40/81*t^10 + 8/27*t^11 + 4/27*t^12"
+     " + 4/81*t^13)*x1^3*d1 + (80/243*t^9 + 64/243*t^10 + 16/81*t^11 + 32/243*t^12"
+     " + 16/243*t^13)*x1^4 + 1/64*t^-6*d1^6 + (1/48*t^-3 + 1/48*t^-2 + 1/48*t^-1"
+     " + 1/48 + 1/48*t + 1/48*t^2)*x1*d1^5 + (1/36 + 1/36*t + 1/18*t^2 + 1/18*t^3"
+     " + 1/12*t^4 + 1/18*t^5 + 1/18*t^6 + 1/36*t^7 + 1/36*t^8)*x1^2*d1^4 + (1/27*t^3"
+     " + 1/27*t^4 + 2/27*t^5 + 1/9*t^6 + 1/9*t^7 + 1/9*t^8 + 1/9*t^9 + 2/27*t^10"
+     " + 1/27*t^11 + 1/27*t^12)*x1^3*d1^3 + (4/81*t^6 + 4/81*t^7 + 8/81*t^8 + 8/81*t^9"
+     " + 4/27*t^10 + 8/81*t^11 + 8/81*t^12 + 4/81*t^13 + 4/81*t^14)*x1^4*d1^2"
+     " + (16/243*t^9 + 16/243*t^10 + 16/243*t^11 + 16/243*t^12 + 16/243*t^13"
+     " + 16/243*t^14)*x1^5*d1 + 64/729*t^12*x1^6\n"),
+    (["normalize", "--n", "1", "t^-3*(d1+t*x1)^4"],
+     "(2*t^-1 + 1) + (3*t^-2 + 2*t^-1 + 1)*d1^2 + (3*t^-1 + 5 + 3*t + t^2)*x1*d1 + (3"
+     " + 2*t + t^2)*x1^2 + t^-3*d1^4 + (t^-2 + t^-1 + 1 + t)*x1*d1^3 + (t^-1 + 1 + 2*t"
+     " + t^2 + t^3)*x1^2*d1^2 + (1 + t + t^2 + t^3)*x1^3*d1 + t*x1^4\n"),
+    (["normalize", "--n", "1", "(2*t)^-2*x1"],
+     "1/4*t^-2*x1\n"),
+    (["normalize", "--n", "1", "t^-99999999999"],
+     "t^-99999999999\n"),
+    (["normalize", "--n", "1", "f^3"],
+     "1 + (-1 + t^3)*x1*d1 + (t - t^2 - t^4 + t^5)*x1^2*d1^2 + (-t^3 + 3*t^4 - 3*t^5"
+     " + t^6)*x1^3*d1^3\n"),
+    (["qcomm", "--n", "2", "(d1+x2)^2", "(x1+t*d2)^2"],
+     "(1 + t - t^3 - t^4) + (2*t + 2*t^2 - 2*t^3 - 2*t^4)*d1*d2"
+     " + (4*t - t^4 - 2*t^5 - t^6)*x2*d2 + (t - 2*t^2 + t^3)*x1*d1 + (2"
+     " + 2*t - 2*t^2 - 2*t^3)*x1*x2 + (t^2 - t^3)*d1^2*d2^2"
+     " + (2*t^2 - 2*t^5)*x2*d1*d2^2 + (t^2 - t^7)*x2^2*d2^2 + (-2*t^2"
+     " + 2*t^3)*x1*d1^2*d2 + (4*t^2 - 4*t^3)*x1*x2*d1*d2 + (2*t - 2*t^4)*x1*x2^2*d2"
+     " + (-t + t^4)*x1^2*d1^2 + (-2*t + 2*t^2)*x1^2*x2*d1 + (1 - t)*x1^2*x2^2\n"),
+    (["normalize", "--n", "1", "t^99999999999"], "t^99999999999\n"),
+    (["normalize", "--n", "1", "--l", "3", "q^99999999999999"], "1\n"),
+    (["normalize", "--n", "1", "x1^500"], "x1^500\n"),
+], ids=["laurent-fraction-power", "t-power-times-power", "inverse-power", "far-monomial",
+        "f-cubed", "qcomm-n2", "far-power", "far-root-power", "x-power"])
+def test_symbolic_commands_print_the_pinned_output(capsys, argv, want):
+    # Laurent coefficients with negative exponents, fractions, far exponents
+    # and cancellations, printed byte for byte
+    assert _capture(capsys, argv) == (0, want, "")
+
+
 def test_parse_error_is_exit_2(capsys):
     code, _, err = _capture(capsys, ["normalize", "--n", "1", "d1*)x1"])
     assert code == 2
@@ -440,6 +488,40 @@ def test_level_over_bound_is_exit_2_before_work(argv):
     assert seconds < 1.0
     assert (out.returncode, out.stdout, out.stderr) == (
         2, "", "error: level 1000000007 exceeds the level bound 65536\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--n", "99999999", "x1"],
+    ["center-check", "--n", "99999999", "--l", "3", "1"],
+    ["transport", "--n", "99999999", "r1", "s1"],
+])
+def test_pair_count_over_bound_is_exit_2_before_work(argv):
+    # every monomial holds 2n exponents: n = 10^8 would build tuples of
+    # 10^8 zeros before any arithmetic
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: n = 99999999 exceeds the pair bound 4096\n")
+
+
+@pytest.mark.parametrize("k", [5000, 99999])
+def test_scalar_power_over_cost_guard_is_exit_2_before_work(k):
+    # (1+t)^k is one term of degree 0, raised in closed form by the power
+    # of its coefficient, whose estimated cost is k*(k+1): 2000 passes
+    seconds, out = _run_in_1gib_child(["normalize", "--n", "1", f"(1+t)^{k}"])
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", f"error: power of estimated cost {k * (k + 1)} exceeds the guard 25000000"
+               " (at position 5)\n")
+
+
+def test_laurent_span_over_bound_is_exit_2_before_work():
+    # a Laurent polynomial is a dense vector from its lowest exponent up
+    seconds, out = _run_in_1gib_child(["normalize", "--n", "1", "t^99999999999 + 1"])
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: a Laurent polynomial spanning 100000000000 powers of t exceeds"
+               " the span bound 16777216\n")
 
 
 def test_json_output_deterministic(capsys):

@@ -26,7 +26,7 @@ from qweyl.weylcore import AlgebraContext, power
 
 
 # ---------------------------------------------------------------------------
-# integer convolution (every Cyclo and Jet product runs through it)
+# integer convolution (every Cyclo, Jet and LaurentPoly product runs through it)
 # ---------------------------------------------------------------------------
 
 
@@ -227,6 +227,96 @@ def test_laurent_arithmetic_stores_integral_results_as_int():
     for got, want in cases:
         assert got.coeffs == want
         assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.values()]
+
+
+def _ref_sum(a, b, sign=1):
+    """a + sign * b for {exponent: Fraction} maps with no zero value."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_power(a, k):
+    if k < 0:
+        (e, c), = a.items()
+        return {e * k: c ** k}
+    out = {0: Fraction(1)}
+    for _ in range(k):
+        out = _ref_product(out, a)
+    return out
+
+
+def _assert_matches(p, ref):
+    """p holds the value of the reference map, read through every query."""
+    assert p.coeffs == ref
+    assert list(p.coeffs) == sorted(ref)
+    assert all(type(c) is (int if ref[e].denominator == 1 else Fraction)
+               for e, c in p.coeffs.items())
+    assert (p.min_exponent(), p.max_exponent()) == (min(ref, default=0), max(ref, default=0))
+    assert p.constant_value() == ref.get(0, 0)
+    assert type(p.constant_value()) is (int if ref.get(0, Fraction(0)).denominator == 1 else Fraction)
+    assert bool(p) == bool(ref)
+    rebuilt = LaurentPoly(ref)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    if set(ref) <= {0}:
+        assert p == ref.get(0, 0)
+
+
+def test_laurent_matches_a_dict_reference():
+    rng = random.Random(17)
+    cases = [
+        {rng.randint(-6, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+         for _ in range(rng.randint(0, 6))}
+        for _ in range(30)
+    ]
+    cases += [
+        {1: Fraction(2, 4)},                      # content to cancel: 1/2 t
+        {-2: 1, 0: 1, 3: 1}, {-2: 1, 3: 1},       # their difference cancels at both ends
+        {-3: Fraction(-2, 3)}, {5: Fraction(7)},  # monomials, for negative powers
+        {}, {0: Fraction(-5, 3)},
+    ]
+    # the dense operands of the benchmark's Laurent kernel: 48-bit, degree 100
+    cases += [{e: Fraction(rng.randrange(1, 2 ** 48) * rng.choice((-1, 1))) for e in range(101)}
+              for _ in range(2)]
+    refs = [{e: Fraction(c) for e, c in case.items() if c} for case in cases]
+    polys = [LaurentPoly(case) for case in cases]
+    for p, ref in zip(polys, refs):
+        _assert_matches(p, ref)
+        _assert_matches(-p, {e: -c for e, c in ref.items()})
+        for k in range(4):
+            _assert_matches(p ** k, _ref_power(ref, k))
+        if len(ref) == 1:
+            for k in (-1, -2, -3):
+                _assert_matches(p ** k, _ref_power(ref, k))
+        else:
+            with pytest.raises(ValueError):
+                p ** -1
+    pairs = [(rng.randrange(len(cases)), rng.randrange(len(cases))) for _ in range(120)]
+    pairs += [(i, j) for i in range(len(cases) - 9, len(cases)) for j in range(len(cases) - 9, len(cases))]
+    for i, j in pairs:
+        p, q, a, b = polys[i], polys[j], refs[i], refs[j]
+        _assert_matches(p + q, _ref_sum(a, b))
+        _assert_matches(p - q, _ref_sum(a, b, -1))
+        _assert_matches(p * q, _ref_product(a, b))
+        assert (p == q) == (a == b)
+        for c in (3, Fraction(-2, 5), 0):
+            _assert_matches(p + c, _ref_sum(a, {0: Fraction(c)} if c else {}))
+            _assert_matches(c - p, _ref_sum({0: Fraction(c)} if c else {}, a, -1))
+            _assert_matches(c * p, _ref_product(a, {0: Fraction(c)}))
+    # (t^-2 + 1 + t^3) - (t^-2 + t^3) is 1, with low and both ends moved
+    one = LaurentPoly({-2: 1, 0: 1, 3: 1}) - LaurentPoly({-2: 1, 3: 1})
+    assert (one.low, one.num, one.den) == (0, (1,), 1)
+    half = LaurentPoly({1: Fraction(2, 4)})
+    assert (half.low, half.num, half.den) == (1, (1,), 2)
 
 
 # ---------------------------------------------------------------------------
