@@ -672,18 +672,26 @@ class PackedPowers:
     exponents of the start and of the base; low also bounds the exponents
     of every scaled row.
 
-    In a step each term's value a meets the scaled row values b of one
-    group, each at most once.  A coordinate of a * b is at most
-    max|a_i| * sum|b_i|, so no slot of a step's sums exceeds
-        (sum over the terms of max|a_i|) * (largest sum of |b_i| over a group)
-    in absolute value, and step packs the terms (values) and the rows they
-    meet (group) by the codec of that bound (_slot_codec); a term stays as
-    it is while the limb layout does.  settle then reduces each sum mod the
-    ring's modulus (_residue_reducer) and reads it once for its max|a_i|,
-    for the next step's bound.
+    In a step each term's value a meets the row of its group, whose entries
+    b sit at distinct key offsets.  The terms' keys are distinct too, so a
+    sum at one key receives at most one product a * b per offset, and a
+    coordinate of a * b is at most max|a_i| * sum|b_i| (norm).  So no slot
+    of a step's sums exceeds
+        M * (sum over the distinct offsets o of the rows the step meets
+             of the largest sum|b_i| of an entry at o)
+    in absolute value, for M a bound on every coordinate of the step's
+    values.  step packs the values by the codec of that bound
+    (_slot_codec), and row the rows they meet; a value stays as it is while
+    the limb layout does.  An entry with one or two nonzero coordinates is
+    kept as each coordinate and its bit shift, so multiplying by it is a
+    shifted small multiple of the value, the same integer as the packed
+    product.  settle then reduces each sum mod the ring's modulus
+    (_residue_reducer), drops the sums that are zero, and bounds the
+    coordinates of the rest in one pass (_SlotCodec.top), below twice the
+    largest, for the next step's M; start's M is the largest.
     """
 
-    __slots__ = ("data", "den", "low", "den0", "low0", "codec", "groups")
+    __slots__ = ("data", "den", "low", "den0", "low0", "codec", "rows")
 
     def __init__(self, coeffs: Sequence, start: Sequence):
         c = coeffs[0]
@@ -691,7 +699,7 @@ class PackedPowers:
         self.den, self.low = math.lcm(*(c.den for c in coeffs)), min(c.low for c in coeffs)
         self.den0, self.low0 = math.lcm(*(c.den for c in start)), min(c.low for c in start)
         self.codec = None
-        self.groups: Dict[object, List[int]] = {}
+        self.rows: Dict[object, Tuple[List, List, List]] = {}
 
     def scaled(self, c):
         """The integral multiple c * den of a base coefficient."""
@@ -705,18 +713,15 @@ class PackedPowers:
         return [0] * (c.low - low) + list(vec) if c.low > low else vec
 
     def start(self, terms: Mapping) -> Tuple[Dict, int]:
-        """(values, norm) of the start terms, as settle gives them: each
-        value times den0 as an integer vector, and the sum of their
-        max|a_i|."""
-        out, norm = {}, 0
-        for key, c in terms.items():
-            vec = out[key] = self._vec(c, self.den0, self.low0)
-            norm += max(map(abs, vec))
-        return out, norm
+        """(values, M) of the start terms, as settle gives them: each value
+        times den0 as an integer vector, and the largest |coordinate|."""
+        out = {key: self._vec(c, self.den0, self.low0) for key, c in terms.items()}
+        return out, max(max(map(abs, vec)) for vec in out.values())
 
-    def norm(self, coeffs: Sequence) -> int:
-        """sum |b_i| over the coordinates of a group of scaled row values."""
-        return sum(sum(map(abs, c.num)) for c in coeffs)
+    @staticmethod
+    def norm(c) -> int:
+        """sum |b_i| over the coordinates of a scaled row value."""
+        return sum(map(abs, c.num))
 
     def step(self, values: Iterable, bound: int) -> List[int]:
         """The packed values of a step whose slot sums are at most bound."""
@@ -724,15 +729,28 @@ class PackedPowers:
         if codec is old:
             return [v if type(v) is int else codec.pack(v) for v in values]
         self.codec = codec
-        self.groups.clear()
+        self.rows.clear()
         return [codec.pack(v if type(v) is not int else self._read(old, v)) for v in values]
 
-    def group(self, key, coeffs: Sequence) -> List[int]:
-        """A group of scaled row values, packed by the current codec."""
-        got = self.groups.get(key)
+    def row(self, key, offsets: Sequence[int], coeffs: Sequence) -> Tuple[List, List, List]:
+        """The scaled row values coeffs at offsets, for the current codec,
+        as weylcore._mac reads them: (dense, mono, pair), the entries with
+        more than two nonzero coordinates as (offset, packed int), and the
+        others as (offset, coordinate, bit shift) or (offset, coordinate,
+        shift, coordinate, shift).  Built once per key and codec."""
+        got = self.rows.get(key)
         if got is None:
-            got = self.groups[key] = [self.codec.pack(self._vec(c, 1, self.low))
-                                      for c in coeffs]
+            bits, pack = self.codec.bits, self.codec.pack
+            got = self.rows[key] = dense, mono, pair = [], [], []
+            for off, c in zip(offsets, coeffs):
+                vec = self._vec(c, 1, self.low)
+                hot = [(x, bits * i) for i, x in enumerate(vec) if x]
+                if len(hot) == 1:
+                    mono.append((off, *hot[0]))
+                elif len(hot) == 2:
+                    pair.append((off, *hot[0], *hot[1]))
+                else:
+                    dense.append((off, pack(vec)))
         return got
 
     def _read(self, codec: "_SlotCodec", v: int) -> Sequence[int]:
@@ -740,24 +758,23 @@ class PackedPowers:
         return codec.read(v + codec.flip(n), n)
 
     def settle(self, sums: Dict) -> Tuple[Dict, int]:
-        """(values, norm): the nonzero sums of a step as values of the
-        chain, and the sum of their max|a_i|."""
+        """(values, M): the nonzero sums of a step as values of the chain,
+        and a bound on their coordinates.  A reduced packed value is 0
+        exactly when every coordinate is, so only the survivors are read,
+        all in one pass (_SlotCodec.top); coordinate lists, read by the
+        reduction, give their largest |coordinate|."""
         codec, data = self.codec, self.data
-        if data:
-            reduce, read, d = _residue_reducer(codec, data), codec.read, data.degree
-            bias = codec.flip(d)
-        out, norm = {}, 0
+        reduce = _residue_reducer(codec, data) if data else (lambda v: v)
+        out = {}
         for key, v in sums.items():
-            if data:
-                v = reduce(v)
-                vec = read(v + bias, d) if type(v) is int else v
-            else:
-                vec = self._read(codec, v)
-            top = max(max(vec), -min(vec))
-            if top:
+            v = reduce(v)
+            if v if type(v) is int else any(v):
                 out[key] = v
-                norm += top
-        return out, norm
+        values = list(out.values())
+        if values and type(values[0]) is not int:
+            return out, max(max(map(abs, vec)) for vec in values)
+        n = data.degree if data else max(map(codec.slots, values), default=1)
+        return out, codec.top(values, n)
 
     def unpack(self, v, k: int):
         """The value v of start * base**k, a packed value or a coordinate
@@ -771,6 +788,9 @@ class PackedPowers:
 
 # struct codes of the signed and unsigned limbs of each size in bytes
 _LIMB_CODES = {1: ("b", "B"), 2: ("h", "H"), 4: ("i", "I"), 8: ("q", "Q")}
+
+# slots joined into one integer by _SlotCodec.top
+_JOIN_SLOTS = 1 << 11
 
 
 class _SlotCodec:
@@ -832,6 +852,34 @@ class _SlotCodec:
                 coords = [(c << 64) + lo for c, lo in zip(coords, vals[j::k])]
             vals = coords
         return vals
+
+    def top(self, values: Sequence[int], n: int) -> int:
+        """A bound on |c| over the slots c of the packed values, of at most
+        n slots each, below twice the largest |c|: one more than the
+        bitwise OR of every c >= 0 and every ~c = -c - 1 for c < 0.
+
+        The values' two's-complement slots are joined, _JOIN_SLOTS slots
+        at a time, into one integer.  A negative slot is complemented by
+        an XOR with its sign bit spread over the slot, and the upper half
+        of the slots is OR-ed onto the lower until one slot is left: a few
+        passes over the integer, and no slot is read on its own."""
+        bits, flip = self.bits, self.flip(n)
+        size, per = bits // 8 * n, max(1, _JOIN_SLOTS // n)
+        sign = bytes(bits // 8 - 1) + b"\x80"  # the sign bit of a slot, little-endian
+        acc = 0
+        for i in range(0, len(values), per):
+            chunk = values[i:i + per]
+            count = n * len(chunk)
+            x = int.from_bytes(b"".join(((v + flip) ^ flip).to_bytes(size, "little")
+                                        for v in chunk), "little")
+            signs = x & int.from_bytes(sign * count, "little")
+            x ^= (signs << 1) - (signs >> (bits - 1))
+            while count > 1:
+                half = (count + 1) // 2
+                x = (x >> bits * half) | (x & ((1 << bits * half) - 1))
+                count = half
+            acc |= x
+        return acc + 1
 
 
 # codecs by (limb bytes, limbs per slot)
@@ -1031,6 +1079,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int or Fraction, so it hashes like one
+        if not self.low and len(self.num) <= 1:
+            return hash(Fraction(self.num[0], self.den) if self.num else 0)
         return hash((self.low, self.num, self.den))
 
     def __repr__(self):

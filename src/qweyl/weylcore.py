@@ -55,12 +55,13 @@ JET = "jet"
 DEFAULT_DEGREE_LIMIT = 512
 # The largest estimated cost (_power_cost) of a power that is computed, and
 # of each power chain apply_endo builds.  On a 2-core Python 3.11 machine,
-# symbolic powers ran at 7 to 43 million units a second (rational
-# coefficients the slowest) and powers of the lifts of x1^2 and 2 at roots
-# of unity of level 31 and 53 at 5 to 11 million, so such a power that
-# passes takes at most about 5 s there.  The estimate does not count the
-# height of coordinates: the lift of 1 + x1 - 3*x1^3, whose coordinates
-# grow to hundreds of bits, ran at 0.9 to 1.2 million.
+# symbolic powers ran at 20 to 80 million units a second (k = 40 powers of
+# two terms with integer or rational coefficients, and of 1 + d1 + x1, the
+# slowest) and powers of the lifts of x1^2 and 2 at roots of unity of
+# level 31 and 53 at 16 to 31 million, so such a power that passes takes
+# at most about 2 s there.  The estimate does not count the height of
+# coordinates: the lift of 1 + x1 - 3*x1^3, whose coordinates grow to
+# hundreds of bits, ran at 5 to 6 million.
 POWER_COST_LIMIT = 25_000_000
 
 
@@ -295,12 +296,14 @@ class AlgebraContext:
         Only sums and products are taken, so nothing is divided by a quantum
         integer that may vanish at the root.  Rows are memoized per context;
         entry j may be exactly zero at a root of unity, in which case it is
-        stored but skipped by callers.
+        stored but skipped by callers.  A row of at most two entries needs
+        only [k choose 1]_t = [k]_t, not the triangle of Gauss binomials up
+        to row k: the lifts' rows d^k x and d x^m are such rows.
         """
         got = self._exp_cache.get((k, m))
         if got is not None:
             return got
-        binom = self._gauss_binomials(k)
+        binom = self._gauss_binomials(k) if min(k, m) > 1 else (self.one_scalar(), self.qint(k))
         falling = self.one_scalar()
         row = []
         for j in range(min(k, m) + 1):
@@ -481,8 +484,8 @@ class _Keys:
 
 def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
                  keys: _Keys, right: bool = True):
-    """d^exps * b (right) or b * x^exps (left), as the key offsets and the
-    coefficients of its terms, in two lists.
+    """d^exps * b (right) or b * x^exps (left), as the distinct key offsets
+    and the nonzero coefficients of its terms, in two lists.
 
     A term x^al d^be meets a term cb x^ga d^de of b, on the right, in the
     terms (cb * C_js) x^(al + ga - js) d^(be + de - js), where C_js is the
@@ -493,11 +496,15 @@ def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
     (X - js, D - js), for x^X d^D the term of b, and the scaled rows depend
     only on exps, the d-exponents (right) or x-exponents (left) of the term
     they meet, so they are built once per distinct exps and each
-    contribution costs one product.
+    contribution costs one product.  Entries that land on the same offset
+    are summed, and sums that cancel dropped: for the lift d + F(x) f of d,
+    f = dx - xd, the entries telescope (on the lift of x1^2, 1 * x^2 and
+    -(1 - q)[a] * x^3 d meet at one offset as q^a).  So a row's offsets are
+    distinct, which the slot bound of PackedPowers counts on.
     """
     n = ctx.n
     expansion = ctx._pair_expansion
-    offsets, coeffs = [], []
+    row: Dict[int, object] = {}
     for (ga, de), cb in b.terms.items():
         ks, ms = (exps, ga) if right else (de, exps)
         hot = [i for i in range(n) if ks[i] and ms[i]]
@@ -507,30 +514,44 @@ def _scaled_rows(ctx: AlgebraContext, exps: Tuple[int, ...], b: WeylElement,
             combos = [(js + (j,), c * e) for js, c in combos
                       for j, e in enumerate(entries) if e]
         for js, c in combos:
-            if not c:
-                continue
             x, d = list(ga), list(de)
             for i, j in zip(hot, js):
                 x[i] -= j
                 d[i] -= j
-            offsets.append(keys.code(x, d))
-            coeffs.append(c)
-    return offsets, coeffs
+            off = keys.code(x, d)
+            cur = row.get(off)
+            row[off] = c if cur is None else cur + c
+    row = {off: c for off, c in row.items() if c}
+    return list(row), list(row.values())
 
 
-def _mac(terms) -> Dict[int, object]:
+def _mac(terms) -> Dict[int, int]:
     """The multiply-accumulate loop of the power chain: for each
-    (key, value, (offsets, coeffs)) of terms, value * coeff is added into
-    the sum at key + offset.  Values and coeffs are packed ints."""
-    out: Dict[int, object] = {}
+    (key, value, row) of terms, each entry of the row is multiplied by
+    value and added into the sum at key + its offset.  Values are packed
+    ints, and a row (PackedPowers.row) lists its dense entries as
+    (offset, packed int), and its entries with one or two nonzero
+    coordinates as (offset, coordinate, bit shift) and (offset,
+    coordinate, shift, coordinate, shift): a shifted small multiple of the
+    value is that entry's packed int times it, bit for bit."""
+    out: Dict[int, int] = {}
     get = out.get
-    for key, ca, (offsets, coeffs) in terms:
-        for off, cb in zip(offsets, coeffs):
+    for key, ca, (dense, mono, pair) in terms:
+        for off, cb in dense:
             c = ca * cb
-            if c:
-                k = key + off
-                cur = get(k)
-                out[k] = c if cur is None else cur + c
+            k = key + off
+            cur = get(k)
+            out[k] = c if cur is None else cur + c
+        for off, c1, s1 in mono:
+            c = ca * c1 << s1
+            k = key + off
+            cur = get(k)
+            out[k] = c if cur is None else cur + c
+        for off, c1, s1, c2, s2 in pair:
+            c = (ca * c1 << s1) + (ca * c2 << s2)
+            k = key + off
+            cur = get(k)
+            out[k] = c if cur is None else cur + c
     return out
 
 
@@ -583,13 +604,15 @@ def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[in
     The chain keeps each value as integer-coded keys (_Keys) and as
     coefficients packed by PackedPowers; only the values asked for are
     unpacked.  The scaled rows of base are built once per exponent they
-    meet, for the whole chain.
+    meet, for the whole chain, and each step's slot bound is a bound on
+    the height (largest |coordinate|) of its values times the per-offset
+    widths of the rows it meets (PackedPowers).
     """
     ctx = base.context
     top = max(wanted)
     keys = _Keys(ctx.n, _top_exponent(start) + top * _top_exponent(base))
     packer = PackedPowers(list(base.terms.values()), list(start.terms.values()))
-    acc, norm = packer.start({keys.code(al, be): c for (al, be), c in start.terms.items()})
+    acc, height = packer.start({keys.code(al, be): c for (al, be), c in start.terms.items()})
     base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
     # a term meets the rows of its d-exponents (acc * base) or of its
     # x-exponents (base * acc)
@@ -600,10 +623,18 @@ def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[in
         used = set(groups)
         for g in used - rows.keys():
             offsets, coeffs = _scaled_rows(ctx, keys.part_exps(g), base, keys, not left)
-            rows[g] = (offsets, coeffs, packer.norm(coeffs))
-        values = packer.step(acc.values(), norm * max((rows[g][2] for g in used), default=0))
-        terms = [(rows[g][0], packer.group(g, rows[g][1])) for g in groups]
-        acc, norm = packer.settle(_mac(zip(acc, values, terms)))
+            rows[g] = (offsets, coeffs, [packer.norm(c) for c in coeffs])
+        # a sum meets at most one product per offset: the largest sum|b_i|
+        # of each offset bounds its share
+        widths: Dict[int, int] = {}
+        for g in used:
+            offsets, _, norms = rows[g]
+            for off, w in zip(offsets, norms):
+                if w > widths.get(off, 0):
+                    widths[off] = w
+        values = packer.step(acc.values(), height * sum(widths.values()))
+        packed = {g: packer.row(g, *rows[g][:2]) for g in used}
+        acc, height = packer.settle(_mac(zip(acc, values, map(packed.__getitem__, groups))))
         if k in wanted:
             out[k] = WeylElement(ctx, {keys.exps(key): packer.unpack(v, k)
                                        for key, v in acc.items()})

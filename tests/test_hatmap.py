@@ -313,6 +313,24 @@ def test_hat_divergence_witness():
     assert report.witness == ((0,), (0,))  # the 2^l constant coefficient
 
 
+def test_mixed_lift_diverges_while_the_composition_converges():
+    # Transport is not additive in F: the lift of x1 + x1^2 diverges on r1
+    # over the primes 3..23, its constant coefficient growing from 1 at
+    # l = 3 to about 7.8e2 at l = 11 and 2.8e10 at l = 23, while the lifts
+    # of x1 and of x1^2, composed, converge to r1 + s1 + s1^2.
+    ctx = AlgebraContext.symbolic(1)
+    r, s = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
+    mixed = hat(lift_phi(ctx, {1: 1, 2: 1}), r, MID)
+    assert MID[-1] == 23
+    assert mixed.verdict == "diverged"
+    assert mixed.witness == ((0,), (0,))
+    constant = [abs(v) for v in mixed.trajectories[(0,), (0,)]]
+    assert constant[0] == 1 and 7e2 < constant[3] < 9e2 and constant[-1] > 2e10
+    composed = hat(compose(lift_phi(ctx, {1: 1}), lift_phi(ctx, {2: 1})), r, MID)
+    assert composed.converged
+    assert composed.limit_polynomial() == r + s + s * s
+
+
 def test_hat_centrality_failures_reported():
     ctx = AlgebraContext.symbolic(1)
     bad = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + ctx.x(1)])

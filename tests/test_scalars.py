@@ -15,6 +15,7 @@ from qweyl.scalars import (
     LaurentPoly,
     _CYCLO_CACHE,
     _product,
+    _slot_codec,
     cyclotomic_polynomial,
     embed,
     euler_phi,
@@ -44,6 +45,26 @@ def test_conv_backends_agree(a, b):
     ]
     assert _product(a, b) == expected
     assert _product(b, a) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=130),
+    st.lists(st.lists(st.integers(min_value=-(2 ** 130), max_value=2 ** 130), min_size=1, max_size=40),
+             min_size=1, max_size=120),
+)
+@settings(max_examples=120, deadline=None)
+def test_slot_top_bounds_the_largest_slot(shift, vecs):
+    # The power chain's M: a bound on every slot of packed sums, below
+    # twice the largest, read without reading single slots.  Up to 4,800
+    # slots span several joined chunks; the codec holds 2 * bound as its
+    # steps do, and its layout runs from one 1-byte limb to three 8-byte
+    # limbs.
+    vecs = [[c >> shift for c in vec] for vec in vecs]
+    largest = max(abs(c) for vec in vecs for c in vec)
+    codec = _slot_codec(largest)
+    n = max(map(len, vecs))
+    top = codec.top([codec.pack(vec) for vec in vecs], n)
+    assert largest <= top <= max(2 * largest, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +231,22 @@ def test_integral_laurent_coefficients_are_ints():
     doubled = LaurentPoly({0: Fraction(1, 2)}) * 2
     assert doubled == LaurentPoly.one()
     assert hash(doubled) == hash(LaurentPoly.one())
+
+
+def test_constant_laurent_polynomials_hash_like_their_value():
+    # A constant equals its int or Fraction, so sets and dicts must not
+    # keep the two apart; Cyclo already hashes a rational this way.
+    third = Fraction(-1, 3)
+    for p, value in ((LaurentPoly.one(), 1), (LaurentPoly.zero(), 0),
+                     (LaurentPoly.constant(third), third), (LaurentPoly({0: 6}) * third, -2)):
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+        table = {value: "rational"}
+        table[p] = "laurent"
+        assert table == {value: "laurent"}
+    assert len({LaurentPoly.one(), 1, Fraction(1)}) == 1
+    # non-constant values stay apart from every rational
+    assert len({LaurentPoly.t_power(1), LaurentPoly.t_power(-1), 1}) == 3
 
 
 def test_laurent_arithmetic_stores_integral_results_as_int():

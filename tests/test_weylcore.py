@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,8 @@ from qweyl import (
     twist_by_f,
 )
 from qweyl.scalars import PackedPowers, euler_phi
-from qweyl.weylcore import JET, ROOT, SYMBOLIC, WeylElement, _Keys, _powers, _scaled_rows
+from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _Keys, _powers, _scaled_rows,
+                             _top_exponent)
 from conftest import random_element, standard_contexts
 
 
@@ -539,72 +541,167 @@ def _split(total):
     return [total - total // 3, total // 3]
 
 
-def _packed_sum(lhs, rhs):
-    """sum(a * b for a in lhs for b in rhs) by one step of the power
-    chain's packer: lhs are the start values and rhs one group of integral
-    scaled row values, Cyclo or Laurent polynomials."""
-    packer = PackedPowers(rhs, lhs)
-    values, norm = packer.start(dict(enumerate(lhs)))
-    packed = packer.step(values.values(), norm * packer.norm(rhs))
-    acc = sum(a * b for a in packed for b in packer.group(0, rhs))
-    sums, _ = packer.settle({0: acc})
-    return packer.unpack(sums[0], 1)
+def _step_bound(a, b):
+    """The slot bound of the chain step a * b (PackedPowers): M, the
+    largest coordinate of a's coefficients over their denominator, times
+    the sum over the distinct offsets of the rows of b that a's terms meet
+    of the largest sum|b_i| of an entry at the offset."""
+    keys = _Keys(a.context.n, sum(_top_exponent(x) for x in (a, b)))
+    packer = PackedPowers(list(b.terms.values()), list(a.terms.values()))
+    _, top = packer.start({keys.code(al, be): c for (al, be), c in a.terms.items()})
+    scaled = WeylElement(b.context, {k: packer.scaled(c) for k, c in b.terms.items()})
+    widths = {}
+    for be in {be for _, be in a.terms}:
+        for off, c in zip(*_scaled_rows(a.context, be, scaled, keys)):
+            widths[off] = max(widths.get(off, 0), packer.norm(c))
+    return top * sum(widths.values())
+
+
+def _hot_pairs(ctx, value, weights):
+    """value * prod_i (u_i + v_i x_i d_i) over the pairs i, for weights
+    ((u_1, v_1), ..., (u_n, v_n))."""
+    terms = {}
+    for hot in itertools.product((0, 1), repeat=ctx.n):
+        terms[hot, hot] = value * prod(w[h] for w, h in zip(weights, hot))
+    return ctx.from_terms(terms)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize(
-    "lhs_sum, rhs_sum",
-    [(217, 151), (255, 257)] + [(2 ** (8 * w - 1) - 1, 1) for w in (1, 2, 4, 8, 16, 24)],
+    "top, weights",
+    [pytest.param(151, ((3, 2), (11, 10)), id="217-151"),
+     pytest.param(257, ((5, 5), (5, 6)), id="255-257")]
+    + [pytest.param(2 ** (8 * w - 1) - 1, ((1, 0), (1, 0)), id=f"{2 ** (8 * w - 1) - 1}-1")
+       for w in (1, 2, 4, 8, 16, 24)],
 )
-def test_packed_slot_at_the_width_bound(lhs_sum, rhs_sum, sign):
-    # The start values are sign * c/7 * (z - z^j) for c in _split(lhs_sum)
-    # and the group holds rhs_sum values z^(d-1), d = phi(level).  Over
-    # their denominator 7 the start values' max|a_i| sum to lhs_sum, and
-    # the group's sum |b_i| is rhs_sum, so the width comes from the bound
-    # B = lhs_sum * rhs_sum.  Every product adds to slots d and d - 1 + j,
-    # so both reach B.  At the prime level 31 (j = 2) and at 9 = 3^2 (j = 4),
-    # d - 1 + j is the level: that slot folds onto slot 0, and reducing
-    # slot d mod Phi subtracts B from it again, so slot 0 reaches -2B, the
-    # most the codec's spare bit holds.  Every case but 255 * 257 needs
-    # that bit: 2B is 2**16 - 2 for 217 * 151 and 2**(8w) - 2 for
-    # 2**(8w - 1) - 1, one bit past the bytes that hold B.  255 * 257 needs
-    # the sign bit of a third byte for B itself.  A codec chosen from the
-    # group's largest value, 1, in place of its sum would hold 2 * lhs_sum,
-    # which 217 * 151 and 255 * 257 overflow.  Level 12 (j = 3) reads slots
-    # 4 and 6 and reduces them in Python.
-    for level, j in ((31, 2), (9, 4), (12, 3)):
+def test_packed_slot_at_the_width_bound(top, weights, sign):
+    # One chain step, mul(a, b), for a = A * prod_i (1 + x_i d_i) and
+    # b = beta * prod_i (u_i + v_i x_i d_i), whose prod_i x_i d_i
+    # coefficient is A * beta * W for W = prod_i (u_i + 2 v_i).  The terms of a meet
+    # the rows of 1, d_1, d_2 and d_1 d_2.  In the row of d_i the entries
+    # u_i of 1 and v_i [1] of x_i d_i (d_i x_i = 1 + q x_i d_i) meet at one
+    # offset and merge to u_i + v_i, and v_i q sits one offset up, so the
+    # largest sum|b_i| per offset adds up to W, and the step's bound is
+    # B = top * W: 217 * 151 = 151 * 7 * 31, 255 * 257 = 257 * 15 * 17,
+    # and 2**(8w - 1) - 1 with one offset.  A = sign * top/2 * (z^p - z^r)
+    # and beta = z^(d - p), d = phi(level), so the products that add into
+    # prod_i x_i d_i, one per offset, put +B on slot d and -B on slot
+    # d - p + r.  At the
+    # prime level 31 that slot is the level: it folds onto slot 0, and
+    # reducing slot d mod Phi subtracts B from it again, so slot 0 reaches
+    # -2B, the most the codec's spare bit holds; so does 9 = 3^2, with one
+    # pair.  Every case but 255 * 257 needs that bit: 2B is 2**16 - 2 for
+    # 217 * 151 and 2**(8w) - 2 for 2**(8w - 1) - 1, one bit past the
+    # bytes that hold B.  255 * 257 needs the sign bit of a third byte for
+    # B itself.  Without the merge the rows' offsets would bound W by
+    # prod_i (max(u_i, v_i) + v_i), which for 217 * 151 is 5 * 21 and
+    # drops the width to 2 bytes.  Level 12, also with one pair, reads
+    # slots 4 and 5 and reduces them in Python.  Levels 9 and 12 take one
+    # pair of weights (W - 2v, v), v = W // 3: the entry v_1 v_2 q^2 * beta
+    # of two pairs would reach past their d coordinates.
+    W = prod(u + 2 * v for u, v in weights)
+    B, one_pair = top * W, ((W - 2 * (W // 3), W // 3),)
+    cases = ((31, 3, 4, weights), (9, 2, 5, one_pair), (12, 2, 3, one_pair))
+    for level, p, r, pairs in cases:
+        ctx = AlgebraContext.root_of_unity(len(pairs), level)
         d = euler_phi(level)
         z = lambda e: Cyclo.zeta(level, e)
-        lhs = [sign * Fraction(c, 7) * (z(1) - z(j)) for c in _split(lhs_sum)]
-        rhs = [z(d - 1)] * rhs_sum
-        got = _packed_sum(lhs, rhs)
-        assert got == sum(a * b for a in lhs for b in rhs)
-        assert got == sign * Fraction(lhs_sum * rhs_sum, 7) * (z(d) - z(d - 1 + j))
+        A = sign * Fraction(top, 2) * (z(p) - z(r))
+        a = _hot_pairs(ctx, A, [(1, 1)] * ctx.n)
+        b = _hot_pairs(ctx, z(d - p), pairs)
+        assert _step_bound(a, b) == B
+        got = mul(a, b)
+        assert got == _plain_mul(a, b)
+        hot = (1,) * ctx.n
+        assert got.terms[hot, hot] == sign * Fraction(B, 2) * (z(d) - z(d - p + r))
+        q = ctx.t_power(1)
+        expected = {}
+        for e in itertools.product((0, 1, 2), repeat=ctx.n):
+            c = A * z(d - p)
+            for (u, v), k in zip(pairs, e):
+                c = c * (u, u + 2 * v, v * q)[k]
+            expected[e, e] = c
+        assert got == ctx.from_terms(expected)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize(
-    "lhs_sum, rhs_sum, parts",
+    "top, width, parts",
     [(217, 151, 2), (255, 257, 2), (127, 256, 256)]
     + [(2 ** (8 * w - 1) - 1, 1, 2) for w in (1, 2, 4, 8, 16, 24)],
 )
-def test_packed_laurent_slot_at_the_width_bound(lhs_sum, rhs_sum, parts, sign):
-    # As above, with Laurent polynomials: each start value is
-    # sign * c/7 * (t^-3 + t^-2), with max|a_i| = c over the denominator 7,
-    # and the group holds parts values c * t^5 whose c sum to rhs_sum, so
-    # every product has the slots of t^2 and t^3 at the bound
-    # lhs_sum * rhs_sum.  Laurent sums are not reduced, so a slot reaches
-    # the bound, not twice it.  The shifts of the two sides, -3 and 5, and
-    # the start's denominator are taken back on unpacking.  127 * 256 is
-    # the sum over a group of 256 values.
-    lhs = [LaurentPoly({-3: sign * Fraction(c, 7), -2: sign * Fraction(c, 7)})
-           for c in _split(lhs_sum)]
-    rhs = [LaurentPoly({5: rhs_sum // parts + (i < rhs_sum % parts)}) for i in range(parts)]
-    rhs = [b for b in rhs if b]  # scaled rows hold no zero
-    got = _packed_sum(lhs, rhs)
-    assert got == sum((a * b for a in lhs for b in rhs), LaurentPoly.zero())
-    bound = Fraction(sign * lhs_sum * rhs_sum, 7)
-    assert got.coeffs == {2: bound, 3: bound}
+def test_packed_laurent_slot_at_the_width_bound(top, width, parts, sign):
+    # As above, with Laurent polynomials: mul(a, b) for
+    # a = A * (1 + x + ... + x^(parts - 1)) and b = sum_i w_i t^5 x^i, with
+    # the w_i summing to width, so the rows of b are its terms at parts
+    # distinct offsets.  A = sign * top/2 * (t^-3 + t^-2) has max|a_i| = top
+    # over the denominator 2, so the bound is top * width, and the x^(parts
+    # - 1) coefficient A * width * t^5 has the slots of t^2 and t^3 at it.
+    # Laurent sums are not reduced, so a slot reaches the bound, not twice
+    # it.  The shifts of the two sides, -3 and 5, and the start's
+    # denominator are taken back on unpacking.  127 * 256 is a row of 256
+    # entries.
+    ctx = AlgebraContext.symbolic(1)
+    A = LaurentPoly({-3: sign * Fraction(top, 2), -2: sign * Fraction(top, 2)})
+    a = ctx.from_terms({((i,), (0,)): A for i in range(parts)})
+    # a zero w_i leaves no term of b, and no row entry
+    b = ctx.from_terms({((i,), (0,)): LaurentPoly({5: width // parts + (i < width % parts)})
+                        for i in range(parts)})
+    assert _step_bound(a, b) == top * width
+    got = mul(a, b)
+    assert got == _plain_mul(a, b)
+    bound = Fraction(sign * top * width, 2)
+    assert got.terms[(parts - 1,), (0,)].coeffs == {2: bound, 3: bound}
+
+
+def _sparse_row_factors(ctx):
+    """Right factors whose rows (_scaled_rows) merge entries, cancel them,
+    and hold entries of one, two and many nonzero coordinates.
+
+    The lift of 2, d -> d + 2(dx - xd) = d + 2 - 2(1 - q) x d: in the row
+    of d^k the entries 2 and -2(1 - q)[k] meet and merge to 2 q^k.  In
+    c(1 - x d) the entries c and -c [1] of the row of d cancel.  q^3 x^2 and
+    (1 - q) x d^2 scale by one and two coordinates, [5] x^3 d by five.
+    With two pairs, (1 + x1 d1)(1 - q x2 d2) + [3] x1 x2 d2 merges entries in
+    both pairs at once."""
+    q, one = ctx.t_power(1), ctx.one_scalar()
+    if ctx.n == 1:
+        x, d = ctx.x(1), ctx.d(1)
+        lift2 = d + (mul(d, x) - mul(x, d)).scale(2)
+        cancel = (ctx.one() - mul(x, d)).scale(ctx.scalar(Fraction(-3, 5)))
+        mixed = (ctx.monomial((2,), (0,), q ** 3) + ctx.monomial((1,), (2,), one - q)
+                 + ctx.monomial((3,), (1,), ctx.qint(5)) + d)
+        return [lift2, cancel, mixed, lift2 + cancel]
+    x1d1, x2d2 = ctx.monomial((1, 0), (1, 0)), ctx.monomial((0, 1), (0, 1))
+    pairs = mul(ctx.one() + x1d1, ctx.one() - x2d2.scale(q))
+    return [pairs + ctx.monomial((1, 1), (0, 1), ctx.qint(3)), pairs + ctx.d(1) + ctx.x(2)]
+
+
+@pytest.mark.parametrize("ctx", [
+    AlgebraContext.root_of_unity(n, level) for level in (31, 9, 25, 12) for n in (1, 2)
+] + [AlgebraContext.first_order_at_root(n, 5) for n in (1, 2)]
+  + [AlgebraContext.symbolic(n) for n in (1, 2)], ids=repr)
+def test_sparse_and_merged_rows_match_the_plain_product(ctx):
+    # The chain multiplies by an entry of one or two nonzero coordinates as
+    # shifted small multiples of the value (PackedPowers.row), and by the
+    # others as packed products; both must give the plain product, and the
+    # action on polynomials must see an algebra map.
+    n, q = ctx.n, ctx.t_power(1)
+    unit = lambda *e: tuple(e) + (0,) * (n - len(e))
+    left = (ctx.monomial(unit(2), unit(3)) + ctx.monomial(unit(1), unit(2), q)
+            + ctx.monomial(unit(0), unit(1), 3) + ctx.monomial(unit(3), unit(0), ctx.one_scalar() - q))
+    if n == 2:
+        left = left + ctx.monomial((1, 1), (2, 1), q ** 2) + ctx.monomial((0, 2), (1, 3), -2)
+    poly = {unit(3, 4)[:n]: ctx.one_scalar(), unit(5)[:n]: q, unit(0, 2)[:n]: ctx.scalar(7)}
+    for right in _sparse_row_factors(ctx):
+        got = mul(left, right)
+        assert got == _plain_mul(left, right)
+        assert act_on_polynomial(got, poly) == act_on_polynomial(left, act_on_polynomial(right, poly))
+        # three steps of a chain, each bounded by the previous one's values
+        cube = power(right, 3)
+        assert cube == _plain_mul(_plain_mul(right, right), right)
+        assert act_on_polynomial(cube, poly) == act_on_polynomial(
+            right, act_on_polynomial(right, act_on_polynomial(right, poly)))
 
 
 def test_symbolic_scalars_are_laurent_polynomials_over_q(sym1):
