@@ -24,7 +24,7 @@ from .morphisms import (
 )
 from .poisson import standard_bracket, transported_bracket
 from .scalars import _check_level, embed as _embed
-from .weylcore import SYMBOLIC, DegreeLimitExceeded, _degree_limit, power, specialize_element
+from .weylcore import ROOT, SYMBOLIC, DegreeLimitExceeded, _degree_limit, power, specialize_element
 
 __all__ = [
     "CentralityFailure",
@@ -212,14 +212,18 @@ def hat_step(e: Endomorphism, p: CenterPoly,
              level: int) -> Union[CenterPoly, CentralityFailure]:
     """Specialize at the level, push p through the center isomorphism, apply,
     and decompose; a missing decomposition is returned as data, because
-    center preservation is only guaranteed for almost every root."""
-    if e.context.kind != SYMBOLIC:
+    center preservation is only guaranteed for almost every root.  e may
+    also be the specialization at the level (specialize_endomorphism), which
+    is then used as it is: hat_endo specializes once for every coordinate."""
+    ctx = e.context
+    at_level = ctx.kind == ROOT and ctx.level == level and ctx.qpow == 1
+    if ctx.kind != SYMBOLIC and not at_level:
         raise ValueError("transport needs a symbolic endomorphism")
-    if p.n != e.context.n:
+    if p.n != ctx.n:
         raise ValueError("polynomial arity mismatch")
     if level < 2:
         raise ValueError("need level >= 2")
-    e_l = specialize_endomorphism(e, level)
+    e_l = e if at_level else specialize_endomorphism(e, level)
     if not e_l.validated:
         return CentralityFailure(level, "specialized map violates the relations")
     image = apply_endo(e_l, theta(p, level))
@@ -317,11 +321,14 @@ def hat(e: Endomorphism, p: CenterPoly,
     apply_endo would refuse the substitution (_check_schedule_cost)."""
     levels = _schedule_levels(schedule)
     _check_schedule_cost(e, [p], levels)
-    return _transport(e, p, levels)
+    return _transport([e] * len(levels), p, levels)
 
 
-def _transport(e: Endomorphism, p: CenterPoly, levels: Sequence[int]) -> ConvergenceReport:
-    return _assemble_report(p, levels, [(level, hat_step(e, p, level)) for level in levels])
+def _transport(endos: Sequence[Endomorphism], p: CenterPoly,
+               levels: Sequence[int]) -> ConvergenceReport:
+    """The report of hat_step(endos[i], p, levels[i]) over the levels."""
+    return _assemble_report(p, levels, [(level, hat_step(e, p, level))
+                                        for e, level in zip(endos, levels)])
 
 
 def _check_schedule_cost(e: Endomorphism, polys: Sequence[CenterPoly],
@@ -377,7 +384,8 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
         coords[f"r{i}"] = CenterPoly.r(n, i)
         coords[f"s{i}"] = CenterPoly.s(n, i)
     _check_schedule_cost(e, list(coords.values()), levels)
-    reports = {k: _transport(e, p, levels) for k, p in coords.items()}
+    specialized = [specialize_endomorphism(e, level) for level in levels]
+    reports = {k: _transport(specialized, p, levels) for k, p in coords.items()}
     converged = all(r.converged for r in reports.values())
     induced = None
     if converged:

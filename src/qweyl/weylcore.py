@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
+from operator import sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -23,6 +26,10 @@ from .scalars import (
     Jet,
     LaurentPoly,
     PackedPowers,
+    _at_root,
+    _LevelData,
+    _reduce_vec,
+    _slot_codec,
     specialize as _specialize_scalar,
 )
 
@@ -116,7 +123,6 @@ class AlgebraContext:
         "_tpow_cache",
         "_qint_cache",
         "_exp_cache",
-        "_binom_rows",
     )
 
     def __init__(self, n: int, kind: str, level: Optional[int] = None,
@@ -139,7 +145,6 @@ class AlgebraContext:
         object.__setattr__(self, "_tpow_cache", {})
         object.__setattr__(self, "_qint_cache", [])
         object.__setattr__(self, "_exp_cache", {})
-        object.__setattr__(self, "_binom_rows", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraContext is immutable")
@@ -296,40 +301,146 @@ class AlgebraContext:
         Only sums and products are taken, so nothing is divided by a quantum
         integer that may vanish at the root.  Rows are memoized per context;
         entry j may be exactly zero at a root of unity, in which case it is
-        stored but skipped by callers.  A row of at most two entries needs
-        only [k choose 1]_t = [k]_t, not the triangle of Gauss binomials up
-        to row k: the lifts' rows d^k x and d x^m are such rows.
+        stored but skipped by callers.
+
+        The Gauss binomials past [k choose 1]_t = [k]_t are built in the
+        cover ring of the domain (_gauss_row), for the entries that are not
+        zero only, and each is mapped into the domain once: a row of at most
+        two entries, such as the lifts' rows d^k x and d x^m, builds none.
+        The falling product gains one factor [a]_t per entry, a window sum
+        of its coordinates (_times_qint).  Phi_l divides [a]_t, once,
+        exactly when l > 1 divides a, so it divides [k choose j]_t
+        k//l - j//l - (k-j)//l times and the falling product
+        m//l - (m-j)//l times: C_j is zero at a root of unity when that is
+        at least 1, and for a jet (mod Phi_l^2) when it is at least 2.  At
+        q = zeta^qpow the row is the row at q = zeta sent to q by
+        t -> zeta^qpow (scalars._at_root).
         """
         got = self._exp_cache.get((k, m))
         if got is not None:
             return got
-        binom = self._gauss_binomials(k) if min(k, m) > 1 else (self.one_scalar(), self.qint(k))
-        falling = self.one_scalar()
-        row = []
-        for j in range(min(k, m) + 1):
-            if j:
-                falling = falling * self.qint(m - j + 1)
-            row.append(binom[j] * falling * self.t_power((k - j) * (m - j)))
-        row = self._exp_cache[(k, m)] = tuple(row)
+        if self.kind == ROOT and self.qpow > 1:
+            level = self.level
+            base = AlgebraContext.root_of_unity(self.n, level)._pair_expansion(k, m)
+            row = tuple(_at_root(c.num, 0, c.den, level, self.qpow) for c in base)
+        else:
+            row = tuple(self._expansion_row(k, m))
+        self._exp_cache[(k, m)] = row
         return row
 
-    def _gauss_binomials(self, k: int):
-        """Row ([k choose j]_t for j = 0..k), memoized.
-
-        q-Pascal rule: [n choose j] = [n-1 choose j-1] + t^j [n-1 choose j].
-        """
-        rows = self._binom_rows
-        if not rows:
-            rows.append((self.one_scalar(),))
-        while len(rows) <= k:
-            prev = rows[-1]
-            inner = tuple(prev[j - 1] + self.t_power(j) * prev[j]
-                          for j in range(1, len(prev)))
-            rows.append((prev[0],) + inner + (prev[0],))
-        return rows[k]
+    def _expansion_row(self, k: int, m: int) -> List:
+        """The row of _pair_expansion, at q = zeta for a root of unity: the
+        falling products up to the first that is zero, then the entries
+        that Phi_l does not divide to the order of the modulus."""
+        cols = min(k, m)
+        falling = [self.one_scalar(), self.qint(m)][:cols + 1]
+        while len(falling) <= cols and falling[-1]:
+            falling.append(_times_qint(falling[-1], m + 1 - len(falling)))
+        if not falling[-1]:  # so is every later falling product
+            falling.pop()
+        data = None
+        if self.kind != SYMBOLIC:
+            data = (Cyclo if self.kind == ROOT else Jet)._data(self.level)
+        l, order = (data.level if data else 0), (2 if self.kind == JET else 1)
+        live = [j for j in range(1, len(falling)) if l < 2 or
+                k // l - j // l - (k - j) // l + m // l - (m - j) // l < order]
+        wide = [j for j in live if j > 1]
+        vecs = dict(zip(wide, _gauss_row(k, wide, data))) if wide else {}
+        row = [self.scalar(0)] * (cols + 1)
+        row[0] = self.t_power(k * m)
+        for j in live:
+            if j == 1:
+                binom = self.qint(k)
+            elif data:
+                binom = data.kind._normalized(l, _reduce_vec(vecs[j], data), 1)
+            else:
+                binom = LaurentPoly._normalized(0, vecs[j], 1)
+            row[j] = binom * falling[j] * self.t_power((k - j) * (m - j))
+        return row
 
 
 _CONTEXTS: Dict[tuple, "AlgebraContext"] = {}
+
+
+def _gauss_row(k: int, cols: Sequence[int], data: Optional[_LevelData]) -> List[List[int]]:
+    """The Gauss binomials [k choose j]_t for j in cols, as coordinate
+    vectors of the cover ring of data: the ring before its reduction by the
+    modulus, Z[t]/(c) for c its sparse cycle (stages[0]), or Z[t] for None.
+
+    Built row by row by the q-Pascal rule
+        [n choose j] = [n-1 choose j-1] + t^j [n-1 choose j]
+    on the columns up to the largest min(j, k - j) of cols, since
+    [k choose j] = [k choose k - j], and only the cells asked for are read.
+    For u = t^l - 1 at the level l, a cell is A + B u with A and B of
+    degree below l (B = 0 unless c = u^2):
+        t^(Ml + r) (A + B u) = rot A + (rot B + wrap A + M rot A) u,
+    for rot the rotation by r of the l coordinates and wrap A the r top
+    coordinates of A moved to the bottom, since t^l = 1 + u and u^2 = 0 in
+    Z[t]/(u^2) (and u = 0 in Z[t]/(u)).  The coefficients of a Gauss
+    binomial are non-negative, so A and B are too: at most
+    C(n, j) <= 2^k and C(n, j) * j(n - j) / l, every partial sum of a cell
+    below the cell.  So each is one packed int of non-negative slots, and a
+    cell is a few shifts, masks and sums of integers, with no product and
+    no reduction.  The vector of A + B u is A - B then B, its coordinates
+    at t^0..t^(2l-1).
+    """
+    level = data.level if data else 0
+    square = bool(data) and not data.fold
+    codec = _slot_codec((1 << k) * (k * k // (4 * level) + 1 if square else 1))
+    bits = codec.bits
+    mask = cache(lambda s: (1 << bits * s) - 1)  # the low s slots, for this row only
+
+    def times_t(a: int, b: int, e: int) -> Tuple[int, int]:
+        if not level:
+            return a << bits * e, 0
+        m, r = divmod(e, level)
+        if r:
+            s = level - r
+            wrap = a >> bits * s
+            a = (a & mask(s)) << bits * r | wrap
+            if square:
+                b = ((b & mask(s)) << bits * r | b >> bits * s) + wrap
+        if square and m:
+            b += m * a
+        return a, b
+
+    cols = [min(j, k - j) for j in cols]
+    one, top = (1, 0), max(cols)
+    row = [one]
+    for n in range(1, k + 1):
+        nxt = [one]
+        for j in range(1, min(n - 1, top) + 1):
+            (a, b), (c, d) = row[j - 1], times_t(*row[j], j)
+            nxt.append((a + c, b + d))
+        if n <= top:
+            nxt.append(one)
+        row = nxt
+
+    def read(v: int, n: int) -> List[int]:
+        return list(codec.read(v + codec.flip(n), n))
+
+    out = []
+    for j in cols:
+        a, b = row[j]
+        if not level:
+            out.append(read(a, codec.slots(a)))
+        elif not square:
+            out.append(read(a, level))
+        else:
+            a, b = read(a, level), read(b, level)
+            out.append([x - y for x, y in zip(a, b)] + b)
+    return out
+
+
+def _times_qint(c, a: int):
+    """c * [a]_t, for c a LaurentPoly, or a Cyclo or Jet with the generator
+    read as t: the window sums of a coordinates of c, each a running sum
+    less the running sum a places lower, reduced once."""
+    run = list(accumulate(list(c.num) + [0] * (a - 1)))
+    vec = run[:a] + list(map(sub, run[a:], run))
+    if isinstance(c, LaurentPoly):
+        return LaurentPoly._normalized(c.low, vec, c.den)
+    return c._normalized(c.level, _reduce_vec(vec, c._data(c.level)), c.den)
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:

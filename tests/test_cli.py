@@ -427,21 +427,49 @@ _SR = ((3, "3 + 6*q", 5.196152422706632),
        (7, "7 + 14*q - 14*q^2 + 42*q^3 - 28*q^4 + 28*q^5", 0.3705301811448943))
 
 
-def _diverged_transport_stdout(poly, standard, s, noise):
-    """The report of transport --primes 3,5,7 of poly and s1, whose bracket
-    at level l is s1^s + sr_l r1 s1^(s + 1).  noise holds the real parts of
-    the embedded sr_5 and sr_7, which cancel to about 1e-22."""
+def _diverged_report(poly, standard, coeffs):
+    """The diverged report of transport --primes 3,5,7 of poly, whose
+    bracket has at levels 3, 5 and 7 the coeffs (monomial, exact, approx)
+    of each level in turn; the last monomial is the witness."""
     primes = [{"centrality": True, "l": level, "coeffs": [
-        {"approx": [1.0, 0.0], "exact": "1", "monomial": [[0], [s]]},
-        {"approx": [real, imag], "exact": exact, "monomial": [[1], [s + 1]]},
-    ]} for (level, exact, imag), real in zip(_SR, (0.0, *noise))]
+        {"approx": approx, "exact": exact, "monomial": mono} for mono, exact, approx in entries
+    ]} for level, entries in zip((3, 5, 7), coeffs)]
     report = {
         "limit": None, "matches_standard": None, "poly": poly, "primes": primes,
-        "schema": 1, "standard": standard, "verdict": "diverged", "witness": [[1], [s + 1]],
+        "schema": 1, "standard": standard, "verdict": "diverged",
+        "witness": coeffs[0][-1][0],
         "tolerances": {"eps_conv": 1e-06, "eps_kill": 1e-09, "max_round_den": 64,
                        "round_tol": 1e-06},
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _diverged_transport_stdout(poly, standard, s, noise):
+    """The report of transport --primes 3,5,7 of poly and s1, whose bracket
+    at level l is s1^s + sr_l r1 s1^(s + 1).  noise holds the real parts of
+    the embedded sr_5 and sr_7, which cancel to about 1e-22."""
+    return _diverged_report(poly, standard, [
+        [([[0], [s]], "1", [1.0, 0.0]), ([[1], [s + 1]], exact, [real, imag])]
+        for (level, exact, imag), real in zip(_SR, (0.0, *noise))])
+
+
+# {r1^2, s1^2} = 4 r1 s1 + 4 sr_l r1^2 s1^2 and {r1*s1^2, r1^2} is
+# -4 r1^2 s1 - 4 sr_l r1^3 s1^2, both through the row d^(2l) x^(2l);
+# {s1^2, r1} = -2 s1 - 2 sr_l r1 s1^2 goes through d^l x^(2l)
+_R2_S2 = [[([[1], [1]], "4", [4.0, 0.0]), ([[2], [2]], exact, approx)] for exact, approx in (
+    ("12 + 24*q", [0.0, 20.784609690826528]),
+    ("20 + 40*q - 20*q^2 + 60*q^3", [1.7999450129153882e-21, -8.980559531591707]),
+    ("28 + 56*q - 56*q^2 + 168*q^3 - 112*q^4 + 112*q^5", [2.812414082680294e-22, 1.482120724579577]))]
+_R1S2_R2 = [[([[2], [1]], "-4", [-4.0, 0.0]), ([[3], [2]], exact, approx)] for exact, approx in (
+    ("-12 - 24*q", [0.0, -20.784609690826528]),
+    ("-20 - 40*q + 20*q^2 - 60*q^3", [-1.7999450129153882e-21, 8.980559531591707]),
+    ("-28 - 56*q + 56*q^2 - 168*q^3 + 112*q^4 - 112*q^5",
+     [-2.746239633676052e-22, -1.482120724579577]))]
+_S2_R1 = [[([[0], [1]], "-2", [-2.0, 0.0]), ([[1], [2]], exact, approx)] for exact, approx in (
+    ("-6 - 12*q", [0.0, -10.392304845413264]),
+    ("-10 - 20*q + 10*q^2 - 30*q^3", [-1.3499587596865412e-21, 4.4902797657958535]),
+    ("-14 - 28*q + 28*q^2 - 84*q^3 + 56*q^4 - 56*q^5",
+     [-4.632211430296955e-22, -0.7410603622897886]))]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -453,7 +481,14 @@ def _diverged_transport_stdout(poly, standard, s, noise):
                                     (1.1117307432712692e-21, 1.852884572118782e-22)), "")),
     (["poisson", "--n", "2", "--l", "4", "r1*s2 + r2", "s1^2*r2 + s2"],
      (0, "1 + 4*r2*s2 + 2*r2*s1*s2 - r1*s1^2 + 4*r1*r2*s1^2*s2\n", "")),
-], ids=["transport-r1-s1", "transport-r1s1-s1", "poisson-n2-l4"])
+    (["transport", "--n", "1", "r1^2", "s1^2", "--primes", "3,5,7"],
+     (1, _diverged_report("r1^2", "4*r1*s1", _R2_S2), "")),
+    (["transport", "--n", "1", "r1*s1^2", "r1^2", "--primes", "3,5,7"],
+     (1, _diverged_report("r1*s1^2", "-4*r1^2*s1", _R1S2_R2), "")),
+    (["transport", "--n", "1", "s1^2", "r1", "--primes", "3,5,7"],
+     (1, _diverged_report("s1^2", "-2*s1", _S2_R1), "")),
+], ids=["transport-r1-s1", "transport-r1s1-s1", "poisson-n2-l4", "transport-r1sq-s1sq",
+        "transport-r1s1sq-r1sq", "transport-s1sq-r1"])
 def test_bracket_commands_print_the_pinned_output(argv, want):
     # exit code, stdout and stderr byte for byte.  Each runs in a fresh
     # process, as the command does: the approx noise depends on the

@@ -228,6 +228,34 @@ def test_hat_step_records_relation_failure():
     out = hat_step(bad, CenterPoly.r(1, 1), 5)
     assert isinstance(out, CentralityFailure)
     assert out.level == 5
+    # the map specialized at the level gives the same step
+    assert hat_step(specialize_endomorphism(bad, 5), CenterPoly.r(1, 1), 5) == out
+
+
+def test_hat_step_takes_the_map_specialized_at_its_level():
+    ctx = AlgebraContext.symbolic(1)
+    e = lift_phi(ctx, parse_weyl("x1^2", ctx))
+    r = CenterPoly.r(1, 1)
+    for level in (5, 7):
+        assert hat_step(specialize_endomorphism(e, level), r, level) == hat_step(e, r, level)
+    with pytest.raises(ValueError, match="symbolic"):
+        hat_step(specialize_endomorphism(e, 5), r, 7)
+
+
+def test_hat_endo_specializes_each_level_once(monkeypatch):
+    from qweyl import hatmap
+
+    calls = []
+
+    def counted(e, level):
+        calls.append(level)
+        return specialize_endomorphism(e, level)
+
+    monkeypatch.setattr(hatmap, "specialize_endomorphism", counted)
+    ctx = AlgebraContext.symbolic(2)
+    report = hat_endo(identity_endomorphism(ctx), MID[:4])
+    assert sorted(report.reports) == ["r1", "r2", "s1", "s2"] and report.converged
+    assert calls == list(MID[:4])
 
 
 # ---------------------------------------------------------------------------

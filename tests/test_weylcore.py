@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -27,9 +28,9 @@ from qweyl import (
     specialize_element,
     twist_by_f,
 )
-from qweyl.scalars import PackedPowers, euler_phi
-from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _Keys, _powers, _scaled_rows,
-                             _top_exponent)
+from qweyl.scalars import Jet, PackedPowers, _jetdata, _leveldata, euler_phi
+from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _gauss_row, _Keys, _powers,
+                             _scaled_rows, _times_qint, _top_exponent)
 from conftest import random_element, standard_contexts
 
 
@@ -119,15 +120,82 @@ def _recursive_pair_table(ctx, k, m):
     return table
 
 
-@pytest.mark.parametrize("kind, level", [(SYMBOLIC, None), (ROOT, 5), (ROOT, 12), (JET, 7)])
-def test_pair_expansion_matches_recursion(kind, level):
-    table = _recursive_pair_table(AlgebraContext(1, kind, level=level), 12, 12)
-    ctx = AlgebraContext(1, kind, level=level)  # fresh, so every row is built cold
+# Jet levels 2 and 5 shift past 2l, so t^(Ml + r) folds with M >= 2; Phi_9^2
+# and Phi_12^2 are dense; q = zeta_7^3 checks that the row is sent to q
+_PAIR_CASES = [(SYMBOLIC, None, 1), (ROOT, 5, 1), (ROOT, 12, 1), (JET, 7, 1), (JET, 2, 1),
+               (JET, 5, 1), (JET, 9, 1), (JET, 12, 1), (ROOT, 7, 3)]
+
+
+@pytest.mark.parametrize("kind, level, qpow", _PAIR_CASES,
+                         ids=[f"{k}-{l}" + (f"-q^{p}" if p > 1 else "") for k, l, p in _PAIR_CASES])
+def test_pair_expansion_matches_recursion(kind, level, qpow):
+    table = _recursive_pair_table(AlgebraContext(1, kind, level=level, qpow=qpow), 12, 12)
+    ctx = AlgebraContext(1, kind, level=level, qpow=qpow)  # fresh, so every row is built cold
     for (k, m), row in table.items():
         got = ctx._pair_expansion(k, m)
         assert len(got) == len(row) == min(k, m) + 1
         for j, (a, b) in enumerate(zip(got, row)):
             assert a == b, (k, m, j)
+
+
+def _gauss_in_zt(k):
+    """[k choose j]_t for j = 0..k as coefficient lists over Z[t], by the
+    q-Pascal rule on plain lists."""
+    row = [[1]]
+    for n in range(1, k + 1):
+        nxt = [[1]]
+        for j in range(1, n):
+            # t^j [n-1 choose j] has degree j(n - j), at least (j - 1)(n - j)
+            a, b = row[j - 1], [0] * j + row[j]
+            nxt.append([x + y for x, y in zip(a + [0] * (len(b) - len(a)), b)])
+        row = nxt + [[1]]
+    return row
+
+
+@pytest.mark.parametrize("cover, level", [(None, 0), ("root", 1), ("root", 2), ("root", 5),
+                                          ("root", 12), ("jet", 1), ("jet", 2), ("jet", 5),
+                                          ("jet", 9)])
+def test_gauss_row_is_the_binomial_in_the_cover_ring(cover, level):
+    # each exponent e = M l + r of [k choose j] in Z[t] lands on t^r mod
+    # t^l - 1, and on M t^(l + r) - (M - 1) t^r mod (t^l - 1)^2
+    data = {None: None, "root": _leveldata, "jet": _jetdata}[cover]
+    data = data and data(level)
+    for k in range(21):  # columns up to 10 reach past each level
+        want = []
+        for poly in _gauss_in_zt(k):
+            if cover is None:
+                vec = poly
+            else:
+                vec = [0] * (level if cover == "root" else 2 * level)
+                for e, c in enumerate(poly):
+                    m, r = divmod(e, level)
+                    if cover == "root":
+                        vec[r] += c
+                    else:
+                        vec[level + r] += m * c
+                        vec[r] -= (m - 1) * c
+            want.append(vec)
+        for cols in (list(range(k + 1)), [k // 2, k]):
+            got = _gauss_row(k, cols, data)
+            # a vector over Z[t] may end in zero slots
+            assert len(got) == len(cols) and all(
+                v == want[j] + [0] * (len(v) - len(want[j])) for j, v in zip(cols, got)), (k, cols)
+
+
+@pytest.mark.parametrize("kind, level", [(LaurentPoly, None), (Cyclo, 7), (Cyclo, 12),
+                                         (Jet, 2), (Jet, 7), (Jet, 12)])
+def test_times_qint_is_the_product_by_the_quantum_integer(kind, level):
+    rng = random.Random(level)
+    for _ in range(5):
+        coeffs = [Fraction(rng.randrange(-50, 50), rng.randrange(1, 6)) for _ in range(9)]
+        if kind is LaurentPoly:
+            c = LaurentPoly({e - 3: x for e, x in enumerate(coeffs)})
+        else:
+            c = kind(level, coeffs)
+        for a in range(3 * (level or 5)):
+            got = _times_qint(c, a)
+            want = c * (qint(a) if kind is LaurentPoly else kind(level, [1] * a))
+            assert got == want and got.num == want.num and got.den == want.den, a
 
 
 @pytest.mark.parametrize("ctx", standard_contexts(), ids=repr)
