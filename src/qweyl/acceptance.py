@@ -363,21 +363,19 @@ def criterion_azumaya_vs_burnside() -> Tuple[bool, str]:
     rng = random.Random(909)
     total = 0
     for level in (3, 5):
-        q = cmath.exp(2j * math.pi / level)
-        bad = (1 - q) ** (-level)
-        pts = []
-        for _ in range(9):
-            a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) or 1.0
-            b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            pts.append((a, b))
-        boundary_a = complex(rng.uniform(0.5, 1.5), rng.uniform(0.2, 0.8))
-        pts.append((boundary_a, bad / boundary_a))
-        pts.append((0j, complex(rng.uniform(0.5, 1.5), 0)))
+        def point():
+            return Cyclo(level, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(level - 1)]) or Cyclo.one(level)
+
+        pts = [(point(), point()) for _ in range(9)]
+        boundary_a = point()
+        pts.append((boundary_a, (1 - Cyclo.zeta(level)) ** -level / boundary_a))
+        pts.append((Fraction(0), point()))
         res = cross_check(level, pts)
-        if not res["all_agree"]:
+        if not res["all_agree"] or res["points"][-2]["full"]:
             return False, f"disagreement at l={level}: {res}"
         total += len(pts)
-    return True, f"9 exact grid points at l=2 plus {total} numeric points at l=3,5"
+    return True, f"9 exact grid points at l=2 plus {total} exact points of Q(zeta_l) at l=3,5"
 
 
 def criterion_center_preservation() -> Tuple[bool, str]:

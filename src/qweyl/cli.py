@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import re
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .center import (
@@ -31,7 +32,7 @@ from .morphisms import (
     validate,
 )
 from .poisson import poisson_bracket
-from .scalars import embed
+from .scalars import _check_power_height, embed
 from .weylcore import AlgebraContext, q_commutator
 
 SCHEMA = 1
@@ -56,7 +57,7 @@ def _parse_primes(text: Optional[str]):
 
 def _scalar_json(value) -> dict:
     try:
-        approx = embed(value) if not isinstance(value, complex) else value
+        approx = embed(value)
     except OverflowError:
         raise ValueError("an exact entry is too large for its floating-point "
                          "approximation") from None
@@ -64,22 +65,30 @@ def _scalar_json(value) -> dict:
             "approx": [approx.real, approx.imag]}
 
 
+# A decimal: digits with an optional point and exponent, or a non-finite
+# float spelling, which is refused.
+_DECIMAL = re.compile(r"\s*([-+]?)(?:(nan|inf|infinity)|(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?)\s*",
+                      re.ASCII | re.IGNORECASE)
+
+
 def _parse_point_value(text: str, level: int):
-    """Exact rational / q-polynomial scalar, falling back to a finite float."""
+    """A decimal such as 2.5e-3 is the exact rational it names; other text
+    is an exact rational / q-polynomial scalar expression."""
+    m = _DECIMAL.fullmatch(text)
+    if m and m[2]:
+        raise ParseError(f"scalar {text!r} is not a finite number", 0)
+    if m and (m[3] or m[4]):
+        fraction = m[4] or ""
+        e = int(m[5] or 0) - len(fraction)
+        _check_power_height((10,), e)  # before 10^|e| is built
+        return int(m[1] + m[3] + fraction) * Fraction(10) ** e
     try:
-        ctx = AlgebraContext.root_of_unity(1, level)
-        element = parse_weyl(text, ctx)
+        element = parse_weyl(text, AlgebraContext.root_of_unity(1, level))
         if not element.is_scalar():
             raise ParseError("expected a scalar value", 0)
         return element.scalar_value()
     except ParseError:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"cannot read scalar {text!r}", 0) from None
-        if not math.isfinite(value):
-            raise ParseError(f"scalar {text!r} is not a finite number", 0)
-        return complex(value)
+        raise ParseError(f"cannot read scalar {text!r}", 0) from None
 
 
 # ---------------------------------------------------------------------------

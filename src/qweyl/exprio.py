@@ -22,13 +22,12 @@ through the parser on every exact normal form.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .center import CenterPoly, _center_mono
-from .scalars import Cyclo, LaurentPoly
+from .scalars import Cyclo, LaurentPoly, _join_pieces, _rational_text, _vector_pieces
 from .weylcore import (
     SYMBOLIC,
     AlgebraContext,
@@ -236,18 +235,17 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
     if op == "pow":
         base = _eval_weyl(node[1], ctx)
         e = node[2]
-        if e >= 0:
+        if e < 0:
+            if not base.is_scalar():
+                raise ParseError("negative power of a non-invertible element", node[3])
             try:
-                return power(base, e)
-            except DegreeLimitExceeded as err:
-                raise ParseError(str(err), node[3]) from None
-        if not base.is_scalar():
-            raise ParseError("negative power of a non-invertible element", node[3])
+                base = ctx.scalar_element(base.scalar_value() ** -1)
+            except (ZeroDivisionError, ValueError):
+                raise ParseError("negative power of a non-invertible scalar", node[3]) from None
         try:
-            value = base.scalar_value() ** e
-        except (ZeroDivisionError, ValueError):
-            raise ParseError("negative power of a non-invertible scalar", node[3]) from None
-        return ctx.scalar_element(value)
+            return power(base, abs(e))
+        except DegreeLimitExceeded as err:
+            raise ParseError(str(err), node[3]) from None
     raise AssertionError(f"unknown node {op}")
 
 
@@ -349,50 +347,17 @@ def _eval_center(node, n: int) -> CenterPoly:
         base = _eval_center(node[1], n)
         e = node[2]
         if e < 0:
-            if base.is_constant():
-                c = base.constant_value()
-                if isinstance(c, Fraction) and c != 0:
-                    return CenterPoly.constant(n, c ** e)
-            raise ParseError("negative power of a non-invertible polynomial", node[3])
-        return base ** e
+            c = base.constant_value()
+            if not (base.is_constant() and c):
+                raise ParseError("negative power of a non-invertible polynomial", node[3])
+            base = CenterPoly.constant(n, 1 / c)
+        return base ** abs(e)
     raise AssertionError(f"unknown node {op}")
 
 
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
-
-
-def _rational_text(num: int, den: int) -> Tuple[str, bool]:
-    """(body without sign, is_negative) of num / den, for den > 0."""
-    g = math.gcd(num, den)
-    body, den = str(abs(num) // g), den // g
-    return (body if den == 1 else f"{body}/{den}"), num < 0
-
-
-def _vector_pieces(c, var: str) -> List[Tuple[str, bool]]:
-    """The terms of sum_k c.num[k] var^(c.low + k) / c.den: a Cyclo in q or
-    a LaurentPoly in t."""
-    pieces = []
-    for e, num in enumerate(c.num, c.low):
-        if not num:
-            continue
-        body, neg = _rational_text(num, c.den)
-        if e:
-            power = var if e == 1 else f"{var}^{e}"
-            body = power if body == "1" else f"{body}*{power}"
-        pieces.append((body, neg))
-    return pieces
-
-
-def _join_pieces(pieces: List[Tuple[str, bool]]) -> str:
-    out = []
-    for k, (body, neg) in enumerate(pieces):
-        if k == 0:
-            out.append("-" + body if neg else body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
 
 
 def _scalar_pieces(c) -> List[Tuple[str, bool]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .center import MaxIdealPoint, azumaya_test
+from .center import MaxIdealPoint, _exact_coordinate, azumaya_test
 from .scalars import Cyclo, embed as _embed
 
 __all__ = [
@@ -30,23 +30,21 @@ __all__ = [
     "build_rep",
     "burnside_span_dim",
     "cross_check",
-    "NUMERIC_RANK_TOL",
     "EXACT_RANK_MAX_LEVEL",
-    "NUMERIC_RANK_MAX_LEVEL",
+    "REP_MAX_LEVEL",
 ]
-
-NUMERIC_RANK_TOL = 1e-9
 
 # Exact Burnside ranks eliminate over l cyclotomic l x l matrices: in
 # CPython 3.11 on a 2-core machine a rank takes 0.2 s at l = 13, 1.0-1.6 s at
 # l = 19 and 2.8-5.1 s at l = 23, the most for a 40-digit coordinate.
 EXACT_RANK_MAX_LEVEL = 19
 
-# Float ranks of the rows of C^j (see burnside_span_dim) miss the deficiency
-# at points near the locus a*b = (1-q)^(-l) from l = 15 on.  At l <= 14 they
-# matched the locus verdict on 141 points per level: random, near the locus,
-# a = 0, and coordinates from 1e-12 to 1e12.  The bound keeps a margin.
-NUMERIC_RANK_MAX_LEVEL = 11
+# A representation holds 2 l^2 entries of Q(zeta_l), each of l - 1 or fewer
+# coordinates, and inverts l + 1 of them.  On a 2-core machine build_rep
+# took 0.6 s at l = 128 and 5.0 s at the prime l = 127, and rep --l 128
+# printed 3.3 MB; rep --l 400 ran 53 s into a MemoryError under a 400 MB
+# address-space cap.
+REP_MAX_LEVEL = 128
 
 
 class NoExactRootError(ValueError):
@@ -84,10 +82,6 @@ class NilpotentRep(MatRep):
 # ---------------------------------------------------------------------------
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction, Cyclo))
-
-
 def _int_nth_root(v: int, l: int) -> Optional[int]:
     if v < 0:
         if l % 2 == 0:
@@ -121,10 +115,6 @@ def _exact_lth_root(value, l: int):
     return Fraction(num, den)
 
 
-def _as_complex(v) -> complex:
-    return complex(_embed(v)) if _is_exact(v) else complex(v)
-
-
 def _units(q):
     """Zero and one of the field q lives in: Cyclo or complex."""
     one = q ** 0
@@ -145,19 +135,22 @@ def build_rep(l: int, a, b) -> MatRep:
     at q = zeta_l.
 
     The construction is exact when a and b are both exact scalars, and runs
-    over complex floats when either is numeric.  Exact mode needs the
-    relevant l-th root to be rational; when it is not, NoExactRootError is
-    raised (see _rep_at for the numeric fallback).  The relation
-    Y X - q X Y = I holds by construction for every output.
+    over complex floats when either is complex, as in _rep_at's fallback.
+    Exact mode needs the relevant l-th root to be rational; when it is not,
+    NoExactRootError is raised.  Levels above REP_MAX_LEVEL raise ValueError
+    before any work.  The relation Y X - q X Y = I holds by construction for
+    every output.
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    if _is_exact(a) and _is_exact(b):
+    if l > REP_MAX_LEVEL:
+        raise ValueError(f"representations are limited to l <= {REP_MAX_LEVEL}")
+    if isinstance(a, complex) or isinstance(b, complex):
+        q = cmath.exp(2j * math.pi / l)
+        a_s, b_s = complex(a), complex(b)
+    else:
         q = Cyclo.zeta(l)
         a_s, b_s = _coerce_exact(a, l), _coerce_exact(b, l)
-    else:
-        q = cmath.exp(2j * math.pi / l)
-        a_s, b_s = _as_complex(a), _as_complex(b)
 
     if not a_s and not b_s:
         return _nilpotent_rep(l, q)
@@ -172,29 +165,35 @@ def build_rep(l: int, a, b) -> MatRep:
 
 def _rep_at(l: int, a, b) -> MatRep:
     """build_rep at (a, b): exact when the l-th root is stored in the exact
-    tower, otherwise over the complex embeddings of a and b."""
+    tower, otherwise over the complex embeddings of a and b.  A point that
+    the embeddings would move, a coordinate past the double range or a
+    nonzero one that rounds to zero, raises ValueError."""
     try:
         return build_rep(l, a, b)
     except NoExactRootError:
         try:
-            a_c, b_c = complex(_embed(a)), complex(_embed(b))
+            a_c, b_c = _embed(a), _embed(b)
+            size = "small" if (a and not a_c) or (b and not b_c) else None
         except OverflowError:
-            raise ValueError(
-                f"no exact {l}-th root is stored, and the point is too large "
-                "for the complex fallback"
-            ) from None
+            size = "large"
+        if size:
+            raise ValueError(f"no exact {l}-th root is stored, and the point is too "
+                             f"{size} for the complex fallback") from None
         return build_rep(l, a_c, b_c)
 
 
-def _coerce_exact(v, level: int):
-    if isinstance(v, Cyclo):
-        if v.level != level:
-            r = v.as_rational()
-            if r is None:
-                raise ValueError("cyclotomic level mismatch")
-            return Cyclo.from_rational(level, r)
-        return v
-    return Cyclo.from_rational(level, v)
+def _coerce_exact(v, level: int) -> Cyclo:
+    """The exact scalar v as a Cyclo of the level; TypeError for any other
+    type."""
+    v = _exact_coordinate(v)
+    if isinstance(v, Fraction):
+        return Cyclo.from_rational(level, v)
+    if v.level != level:
+        r = v.as_rational()
+        if r is None:
+            raise ValueError("cyclotomic level mismatch")
+        return Cyclo.from_rational(level, r)
+    return v
 
 
 def _pick_root(value, l: int):
@@ -265,25 +264,15 @@ def burnside_span_dim(l: int, a, b) -> int:
     representation at the point (a, b), at q = zeta_l.
 
     Equals l^2 exactly when the representation generates the full matrix
-    algebra fiber.  Exact points rank exactly; a point with a float
-    coordinate ranks in complex floats.  Levels above EXACT_RANK_MAX_LEVEL,
-    or NUMERIC_RANK_MAX_LEVEL for floats, raise ValueError before any work.
+    algebra fiber.  The rank is exact, over Q(zeta_l).  Levels above
+    EXACT_RANK_MAX_LEVEL raise ValueError, and a coordinate that is not an
+    exact scalar TypeError, before any work.
     """
-    exact = _is_exact(a) and _is_exact(b)
-    if l > (EXACT_RANK_MAX_LEVEL if exact else NUMERIC_RANK_MAX_LEVEL):
-        raise ValueError(
-            f"exact Burnside ranks are limited to l <= {EXACT_RANK_MAX_LEVEL}" if exact else
-            f"numeric Burnside ranks are limited to l <= {NUMERIC_RANK_MAX_LEVEL}; "
-            "give an exact value such as 1 in place of 1.0 for the exact rank"
-        )
+    if l > EXACT_RANK_MAX_LEVEL:
+        raise ValueError(f"exact Burnside ranks are limited to l <= {EXACT_RANK_MAX_LEVEL}")
     if l < 2:
         raise ValueError("need l >= 2")
-    if exact:
-        q, a, b = Cyclo.zeta(l), _coerce_exact(a, l), _coerce_exact(b, l)
-        size, tol = bool, 0
-    else:
-        q, a, b = cmath.exp(2j * math.pi / l), _as_complex(a), _as_complex(b)
-        size, tol = abs, NUMERIC_RANK_TOL
+    q, a, b = Cyclo.zeta(l), _coerce_exact(a, l), _coerce_exact(b, l)
     zero, one = _units(q)
     if not a and not b:
         # X^i Y^j is Y^j moved down i rows, so it lies on the diagonal at
@@ -296,7 +285,7 @@ def burnside_span_dim(l: int, a, b) -> int:
         for d in range(1 - l, l):
             span = range(max(0, -d), min(l, l - d))
             total += _rank([[ys[i + d][r - i] if r >= i else zero for r in span]
-                            for i in span], size, tol)
+                            for i in span])
         return total
     # One of X, Y is diagonal with l distinct eigenvalues, so its powers span
     # the diagonal matrices and the span splits into the rows of the other's
@@ -313,29 +302,24 @@ def burnside_span_dim(l: int, a, b) -> int:
         for _ in range(1, l):
             row = rows[-1]
             rows.append([row[c] * diag[c] + row[c - 1] * band[c] for c in range(l)])
-        total += _rank(rows, size, tol)
+        total += _rank(rows)
     return total
 
 
-def _rank(rows: Matrix, size, tol) -> int:
-    """Rank of the rows by Gaussian elimination, pivoting on the entry of
-    largest size.
-
-    An entry counts as zero when its size is at most tol times the largest
-    size in its row as given, so rows of any scale rank alike: size = bool
-    with tol = 0 decides exactly, size = abs with NUMERIC_RANK_TOL in floats.
-    """
-    work = [(list(row), tol * max(map(size, row))) for row in rows]
+def _rank(rows: Matrix) -> int:
+    """Rank of exact rows by Gaussian elimination, pivoting on the first
+    nonzero entry in row-major order."""
+    work = [list(row) for row in rows]
     rank = 0
     while True:
-        live = [(size(v), i, j) for i, (row, cut) in enumerate(work)
-                for j, v in enumerate(row) if size(v) > cut]
-        if not live:
+        pivot = next(((i, j) for i, row in enumerate(work) for j, v in enumerate(row) if v),
+                     None)
+        if pivot is None:
             return rank
-        _, i, j = max(live, key=lambda e: e[0])
-        prow = work.pop(i)[0]
+        i, j = pivot
+        prow = work.pop(i)
         pinv = 1 / prow.pop(j)
-        for row, _ in work:
+        for row in work:
             f = row.pop(j) * pinv
             if f:
                 row[:] = [v - f * w if w else v for v, w in zip(row, prow)]
@@ -365,7 +349,6 @@ def cross_check(l: int, sample_points: Sequence[Tuple[object, object]]) -> dict:
                 "rank": rank,
                 "full": rank == l * l,
                 "agree": agree,
-                "exact": point.is_exact(),
             }
         )
     return {"l": l, "points": entries, "all_agree": all_agree}

@@ -78,6 +78,25 @@ def _sparse_power(base, e: int, one, size: int):
     return acc
 
 
+# Largest estimated height, in bits, of a scalar power: the exponent times
+# the bits of the sum of the base's coordinates and of its denominator.  On a
+# 2-core machine 3^1000000 - 3^1000000 + x1, whose power is estimated at
+# 2 * 10^6 bits, normalizes in 0.4 s, and 3^30000000 ran for 21.6 s before
+# its digits could not be printed.
+MAX_POWER_BITS = 1 << 21
+
+
+def _check_power_height(values: Iterable, k: int) -> None:
+    """Refuse, before any work, the k-th or -k-th power of an exact scalar in
+    values whose estimated height exceeds MAX_POWER_BITS."""
+    for c in values:
+        num, den = ((c.numerator,), c.denominator) if isinstance(c, (int, Fraction)) else (c.num, c.den)
+        bits = abs(k) * max(sum(map(abs, num)) - 1, den - 1).bit_length()
+        if bits > MAX_POWER_BITS:
+            raise ValueError(f"scalar power of estimated height {bits} bits exceeds the "
+                             f"height bound {MAX_POWER_BITS}")
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and per-level reduction tables
 # ---------------------------------------------------------------------------
@@ -234,36 +253,29 @@ def _atan_inv(x: int, q: int) -> int:
     return total
 
 
-_ZETA_FIXED: Dict[int, Tuple[int, int, int]] = {}
-
-
+@cache
 def _zeta_fixed(level: int, prec: int) -> Tuple[int, int]:
     """cos and sin of 2*pi/level times 2**prec, each within 2 units.
 
-    Values are cached per level at the highest precision asked for so far;
-    lower precisions are read off by shifting.
+    Each (level, prec) is computed at prec itself and cached, so the result,
+    and every embedding made from it, depends on the arguments alone.
     """
-    got = _ZETA_FIXED.get(level)
-    if got is None or got[0] < prec:
-        top = max(prec, 2 * got[0]) if got else prec
-        # The guard bits absorb the truncation errors of Machin's formula
-        # (a few units per term) and of the Taylor series, whose errors grow
-        # by at most e**(2*pi) < 2**10 along the terms.
-        g = 2 * top.bit_length() + 32
-        q = top + g
-        theta = 2 * (16 * _atan_inv(5, q) - 4 * _atan_inv(239, q)) // level
-        cos, sin, term, k = 1 << q, 0, 1 << q, 0
-        while term:
-            k += 1
-            term = term * theta // (k << q)  # theta**k / k!
-            if k & 1:
-                sin += -term if k & 2 else term
-            else:
-                cos += -term if k & 2 else term
-        half = 1 << (g - 1)
-        got = _ZETA_FIXED[level] = (top, (cos + half) >> g, (sin + half) >> g)
-    top, cos, sin = got
-    return cos >> (top - prec), sin >> (top - prec)
+    # The guard bits absorb the truncation errors of Machin's formula (a few
+    # units per term) and of the Taylor series, whose errors grow by at most
+    # e**(2*pi) < 2**10 along the terms.
+    g = 2 * prec.bit_length() + 32
+    q = prec + g
+    theta = 2 * (16 * _atan_inv(5, q) - 4 * _atan_inv(239, q)) // level
+    cos, sin, term, k = 1 << q, 0, 1 << q, 0
+    while term:
+        k += 1
+        term = term * theta // (k << q)  # theta**k / k!
+        if k & 1:
+            sin += -term if k & 2 else term
+        else:
+            cos += -term if k & 2 else term
+    half = 1 << (g - 1)
+    return (cos + half) >> g, (sin + half) >> g
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +317,39 @@ def _lowest_terms(num: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
             den //= g
             num = [c // g for c in num]
     return num, den
+
+
+def _rational_text(num: int, den: int) -> Tuple[str, bool]:
+    """(body without sign, is_negative) of num / den, for den > 0."""
+    g = math.gcd(num, den)
+    body, den = str(abs(num) // g), den // g
+    return (body if den == 1 else f"{body}/{den}"), num < 0
+
+
+def _vector_pieces(c, var: str) -> List[Tuple[str, bool]]:
+    """The terms of sum_k c.num[k] var^(c.low + k) / c.den: a Cyclo in q or
+    a LaurentPoly in t."""
+    pieces = []
+    for e, num in enumerate(c.num, c.low):
+        if not num:
+            continue
+        body, neg = _rational_text(num, c.den)
+        if e:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if body == "1" else f"{body}*{power}"
+        pieces.append((body, neg))
+    return pieces
+
+
+def _join_pieces(pieces: List[Tuple[str, bool]]) -> str:
+    """The terms joined into one sum, the text form of every exact scalar."""
+    out = []
+    for k, (body, neg) in enumerate(pieces):
+        if k == 0:
+            out.append("-" + body if neg else body)
+        else:
+            out.append((" - " if neg else " + ") + body)
+    return "".join(out)
 
 
 class _Residue:
@@ -549,17 +594,7 @@ class Cyclo(_Residue):
             prec += rad.bit_length() + _EMBED_GUARD + 1 - size.bit_length() if size else prec
 
     def __str__(self):
-        terms = []
-        for j, c in enumerate(self.num):
-            if not c:
-                continue
-            coef = Fraction(c, self.den)
-            if j == 0:
-                terms.append(str(coef))
-            else:
-                zj = "q" if j == 1 else f"q^{j}"
-                terms.append(zj if coef == 1 else f"{coef}*{zj}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        return _join_pieces(_vector_pieces(self, "q")) or "0"
 
 
 def _at_root(num: Sequence[int], low: int, den: int, level: int, qpow: int) -> Cyclo:

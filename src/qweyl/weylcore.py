@@ -27,6 +27,7 @@ from .scalars import (
     LaurentPoly,
     PackedPowers,
     _at_root,
+    _check_power_height,
     _LevelData,
     _reduce_vec,
     _slot_codec,
@@ -759,7 +760,8 @@ def power(a: WeylElement, k: int) -> WeylElement:
     would exceed the guard (QWEYL_MAX_DEGREE, default 512), or whose
     estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
     in which no pair carries both x and d commutes with itself and is
-    raised in closed form, by the power of its coefficient; only a Laurent
+    raised in closed form, by the power of its coefficient, which must pass
+    the scalar height bound (scalars.MAX_POWER_BITS); only a Laurent
     coefficient of more than one term makes that cost more than a few
     products, so the cost guard skips the others.  Any other base is
     multiplied up one factor at a time: the power chain (_powers) builds
@@ -776,6 +778,7 @@ def power(a: WeylElement, k: int) -> WeylElement:
     if len(a.terms) == 1:
         ((al, be), c), = a.terms.items()
         if not any(x and y for x, y in zip(al, be)):
+            _check_power_height((c,), k)
             if isinstance(c, LaurentPoly) and not c.is_monomial():
                 _check_power_cost(a, k)
             key = (tuple(k * x for x in al), tuple(k * y for y in be))

@@ -11,7 +11,6 @@ from qweyl import (
     NotCentralError,
     azumaya_test,
     commutator,
-    embed,
     f_element,
     f_power_closed_form,
     is_central,
@@ -20,6 +19,7 @@ from qweyl import (
     theta,
     theta_inverse,
 )
+from qweyl.center import AZUMAYA_MAX_LEVEL
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +151,20 @@ def test_azumaya_level_two_examples():
     assert azumaya_test(MaxIdealPoint([0], [0]), 2)
 
 
-def test_azumaya_numeric_mode():
-    q = embed(Cyclo.zeta(3))
-    bad = (1 - q) ** -3
-    assert not azumaya_test(MaxIdealPoint([1.0 + 0j], [bad]), 3)
-    assert azumaya_test(MaxIdealPoint([1.0 + 0j], [bad + 1]), 3)
+def test_azumaya_on_cyclotomic_points():
+    # the product form decides a_i * b_i * (1-q)^l != 1 with no inverse
+    bad = (1 - Cyclo.zeta(3)) ** -3
+    a = 1 + 2 * Cyclo.zeta(3)
+    assert not azumaya_test(MaxIdealPoint([a], [bad / a]), 3)
+    assert azumaya_test(MaxIdealPoint([a], [bad / a + 1]), 3)
+    assert azumaya_test(MaxIdealPoint([0], [bad]), 3)
+    with pytest.raises(TypeError, match="exact scalars"):
+        MaxIdealPoint([1.0 + 0j], [bad])
+
+
+def test_azumaya_above_its_level_bound_is_refused():
+    with pytest.raises(ValueError, match=f"l <= {AZUMAYA_MAX_LEVEL}"):
+        azumaya_test(MaxIdealPoint([1], [1]), AZUMAYA_MAX_LEVEL + 1)
 
 
 def test_azumaya_componentwise():

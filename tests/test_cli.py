@@ -7,12 +7,13 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qweyl.cli import run
+from qweyl.cli import _parse_point_value, run
 
 
 def _capture(capsys, argv):
@@ -210,20 +211,19 @@ def test_rep_json(capsys):
 
 
 def test_rep_numeric_zeros_are_positive(capsys):
-    # The numeric nilpotent representation takes its zero from the field of
-    # q as one - one, which is +0.0; a zero formed as q * 0 can carry -0.0.
-    code, out, _ = _capture(capsys, ["rep", "--l", "3", "--a", "0.0", "--b", "0.0"])
+    # 2 has no rational cube root, so the point takes the complex fallback,
+    # which takes its zero from the field of q as one - one, +0.0; a zero
+    # formed as q * 0 can carry -0.0.
+    code, out, _ = _capture(capsys, ["rep", "--l", "3", "--a", "0", "--b", "2"])
     assert code == 0
     blob = json.loads(out)
     assert blob["exact"] is False
-    entries = [v for m in ("X", "Y") for row in blob[m] for v in row]
-    zeros = [v["approx"] for v in entries if v["approx"] == [0.0, 0.0]]
-    assert len(zeros) == 2 * 9 - 2 * 2
-    assert all(math.copysign(1.0, c) == 1.0 for z in zeros for c in z)
-    assert "-0.0" not in out
+    parts = [c for m in ("X", "Y") for row in blob[m] for v in row for c in v["approx"]]
+    assert parts.count(0.0) == 2 * 9 + 3  # nine zero entries and three real ones
+    assert all(math.copysign(1.0, c) == 1.0 for c in parts if c == 0.0)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [["rep", "--l", "2"], ["azumaya", "--l", "3"],
                                      ["azumaya", "--l", "3", "--burnside"]])
 def test_non_finite_point_value_is_exit_2(capsys, command, value):
@@ -237,14 +237,16 @@ def test_non_finite_point_value_is_exit_2(capsys, command, value):
     ["rep", "--l", "3", "--a", "10^400", "--b", "1"],
     ["rep", "--l", "2", "--a", "10^700", "--b", "1"],
     ["rep", "--l", "3", "--a", "0", "--b", "10^400"],
-    ["azumaya", "--l", "3", "--a", "10^400", "--b", "1.0"],
-    ["azumaya", "--l", "3", "--a", "1.0", "--b", "10^400", "--burnside"],
+    ["rep", "--l", "3", "--a", "1.0", "--b", "10^400"],
+    ["rep", "--l", "3", "--a", "1e999", "--b", "1"],
+    ["rep", "--l", "2", "--a", "1e999", "--b", "1"],
 ])
 def test_point_too_large_for_a_double_is_exit_2(capsys, argv):
     # 10^400 has no rational cube root and no double near it; the exact
-    # square root 10^350 of 10^700 has no double approximation to print.
-    # A decimal coordinate makes the azumaya test numeric, and 10^400 has
-    # no double.
+    # square root 10^350 of 10^700 has no double approximation to print,
+    # nor has the band corner of the exact rep at a = 1, b = 10^400.  The
+    # decimal 1e999 is the exact 10^999: its exact cube root 10^333 has no
+    # double, and it has no rational square root.
     code, out, err = _capture(capsys, argv)
     assert code == 2
     assert not out
@@ -257,6 +259,37 @@ def test_burnside_ranks_a_point_too_large_for_a_double(capsys):
                                      "--burnside"])
     assert code == 0
     assert json.loads(out)["burnside"] == {"rank": 9, "full": True, "agrees": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["azumaya", "--l", "3", "--a", "10^400", "--b", "1.0"],
+    ["azumaya", "--l", "3", "--a", "1.0", "--b", "10^400", "--burnside"],
+    ["azumaya", "--l", "3", "--a", "1e999", "--b", "1"],
+    ["azumaya", "--l", "3", "--a", "1e999", "--b", "1", "--burnside"],
+])
+def test_decimal_points_are_exact_past_the_double_range(capsys, argv):
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["azumaya"] is True
+    assert blob.get("burnside", {"full": True})["full"] is True
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1.0", 1), (".5", Fraction(1, 2)), ("2.5e3", 2500), ("-0.0", 0),
+    (" -1.25E-2 ", Fraction(-1, 80)), ("1e-401", Fraction(1, 10 ** 401)),
+])
+def test_decimal_point_value_is_the_rational_of_its_text(text, value):
+    assert _parse_point_value(text, 3) == value
+
+
+@pytest.mark.parametrize("value", ["10^-401", "1e-401"])
+def test_point_too_small_for_a_double_is_exit_2(capsys, value):
+    # no rational square root: the fallback would embed a as 0 and print the
+    # representation of another point
+    assert _capture(capsys, ["rep", "--l", "2", f"--a={value}", "--b", "1"]) == (
+        2, "", "error: no exact 2-th root is stored, and the point is too small for the"
+               " complex fallback\n")
 
 
 def test_exact_cube_of_a_wide_integer_stays_exact(capsys):
@@ -282,17 +315,10 @@ def test_exact_burnside_above_the_bound_is_exit_2(capsys):
     assert json.loads(out)["burnside"] == {"rank": 121, "full": True, "agrees": True}
 
 
-def test_decimal_burnside_above_its_bound_is_exit_2(capsys):
-    # float ranks past l = 11 can miss the deficiency; the exact rank cannot
-    code, out, err = _capture(
-        capsys, ["azumaya", "--l", "13", "--a", "1.0", "--b", "1", "--burnside"]
-    )
-    assert code == 2
-    assert not out
-    assert "limited to l <= 11" in err and "exact value" in err
-    assert "decimal value" not in err
+def test_decimal_burnside_ranks_exactly(capsys):
+    # 1.0 is the exact 1, so its rank is exact up to the exact bound
     code, out, _ = _capture(
-        capsys, ["azumaya", "--l", "13", "--a", "1", "--b", "1", "--burnside"]
+        capsys, ["azumaya", "--l", "13", "--a", "1.0", "--b", "1", "--burnside"]
     )
     assert code == 0
     assert json.loads(out)["burnside"] == {"rank": 169, "full": True, "agrees": True}
@@ -458,18 +484,18 @@ def _diverged_transport_stdout(poly, standard, s, noise):
 # {s1^2, r1} = -2 s1 - 2 sr_l r1 s1^2 goes through d^l x^(2l)
 _R2_S2 = [[([[1], [1]], "4", [4.0, 0.0]), ([[2], [2]], exact, approx)] for exact, approx in (
     ("12 + 24*q", [0.0, 20.784609690826528]),
-    ("20 + 40*q - 20*q^2 + 60*q^3", [1.7999450129153882e-21, -8.980559531591707]),
+    ("20 + 40*q - 20*q^2 + 60*q^3", [2.3822801641527197e-22, -8.980559531591707]),
     ("28 + 56*q - 56*q^2 + 168*q^3 - 112*q^4 + 112*q^5", [2.812414082680294e-22, 1.482120724579577]))]
 _R1S2_R2 = [[([[2], [1]], "-4", [-4.0, 0.0]), ([[3], [2]], exact, approx)] for exact, approx in (
     ("-12 - 24*q", [0.0, -20.784609690826528]),
-    ("-20 - 40*q + 20*q^2 - 60*q^3", [-1.7999450129153882e-21, 8.980559531591707]),
+    ("-20 - 40*q + 20*q^2 - 60*q^3", [-2.514629062161204e-22, 8.980559531591707]),
     ("-28 - 56*q + 56*q^2 - 168*q^3 + 112*q^4 - 112*q^5",
      [-2.746239633676052e-22, -1.482120724579577]))]
 _S2_R1 = [[([[0], [1]], "-2", [-2.0, 0.0]), ([[1], [2]], exact, approx)] for exact, approx in (
     ("-6 - 12*q", [0.0, -10.392304845413264]),
-    ("-10 - 20*q + 10*q^2 - 30*q^3", [-1.3499587596865412e-21, 4.4902797657958535]),
+    ("-10 - 20*q + 10*q^2 - 30*q^3", [-4.499862532288471e-22, 4.4902797657958535]),
     ("-14 - 28*q + 28*q^2 - 84*q^3 + 56*q^4 - 56*q^5",
-     [-4.632211430296955e-22, -0.7410603622897886]))]
+     [1.852884572118782e-22, -0.7410603622897886]))]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -478,7 +504,7 @@ _S2_R1 = [[([[0], [1]], "-2", [-2.0, 0.0]), ([[1], [2]], exact, approx)] for exa
       "")),
     (["transport", "--n", "1", "r1*s1", "s1", "--primes", "3,5,7"],
      (1, _diverged_transport_stdout("r1*s1", "s1", 1,
-                                    (1.1117307432712692e-21, 1.852884572118782e-22)), "")),
+                                    (2.117582368135751e-22, 3.044024654195142e-22)), "")),
     (["poisson", "--n", "2", "--l", "4", "r1*s2 + r2", "s1^2*r2 + s2"],
      (0, "1 + 4*r2*s2 + 2*r2*s1*s2 - r1*s1^2 + 4*r1*r2*s1^2*s2\n", "")),
     (["transport", "--n", "1", "r1^2", "s1^2", "--primes", "3,5,7"],
@@ -490,11 +516,18 @@ _S2_R1 = [[([[0], [1]], "-2", [-2.0, 0.0]), ([[1], [2]], exact, approx)] for exa
 ], ids=["transport-r1-s1", "transport-r1s1-s1", "poisson-n2-l4", "transport-r1sq-s1sq",
         "transport-r1s1sq-r1sq", "transport-s1sq-r1"])
 def test_bracket_commands_print_the_pinned_output(argv, want):
-    # exit code, stdout and stderr byte for byte.  Each runs in a fresh
-    # process, as the command does: the approx noise depends on the
-    # precision that earlier embeddings in the process left cached.
+    # exit code, stdout and stderr byte for byte, in a fresh process
     _, out = _run_in_1gib_child(argv)
     assert (out.returncode, out.stdout, out.stderr) == want
+
+
+def test_a_command_after_another_prints_the_bytes_of_a_fresh_process(capsys):
+    # embeddings depend on the value alone, not on what the process embedded
+    # before
+    argv = ["transport", "--n", "1", "r1*s1", "s1", "--primes", "3,5,7"]
+    _, fresh = _run_in_1gib_child(argv)
+    _capture(capsys, ["transport", "--n", "1", "r1", "s1"])
+    assert _capture(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,6 +583,55 @@ def test_scalar_power_over_cost_guard_is_exit_2_before_work(k):
                " (at position 5)\n")
 
 
+@pytest.mark.parametrize("argv, bits", [
+    (["normalize", "--n", "1", "3^30000000"], 60000000),
+    (["normalize", "--n", "1", "(1/3)^-100000000"], 200000000),
+    (["normalize", "--n", "1", "--l", "5", "(2 + q)^10000000"], 20000000),
+    (["azumaya", "--l", "3", "--a", "10^10000000", "--b", "1"], 40000000),
+    (["transport", "--n", "1", "3^30000000", "s1"], 60000000),
+    (["transport", "--n", "1", "(1/3)^-100000000*r1", "s1"], 200000000),
+])
+def test_scalar_power_over_height_bound_is_exit_2_before_work(argv, bits):
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: scalar power of estimated height {bits} bits exceeds the"
+                          " height bound 2097152\n")
+
+
+def test_decimal_exponent_over_height_bound_is_exit_2_before_work():
+    seconds, out = _run_in_1gib_child(["azumaya", "--l", "3", "--a", "1e-99999999", "--b", "1"])
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: scalar power of estimated height 399999996 bits exceeds the height"
+               " bound 2097152\n")
+
+
+def test_scalar_power_under_height_bound_runs(capsys):
+    # 3^1000000 is estimated at 2 * 10^6 bits, under 2^21
+    assert _capture(capsys, ["normalize", "--n", "1", "3^1000000 - 3^1000000 + x1"]) == (
+        0, "x1\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["azumaya", "--l", "60000", "--a", "1", "--b", "1"],
+     "error: the Azumaya test is limited to l <= 2048\n"),
+    (["rep", "--l", "400", "--a", "1", "--b", "1"],
+     "error: representations are limited to l <= 128\n"),
+])
+def test_level_over_command_bound_is_exit_2_before_work(argv, message):
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message)
+
+
+def test_levels_at_the_command_bounds_answer(capsys):
+    code, out, _ = _capture(capsys, ["azumaya", "--l", "1009", "--a", "1", "--b", "1"])
+    assert (code, json.loads(out)["azumaya"]) == (0, True)
+    code, out, _ = _capture(capsys, ["rep", "--l", "128", "--a", "1", "--b", "1"])
+    assert (code, len(json.loads(out)["X"])) == (0, 128)
+
+
 def test_laurent_span_over_bound_is_exit_2_before_work():
     # a Laurent polynomial is a dense vector from its lowest exponent up
     seconds, out = _run_in_1gib_child(["normalize", "--n", "1", "t^99999999999 + 1"])
@@ -599,7 +681,9 @@ def _expressions(atoms):
 
 _EXPR = _expressions(_WEYL_ATOMS)
 _CENTER = _expressions(_CENTER_ATOMS)
-_SCALAR = st.one_of(_expressions(["q", "t", "0", "1", "2", "1/2"]), st.sampled_from(["0.5", "-1.5", "nan", "inf", "-inf", "1e999"]))
+_SCALAR = st.one_of(_expressions(["q", "t", "0", "1", "2", "1/2"]),
+                    st.sampled_from(["0.5", "-1.5", "nan", "inf", "-inf", "1e999", "1e-401",
+                                     ".5", "2.5e3", "-0.0"]))
 _N = st.sampled_from(["1", "2", "0"])
 _L = st.integers(0, 7).map(str)
 _PRIMES = st.sampled_from(["3,5,7", "3,5,7,11", "3,5", "5,3,7", "2,3,5", "4,6,8", "3,x", ""])

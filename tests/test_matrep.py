@@ -18,7 +18,6 @@ from qweyl import (
 )
 from qweyl.matrep import (
     EXACT_RANK_MAX_LEVEL,
-    NUMERIC_RANK_MAX_LEVEL,
     MatRep,
     NilpotentRep,
     _int_nth_root,
@@ -242,15 +241,26 @@ def test_burnside_rows_match_the_full_span_rank(l):
     assert burnside_span_dim(l, 2, locus / 2) == deficient
 
 
-def test_rank_dichotomy_random_numeric():
+def test_rank_dichotomy_random_cyclotomic():
     rng = random.Random(6)
     for l in (3, 5):
+        locus = (1 - Cyclo.zeta(l)) ** -l
         for _ in range(5):
-            a = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-            b = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-            rank = burnside_span_dim(l, a, b)
-            point = MaxIdealPoint([a], [b])
-            assert (rank == l * l) == azumaya_test(point, l)
+            a, b = (Cyclo(l, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                              for _ in range(l - 1)]) or Cyclo.one(l) for _ in "ab")
+            for b in (b, locus / a):
+                rank = burnside_span_dim(l, a, b)
+                point = MaxIdealPoint([a], [b])
+                assert (rank == l * l) == azumaya_test(point, l)
+            assert rank < l * l
+
+
+@pytest.mark.parametrize("value", [1.0, 1 + 0j])
+def test_float_coordinates_raise_type_error(value):
+    with pytest.raises(TypeError, match="exact scalars"):
+        MaxIdealPoint([value], [1])
+    with pytest.raises(TypeError, match="exact scalars"):
+        burnside_span_dim(3, 1, value)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +288,10 @@ def test_cross_check_boundary_level_three():
 def test_cross_check_rejects_large_levels():
     with pytest.raises(ValueError, match=f"l <= {EXACT_RANK_MAX_LEVEL}"):
         cross_check(EXACT_RANK_MAX_LEVEL + 1, [(1, 1)])
-    with pytest.raises(ValueError, match=f"l <= {NUMERIC_RANK_MAX_LEVEL}"):
-        cross_check(NUMERIC_RANK_MAX_LEVEL + 1, [(1.0, 1)])
 
 
 def test_importing_qweyl_leaves_numpy_unloaded():
-    # no part of qweyl needs numpy, the numeric Burnside rank included
+    # no part of qweyl needs numpy
     import qweyl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))

@@ -435,6 +435,18 @@ def test_embed_multiplicative():
             assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-6
 
 
+def test_embed_is_a_function_of_the_value():
+    # cos and sin are cached per level and precision: a wider value embedded
+    # at the same level, which needs more precision, moves no digit of the
+    # real part of x, which is 0 up to the stated bound
+    z = Cyclo.zeta(103)
+    x = 5 * (z - z ** 102) + 3 * (z ** 2 - z ** 101)
+    before = embed(x)
+    assert abs(before.real) <= 2 ** -52 * abs(before)
+    embed(Cyclo(103, [2 ** 400 + 1, -(2 ** 400), 3, 1]))
+    assert embed(x) == before
+
+
 def _decimal_embed(x):
     """Horner's rule for x at exp(2*pi*i/level) in the current decimal context."""
     # pi by the series in the decimal module documentation
