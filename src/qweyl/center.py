@@ -4,10 +4,11 @@ a commutative polynomial ring in 2n variables, and the Azumaya-locus criterion.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .scalars import Cyclo, _check_power_height, _sparse_power, embed as _embed
+from .scalars import Cyclo, DegreeLimitExceeded, _check_power_height, _sparse_power, embed as _embed
 from .weylcore import (
     ROOT,
     AlgebraContext,
@@ -33,6 +34,13 @@ __all__ = [
 # coordinates about l bits wide.  On a 2-core machine it took 0.13 s at
 # l = 1009, 0.87 s at l = 2003, 0.75 s at l = 2048 and 5.5 s at l = 4001.
 AZUMAYA_MAX_LEVEL = 2048
+
+# Largest estimated work of a CenterPoly power (CenterPoly._power_cost), in
+# coefficient products.  On a 2-core machine a unit took 1.1-3.7 us over
+# (r1 + 1)^e, (2*r1 - 3*s1)^e, (r1 + s1 + 1)^e and (r1 + s1 + r2 + s2 + 1)^e:
+# (r1 + 1)^1000 (estimate 2.0 * 10^6) took 4.3 s, and (r1 + s1 + 1)^100
+# (1.5 * 10^6) 2.6 s.
+CENTER_POWER_COST_LIMIT = 10 ** 6
 
 
 class NotCentralError(ValueError):
@@ -194,7 +202,24 @@ class CenterPoly:
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
         _check_power_height(self.coeffs.values(), e)
+        cost = self._power_cost(e)
+        if cost > CENTER_POWER_COST_LIMIT:
+            raise DegreeLimitExceeded(f"polynomial power of estimated cost {cost} exceeds "
+                                      f"the guard {CENTER_POWER_COST_LIMIT}")
         return _sparse_power(self, e, CenterPoly.constant(self.n, 1), len(self.coeffs))
+
+    def _power_cost(self, e: int) -> int:
+        """Estimated coefficient products of self**e: e steps, each
+        multiplying the terms of the power by the m terms of self.  The
+        power has at most as many terms as there are monomials of its
+        degree in 2n variables, and as there are ways to choose e of the
+        m terms."""
+        m = len(self.coeffs)
+        if not m:
+            return 0
+        terms = min(math.comb(e * self.total_degree() + 2 * self.n, 2 * self.n),
+                    math.comb(e + m - 1, m - 1))
+        return e * terms * m
 
     # calculus and evaluation ----------------------------------------------------
 

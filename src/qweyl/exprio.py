@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .center import CenterPoly, _center_mono
-from .scalars import Cyclo, LaurentPoly, _join_pieces, _rational_text, _vector_pieces
+from .scalars import Cyclo, LaurentPoly, _signed_terms, _sum_text
 from .weylcore import (
     SYMBOLIC,
     AlgebraContext,
@@ -240,6 +240,8 @@ def _eval_weyl(node, ctx: AlgebraContext) -> WeylElement:
                 raise ParseError("negative power of a non-invertible element", node[3])
             try:
                 base = ctx.scalar_element(base.scalar_value() ** -1)
+            except DegreeLimitExceeded as err:
+                raise ParseError(str(err), node[3]) from None
             except (ZeroDivisionError, ValueError):
                 raise ParseError("negative power of a non-invertible scalar", node[3]) from None
         try:
@@ -351,7 +353,10 @@ def _eval_center(node, n: int) -> CenterPoly:
             if not (base.is_constant() and c):
                 raise ParseError("negative power of a non-invertible polynomial", node[3])
             base = CenterPoly.constant(n, 1 / c)
-        return base ** abs(e)
+        try:
+            return base ** abs(e)
+        except DegreeLimitExceeded as err:
+            raise ParseError(str(err), node[3]) from None
     raise AssertionError(f"unknown node {op}")
 
 
@@ -360,29 +365,33 @@ def _eval_center(node, n: int) -> CenterPoly:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_pieces(c) -> List[Tuple[str, bool]]:
-    if isinstance(c, Fraction):
-        return [_rational_text(c.numerator, c.denominator)]
+def _scalar_terms(c) -> List[str]:
+    """The signed terms of a coefficient, as _signed_terms writes them."""
     if isinstance(c, Cyclo):
-        return _vector_pieces(c, "q")
+        return _signed_terms(c, "q")
     if isinstance(c, LaurentPoly):
-        return _vector_pieces(c, "t")
-    return [(str(c), False)]
+        return _signed_terms(c, "t")
+    text = str(c)
+    if isinstance(c, Fraction) and text[0] == "-":
+        return [" - " + text[1:]]
+    return [" + " + text]
 
 
 def _format_terms(keys, coeff_of, mono_of) -> str:
-    pieces = []
+    out = []
     for key in keys:
         mono = mono_of(*key)
-        inner = _scalar_pieces(coeff_of(key))
+        inner = _scalar_terms(coeff_of(key))
         if len(inner) == 1:
-            body, neg = inner[0]
+            term = inner[0]
+            if mono:
+                term = term[:3] + mono if term in (" + 1", " - 1") else f"{term}*{mono}"
         else:
-            body, neg = "(" + _join_pieces(inner) + ")", False
-        if mono:
-            body = mono if body == "1" else f"{body}*{mono}"
-        pieces.append((body, neg))
-    return _join_pieces(pieces)
+            term = f" + ({_sum_text(inner)})"
+            if mono:
+                term = f"{term}*{mono}"
+        out.append(term)
+    return _sum_text(out)
 
 
 def print_weyl(a: WeylElement) -> str:

@@ -40,10 +40,8 @@ __all__ = [
 EXACT_RANK_MAX_LEVEL = 19
 
 # A representation holds 2 l^2 entries of Q(zeta_l), each of l - 1 or fewer
-# coordinates, and inverts l + 1 of them.  On a 2-core machine build_rep
-# took 0.6 s at l = 128 and 5.0 s at the prime l = 127, and rep --l 128
-# printed 3.3 MB; rep --l 400 ran 53 s into a MemoryError under a 400 MB
-# address-space cap.
+# coordinates, and inverts two of them.  rep --l 128 printed 3.3 MB; rep
+# --l 400 ran 53 s into a MemoryError under a 400 MB address-space cap.
 REP_MAX_LEVEL = 128
 
 
@@ -225,9 +223,22 @@ def _band_pair(l: int, q, lam, diag_power_value, band_power_value,
         qi = qi * q
     for i in range(l):
         D[i][i] = diag_vals[i]
-        B[i][i] = 1 / (diag_vals[i] * one_minus_q)
+    if isinstance(q, Cyclo):
+        # 1/(lam q^i (1-q)) = q^-i / (lam (1-q)), and diag_power_value is
+        # lam^l exactly: one exact inverse
+        inv = 1 / (lam * one_minus_q)
+        corner_inv, q_inv = inv ** l, q ** (l - 1)
+        for i in range(l):
+            B[i][i] = inv
+            inv = inv * q_inv
+    else:
+        # over the complex embeddings each entry keeps its own division,
+        # which fixes the printed digits of rep
+        for i in range(l):
+            B[i][i] = 1 / (diag_vals[i] * one_minus_q)
+        corner_inv = 1 / (diag_power_value * one_minus_q ** l)
     # band product must equal  band_power_value - 1/(diag_power_value (1-q)^l)
-    corner = band_power_value - 1 / (diag_power_value * one_minus_q ** l)
+    corner = band_power_value - corner_inv
     if diag_is_x:
         for i in range(l - 1):
             B[i][i + 1] = one
@@ -294,8 +305,11 @@ def burnside_span_dim(l: int, a, b) -> int:
     # turns it into the band C (its transpose when Y is diagonal) with
     # diagonal 1/(q^i (1-q)), superdiagonal 1 and corner a*b - (1-q)^(-l).
     # Row k of C^j is row k of C^(j-1) times C.
-    diag = [1 / (q ** i * (one - q)) for i in range(l)]
-    band = [a * b - (one - q) ** -l] + [one] * (l - 1)
+    inv, q_inv = 1 / (one - q), q ** (l - 1)
+    diag = [inv]
+    for _ in range(1, l):
+        diag.append(diag[-1] * q_inv)
+    band = [a * b - inv ** l] + [one] * (l - 1)
     total = 0
     for k in range(l):
         rows = [[one if c == k else zero for c in range(l)]]

@@ -40,6 +40,11 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
+class DegreeLimitExceeded(ValueError):
+    """A power or substitution would exceed the Bernstein-degree guard, or a
+    power or an inverse its cost guard."""
+
+
 # ---------------------------------------------------------------------------
 # powering, shared by every domain of the tower and by the algebras above it
 # ---------------------------------------------------------------------------
@@ -108,6 +113,23 @@ _CYCLO_CACHE: Dict[int, Tuple[int, ...]] = {}
 # so a level of 10^9 would ask for a list of about 8 GB; at this bound the
 # table builds in about 0.02 s on a 2-core machine.
 MAX_LEVEL = 1 << 16
+
+
+# Largest estimated work of a Cyclo inverse by its product of conjugates
+# (_inverse_cost).  On a 2-core machine the inverse of 1 - q + 2q^3 took
+# 0.25-0.32 s at l = 257 (estimate 1.9 * 10^10) and 4.1 s at l = 509
+# (3.0 * 10^11), and that of a dense value with coordinates in -9..9 took
+# 0.17 s at l = 127 (1.2 * 10^10) and 1.5 s at l = 211 (9.6 * 10^10).
+INVERSE_COST_LIMIT = 10 ** 11
+
+
+def _inverse_cost(num: Sequence[int]) -> int:
+    """Estimated work of the product of the phi - 1 conjugates of a value of
+    phi coordinates num: the product has phi coordinates of up to
+    (phi - 1) * h bits, for h the bits of sum|num|, and multiplying it up
+    one conjugate at a time costs about half the square of that size."""
+    phi = len(num)
+    return (phi * (phi - 1) * sum(map(abs, num)).bit_length()) ** 2 // 2
 
 
 def _check_level(level: int) -> None:
@@ -319,37 +341,40 @@ def _lowest_terms(num: Sequence[int], den: int) -> Tuple[Sequence[int], int]:
     return num, den
 
 
-def _rational_text(num: int, den: int) -> Tuple[str, bool]:
-    """(body without sign, is_negative) of num / den, for den > 0."""
-    g = math.gcd(num, den)
-    body, den = str(abs(num) // g), den // g
-    return (body if den == 1 else f"{body}/{den}"), num < 0
-
-
-def _vector_pieces(c, var: str) -> List[Tuple[str, bool]]:
-    """The terms of sum_k c.num[k] var^(c.low + k) / c.den: a Cyclo in q or
-    a LaurentPoly in t."""
-    pieces = []
+def _signed_terms(c, var: str) -> List[str]:
+    """The terms of sum_k c.num[k] var^(c.low + k) / c.den, a Cyclo in q or
+    a LaurentPoly in t, in one pass over the coordinates: each term is
+    written after its sign, " + " or " - ", with its rational coefficient
+    in lowest terms, and a coefficient 1 before a power is left out."""
+    den = c.den
+    out = []
     for e, num in enumerate(c.num, c.low):
         if not num:
             continue
-        body, neg = _rational_text(num, c.den)
-        if e:
-            power = var if e == 1 else f"{var}^{e}"
-            body = power if body == "1" else f"{body}*{power}"
-        pieces.append((body, neg))
-    return pieces
-
-
-def _join_pieces(pieces: List[Tuple[str, bool]]) -> str:
-    """The terms joined into one sum, the text form of every exact scalar."""
-    out = []
-    for k, (body, neg) in enumerate(pieces):
-        if k == 0:
-            out.append("-" + body if neg else body)
+        sign = " + "
+        if num < 0:
+            sign, num = " - ", -num
+        if den == 1:
+            body = str(num)
         else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
+            g = math.gcd(num, den)
+            body = str(num // g) if g == den else f"{num // g}/{den // g}"
+        if not e:
+            out.append(sign + body)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            out.append(sign + power if body == "1" else f"{sign}{body}*{power}")
+    return out
+
+
+def _sum_text(terms: List[str]) -> str:
+    """Signed terms (_signed_terms) joined into one sum, the text form of
+    every exact scalar: the first term's sign, rewritten in the list, is
+    dropped or written "-"."""
+    if terms:
+        first = terms[0]
+        terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(terms)
 
 
 class _Residue:
@@ -544,10 +569,23 @@ class Cyclo(_Residue):
         """x^-1 = rest / N(x), where rest is the product of the conjugates
         sigma_k(x) (z -> z^k for k coprime to the level, k != 1) and the
         field norm N(x) = x * rest is a nonzero rational.
+
+        A value (c / den) z^j of one coordinate is inverted in closed form,
+        as (den / c) z^-j.  Any other value whose estimated work
+        (_inverse_cost) exceeds INVERSE_COST_LIMIT is refused before work.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         level = self.level
+        nonzero = [j for j, c in enumerate(self.num) if c]
+        if len(nonzero) == 1:
+            j, = nonzero
+            zeta = Cyclo.zeta(level, -j).num
+            return Cyclo._normalized(level, [self.den * c for c in zeta], self.num[j])
+        cost = _inverse_cost(self.num)
+        if cost > INVERSE_COST_LIMIT:
+            raise DegreeLimitExceeded(f"cyclotomic inverse of estimated cost {cost} exceeds "
+                                      f"the guard {INVERSE_COST_LIMIT}")
         data = _leveldata(level)
         rest = Cyclo.one(level)
         for k in range(2, level):
@@ -594,7 +632,7 @@ class Cyclo(_Residue):
             prec += rad.bit_length() + _EMBED_GUARD + 1 - size.bit_length() if size else prec
 
     def __str__(self):
-        return _join_pieces(_vector_pieces(self, "q")) or "0"
+        return _sum_text(_signed_terms(self, "q")) or "0"
 
 
 def _at_root(num: Sequence[int], low: int, den: int, level: int, qpow: int) -> Cyclo:

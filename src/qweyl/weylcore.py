@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
     Cyclo,
+    DegreeLimitExceeded,
     Jet,
     LaurentPoly,
     PackedPowers,
@@ -88,11 +89,6 @@ def _check_pairs(n: int) -> None:
 
 class ContextMismatchError(ValueError):
     """Operands live in different algebras."""
-
-
-class DegreeLimitExceeded(ValueError):
-    """A power or substitution would exceed the Bernstein-degree guard, or a
-    power the cost guard."""
 
 
 def _degree_limit() -> int:
@@ -688,10 +684,9 @@ def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
     """{k: base**k for each k in exponents}, from one power chain (_chain)
     that starts from 1.
 
-    Each step multiplies by base on the side with fewer pair expansions:
-    acc * base expands each x-exponent ga of base against acc (sum of
-    prod(ga_i + 1) over its terms), base * acc each d-exponent of base.
-    Both orders give the same power, as base commutes with its own powers.
+    Each step multiplies by base on the side with fewer pair expansions
+    (_left_side).  Both orders give the same power, as base commutes with
+    its own powers.
     Binary powering would multiply large powers by each other, and every
     pair of their terms expands under normal ordering.
     """
@@ -702,10 +697,17 @@ def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
         return out
     if not base.terms:
         return {k: base if k else ctx.one() for k in wanted}
-    left = sum(math.prod(e + 1 for e in ga) for ga, _ in base.terms) > sum(
-        math.prod(e + 1 for e in de) for _, de in base.terms)
-    out.update(_chain(ctx.one(), base, wanted, left))
+    out.update(_chain(ctx.one(), base, wanted, _left_side(base)))
     return out
+
+
+def _left_side(base: WeylElement) -> bool:
+    """Whether a chain of powers of base multiplies by base on the left:
+    acc * base expands each x-exponent ga of base against acc (sum of
+    prod(ga_i + 1) over its terms), base * acc each d-exponent of base,
+    and the side with fewer pair expansions is taken."""
+    return sum(math.prod(e + 1 for e in ga) for ga, _ in base.terms) > sum(
+        math.prod(e + 1 for e in de) for _, de in base.terms)
 
 
 def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[int, WeylElement]:
@@ -764,8 +766,9 @@ def power(a: WeylElement, k: int) -> WeylElement:
     the scalar height bound (scalars.MAX_POWER_BITS); only a Laurent
     coefficient of more than one term makes that cost more than a few
     products, so the cost guard skips the others.  Any other base is
-    multiplied up one factor at a time: the power chain (_powers) builds
-    a**(k-1), and mul multiplies it by a.
+    multiplied up one factor at a time: mul squares it, and the power chain
+    (_chain) multiplies the square by a on the side _left_side picks, k - 2
+    times, and returns its own k-th value.
     """
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
@@ -784,7 +787,12 @@ def power(a: WeylElement, k: int) -> WeylElement:
             key = (tuple(k * x for x in al), tuple(k * y for y in be))
             return WeylElement(a.context, {key: c ** k})
     _check_power_cost(a, k)
-    return mul(_powers(a, (k - 1,))[k - 1], a) if k else a.context.one()
+    if k < 2:
+        return a if k else a.context.one()
+    square = mul(a, a)
+    if k == 2 or not square.terms:
+        return square
+    return _chain(square, a, {k - 2}, _left_side(a))[k - 2]
 
 
 def _check_power_cost(a: WeylElement, k: int) -> None:

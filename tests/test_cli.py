@@ -641,6 +641,31 @@ def test_laurent_span_over_bound_is_exit_2_before_work():
                " the span bound 16777216\n")
 
 
+def test_one_coordinate_inverse_at_a_high_level_is_closed_form():
+    # q^-1 = q^(l-1) = -(1 + q + ... + q^(l-2)) at the prime l = 65521; as a
+    # product of the 65519 other conjugates it ran past 35 s
+    seconds, out = _run_in_1gib_child(["normalize", "--n", "1", "--l", "65521", "q^-1"])
+    assert seconds < 2.0
+    want = "(-1 - q - " + " - ".join(f"q^{e}" for e in range(2, 65520)) + ")\n"
+    assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normalize", "--n", "1", "--l", "509", "(1-q+2*q^3)^-1"],
+     "cyclotomic inverse of estimated cost 298507919112 exceeds the guard 100000000000"
+     " (at position 11)"),
+    (["transport", "--n", "1", "(r1+1)^100000", "s1", "--primes", "3,5,7"],
+     "polynomial power of estimated cost 20000200000 exceeds the guard 1000000"
+     " (at position 6)"),
+])
+def test_inverse_and_center_power_over_cost_guard_are_exit_2_before_work(argv, message):
+    # the conjugate product took 4.1 s at l = 509, and (r1+1)^100000 ran
+    # past 15 s; its coefficients are 1, so the height bound passes it
+    seconds, out = _run_in_1gib_child(argv)
+    assert seconds < 1.0
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_json_output_deterministic(capsys):
     code1, out1, _ = _capture(capsys, ["rep", "--l", "3", "--a", "1", "--b", "2"])
     code2, out2, _ = _capture(capsys, ["rep", "--l", "3", "--a", "1", "--b", "2"])

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,9 @@ from qweyl import (
     print_weyl,
     qint,
 )
+from qweyl.center import _center_mono
+from qweyl.scalars import _signed_terms, _sum_text, euler_phi
+from qweyl.weylcore import WeylElement, _plain_mono
 from conftest import random_element
 
 
@@ -130,6 +135,126 @@ def test_print_golden(sym1):
 def test_print_term_order_is_graded_lex(sym2):
     e = sym2.one() + sym2.monomial((2, 0), (0, 0)) + sym2.monomial((0, 1), (0, 0))
     assert print_weyl(e) == "1 + x2 + x1^2"
+
+
+# The printer as it was written before it became one pass per coordinate
+# vector: a (body, is_negative) piece per term, joined by a second loop.  It
+# is the reference the printer must match byte for byte.
+
+
+def _reference_rational_text(num, den):
+    g = math.gcd(num, den)
+    body, den = str(abs(num) // g), den // g
+    return (body if den == 1 else f"{body}/{den}"), num < 0
+
+
+def _reference_vector_pieces(c, var):
+    pieces = []
+    for e, num in enumerate(c.num, c.low):
+        if not num:
+            continue
+        body, neg = _reference_rational_text(num, c.den)
+        if e:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if body == "1" else f"{body}*{power}"
+        pieces.append((body, neg))
+    return pieces
+
+
+def _reference_join_pieces(pieces):
+    out = []
+    for k, (body, neg) in enumerate(pieces):
+        if k == 0:
+            out.append("-" + body if neg else body)
+        else:
+            out.append((" - " if neg else " + ") + body)
+    return "".join(out)
+
+
+def _reference_scalar_pieces(c):
+    if isinstance(c, Fraction):
+        return [_reference_rational_text(c.numerator, c.denominator)]
+    if isinstance(c, Cyclo):
+        return _reference_vector_pieces(c, "q")
+    if isinstance(c, LaurentPoly):
+        return _reference_vector_pieces(c, "t")
+    return [(str(c), False)]
+
+
+def _reference_format_terms(keys, coeff_of, mono_of):
+    pieces = []
+    for key in keys:
+        mono = mono_of(*key)
+        inner = _reference_scalar_pieces(coeff_of(key))
+        if len(inner) == 1:
+            body, neg = inner[0]
+        else:
+            body, neg = "(" + _reference_join_pieces(inner) + ")", False
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        pieces.append((body, neg))
+    return _reference_join_pieces(pieces)
+
+
+def _random_rational(rng):
+    # +-1 and small integers often, so the "1*" rule and integral
+    # coordinates are hit, and wide numerators over denominators now and then
+    num = rng.choice((1, -1, 1, -1, 0, 0, 2, -3, 12, -(10 ** 20) - 1))
+    return Fraction(num, rng.choice((1, 1, 1, 2, 6, 35)))
+
+
+def _random_scalars(rng):
+    """Random Laurent polynomials, with exponents on both sides of 0, and
+    Cyclo values at prime, prime-power and other levels, some of a single
+    term and some over a denominator."""
+    out = []
+    for _ in range(150):
+        low, size = rng.randint(-4, 3), rng.choice((1, 1, 2, 5, 9))
+        out.append(LaurentPoly({low + i: _random_rational(rng) for i in range(size)}))
+        level = rng.choice((3, 5, 7, 8, 12))
+        coords = [_random_rational(rng) for _ in range(euler_phi(level))]
+        if rng.random() < 0.3:
+            keep = rng.randrange(len(coords))
+            coords = [c if i == keep else 0 for i, c in enumerate(coords)]
+        out.append(Cyclo(level, coords))
+    return out
+
+
+def test_printer_matches_the_reference_byte_for_byte():
+    rng = random.Random(22)
+    scalars = _random_scalars(rng)
+    assert any(c.den != 1 for c in scalars) and any(c.den == 1 for c in scalars)
+    for c in scalars:
+        var = "q" if isinstance(c, Cyclo) else "t"
+        want = _reference_join_pieces(_reference_vector_pieces(c, var))
+        assert _sum_text(_signed_terms(c, var)) == want
+        if isinstance(c, Cyclo):
+            assert str(c) == (want or "0")
+    # whole elements: a coefficient of one term takes the monomial's sign
+    # and drops a 1, and one of more terms is parenthesized
+    sym2, root = AlgebraContext.symbolic(2), AlgebraContext.root_of_unity(2, 12)
+    for ctx, kind in ((sym2, LaurentPoly), (root, Cyclo)):
+        values = [c for c in scalars if isinstance(c, kind) and c]
+        values = [c for c in values if kind is LaurentPoly or c.level == 12]
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                key = (tuple(rng.randint(0, 2) for _ in range(2)),
+                       tuple(rng.randint(0, 2) for _ in range(2)))
+                terms[key] = rng.choice(values)
+            a = WeylElement(ctx, terms)
+            assert print_weyl(a) == _reference_format_terms(a.support(), a.terms.__getitem__,
+                                                            _plain_mono)
+    cyclos = [c for c in scalars if isinstance(c, Cyclo) and c][:20]
+    for _ in range(40):
+        coeffs = {}
+        for _ in range(rng.randint(1, 5)):
+            key = ((rng.randint(0, 2),), (rng.randint(0, 2),))
+            coeffs[key] = rng.choice((_random_rational(rng) or Fraction(1), rng.choice(cyclos)))
+        p = CenterPoly(1, coeffs)
+        keys = sorted(p.coeffs, key=lambda k: (sum(k[0]) + sum(k[1]), k[0], k[1]))
+        assert print_center(p) == _reference_format_terms(keys, p.coeffs.__getitem__,
+                                                          _center_mono)
 
 
 def test_roundtrip_spec_examples(sym1, sym2):

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qweyl.scalars import (
+    INVERSE_COST_LIMIT,
     MAX_LEVEL,
     Cyclo,
+    DegreeLimitExceeded,
     Jet,
     LaurentPoly,
     _CYCLO_CACHE,
+    _inverse_cost,
     _product,
     _slot_codec,
     cyclotomic_polynomial,
@@ -166,6 +169,33 @@ def test_cyclo_field_axioms_random():
             if a:
                 assert a * a.inverse() == 1
                 assert (a * b) / a == b
+
+
+def test_cyclo_inverse_of_one_coordinate_is_closed_form():
+    rng = random.Random(11)
+    for level in (1, 2, 3, 5, 8, 12, 31, 4099):
+        d = euler_phi(level)
+        for j in {0, min(1, d - 1), d // 2, d - 1}:
+            c = Fraction(rng.choice((1, -1, 3, -7)), rng.choice((1, 2, 5)))
+            x = Cyclo(level, [c if i == j else 0 for i in range(d)])
+            assert x * x.inverse() == 1
+    # a product of 4097 conjugates at level 4099, were it not closed form
+    assert _inverse_cost(Cyclo.zeta(4099).num) > INVERSE_COST_LIMIT
+
+
+def test_cyclo_inverse_over_its_cost_guard_is_refused_before_work():
+    x = Cyclo(509, [1, -1, 0, 2])
+    start = time.perf_counter()
+    with pytest.raises(DegreeLimitExceeded, match="estimated cost 298507919112 exceeds the "
+                                                  "guard 100000000000"):
+        x.inverse()
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(DegreeLimitExceeded):
+        x ** -2
+    # under the guard the conjugate product runs
+    y = Cyclo(127, [1, -1, 0, 2])
+    assert _inverse_cost(y.num) < INVERSE_COST_LIMIT
+    assert y * y.inverse() == 1
 
 
 def _powering_cases():

@@ -29,8 +29,8 @@ from qweyl import (
     twist_by_f,
 )
 from qweyl.scalars import Jet, PackedPowers, _jetdata, _leveldata, euler_phi
-from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _gauss_row, _Keys, _powers,
-                             _scaled_rows, _times_qint, _top_exponent)
+from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _gauss_row, _Keys, _left_side,
+                             _powers, _scaled_rows, _times_qint, _top_exponent)
 from conftest import random_element, standard_contexts
 
 
@@ -863,6 +863,30 @@ def test_power_chain_matches_repeated_plain_products(ctx, top):
         # only the powers asked for are unpacked
         assert _powers(base, {top - 2, top}) == {top - 2: want[-3], top: want[-1]}
         assert power(base, top) == want[-1]
+
+
+@pytest.mark.parametrize("ctx", [
+    AlgebraContext.symbolic(1),
+    AlgebraContext.symbolic(2),
+    AlgebraContext.root_of_unity(1, 7),
+    AlgebraContext.first_order_at_root(1, 5),
+], ids=repr)
+def test_power_is_successive_mul(ctx):
+    # power squares through mul and runs the chain from the square on the
+    # side _left_side picks; k - 1 calls of mul give the same power.  The
+    # single terms are x1 d1, which the chain raises, and c x1^2, raised in
+    # closed form.
+    left, right = _chain_bases(ctx)
+    assert _left_side(left) and not _left_side(right)
+    c = ctx.t_power(-1) * ctx.scalar(Fraction(3, 2))
+    pad = (0,) * (ctx.n - 1)
+    singles = [ctx.monomial((1,) + pad, (1,) + pad, c), ctx.monomial((2,) + pad, (0,) + pad, c)]
+    for base in [left, right, *singles]:
+        want = base
+        assert power(base, 0) == ctx.one()
+        for k in range(1, 8):
+            assert power(base, k) == want
+            want = mul(want, base)
 
 
 @given(_symbolic_pair(), st.sampled_from((1, 2, 6, 8, 9, 31)))
