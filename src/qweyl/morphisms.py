@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
+from .scalars import inverse_one_minus_q
 from .weylcore import (
     DEFAULT_DEGREE_LIMIT,
     POWER_COST_LIMIT,
@@ -223,8 +224,7 @@ def one_dim_rep(ctx: AlgebraContext, a: Sequence) -> Endomorphism:
         raise ValueError("characters exist only at roots of unity q != 1")
     if len(a) != ctx.n:
         raise ValueError("need one scalar per pair")
-    one = ctx.one_scalar()
-    inv_one_minus_q = (one - ctx.t_power(1)).inverse()
+    inv_one_minus_q = inverse_one_minus_q(ctx.level, ctx.qpow)
     xs = []
     ds = []
     for ai in a:

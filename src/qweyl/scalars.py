@@ -647,6 +647,15 @@ def _at_root(num: Sequence[int], low: int, den: int, level: int, qpow: int) -> C
     return Cyclo._normalized(level, _reduce_vec(vec, data), den)
 
 
+def inverse_one_minus_q(level: int, qpow: int = 1) -> Cyclo:
+    """1/(1 - q) at q = zeta_level^qpow, for level >= 2, in closed form:
+    -(1/l) sum_{j<l} j q^j, since (1 - q) sum_{j<l} j q^j =
+    sum_{0<j<l} q^j - (l - 1) q^l = -l when q^l = 1 and q != 1.  One
+    vector of l coordinates, reduced once, where Cyclo.inverse would
+    multiply phi(l) - 1 conjugates."""
+    return _at_root(range(0, -level, -1), 0, level, level, qpow)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker-packed sums of products
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ first-order expansions around such a root (for divided differences), which
 are residues mod Phi_level(t)^2.  Each scalar is an integer vector over a
 denominator, and in each domain products and powers multiply and sum
 coefficients as Kronecker-packed integers (scalars.PackedPowers): mul is
-one step of the power chain (_chain) that power and apply_endo run.
+one step of the power chain (_chain) that power and apply_endo run.  The
+chain's driver (_packed_chain) takes its rows from a row builder, so the
+quantum torus (torus.py) runs it too, with rows of twisted monomials.
 """
 
 from __future__ import annotations
@@ -558,15 +560,20 @@ class _Keys:
     al[0] the highest and be[-1] the lowest, so adding two codes adds their
     exponents whenever every field of the sum lies in 0 .. 2**s - 1.  A code
     may have negative fields (an offset), as long as the sums it is added
-    into do not."""
+    into do not.
 
-    __slots__ = ("n", "s", "_half", "_low")
+    With a shift, the al fields of the k-th value of a chain hold al plus k
+    times the shift, so that exponents down to -k * shift code as fields
+    of 0 and up: each row offset adds the shift once (exps reads it back)."""
 
-    def __init__(self, n: int, top: int):
-        # top: the largest exponent of any monomial that is coded
+    __slots__ = ("n", "s", "_half", "_low", "shift")
+
+    def __init__(self, n: int, top: int, shift: Optional[Tuple[int, ...]] = None):
+        # top: the largest field of any monomial that is coded
         self.n, self.s = n, max(top, 1).bit_length()
         self._half = n * self.s
         self._low = (1 << self._half) - 1
+        self.shift = shift
 
     def code(self, al: Sequence[int], be: Sequence[int]) -> int:
         key = 0
@@ -574,10 +581,13 @@ class _Keys:
             key = (key << self.s) + e
         return key
 
-    def exps(self, key: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def exps(self, key: int, k: int = 0) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The exponents of the code of a k-th value of a chain."""
         n, s = self.n, self.s
         mask = (1 << s) - 1
         fields = tuple((key >> (s * i)) & mask for i in range(2 * n - 1, -1, -1))
+        if self.shift:
+            return tuple(a - k * h for a, h in zip(fields, self.shift)), fields[n:]
         return fields[:n], fields[n:]
 
     def part(self, key: int, x_side: bool) -> int:
@@ -713,45 +723,61 @@ def _left_side(base: WeylElement) -> bool:
 def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[int, WeylElement]:
     """{k: start * base**k (base**k * start when left) for each k >= 1 in
     wanted}, for nonzero start and base, multiplying by base one factor at
-    a time.
-
-    The chain keeps each value as integer-coded keys (_Keys) and as
-    coefficients packed by PackedPowers; only the values asked for are
-    unpacked.  The scaled rows of base are built once per exponent they
-    meet, for the whole chain, and each step's slot bound is a bound on
-    the height (largest |coordinate|) of its values times the per-offset
-    widths of the rows it meets (PackedPowers).
-    """
+    a time: the packed chain (_packed_chain) with the normal-ordering rows
+    (_scaled_rows) of base."""
     ctx = base.context
-    top = max(wanted)
-    keys = _Keys(ctx.n, _top_exponent(start) + top * _top_exponent(base))
-    packer = PackedPowers(list(base.terms.values()), list(start.terms.values()))
-    acc, height = packer.start({keys.code(al, be): c for (al, be), c in start.terms.items()})
-    base = WeylElement(ctx, {k: packer.scaled(c) for k, c in base.terms.items()})
-    # a term meets the rows of its d-exponents (acc * base) or of its
-    # x-exponents (base * acc)
+    keys = _Keys(ctx.n, _top_exponent(start) + max(wanted) * _top_exponent(base))
+    start = {keys.code(al, be): c for (al, be), c in start.terms.items()}
+
+    def rows(scaled):
+        scaled = WeylElement(ctx, scaled)
+        return lambda exps: _scaled_rows(ctx, exps, scaled, keys, not left)
+
+    return {k: WeylElement(ctx, terms)
+            for k, terms in _packed_chain(start, base.terms, wanted, keys, left, rows).items()}
+
+
+def _packed_chain(start: Mapping[int, object], base: Mapping, wanted, keys: _Keys, left: bool,
+                  rows) -> Dict[int, Dict]:
+    """{k: the terms of the k-th value} for each k >= 1 in wanted, for a
+    chain that multiplies the nonzero start, given by the codes (keys) of
+    its monomials, by the nonzero base one factor at a time.
+
+    Each term of a value meets the row of its group, the x-fields of its
+    code (left) or its d-fields.  rows(scaled), for scaled the terms of
+    base with their coefficients as PackedPowers scales them, gives the
+    function of a group's exponents that returns the distinct offsets and
+    the nonzero coefficients of its row.  The chain keeps each value as
+    codes and as coefficients packed by PackedPowers; only the values asked
+    for are unpacked, and keyed by their exponents (keys.exps).  Rows are
+    built once per group, for the whole chain, and each step's slot bound
+    is a bound on the height (largest |coordinate|) of its values times the
+    per-offset widths of the rows it meets (PackedPowers).
+    """
+    packer = PackedPowers(list(base.values()), list(start.values()))
+    acc, height = packer.start(start)
+    row_of = rows({k: packer.scaled(c) for k, c in base.items()})
     part = keys.part
-    rows, out = {}, {}
-    for k in range(1, top + 1):
+    table, out = {}, {}
+    for k in range(1, max(wanted) + 1):
         groups = [part(key, left) for key in acc]
         used = set(groups)
-        for g in used - rows.keys():
-            offsets, coeffs = _scaled_rows(ctx, keys.part_exps(g), base, keys, not left)
-            rows[g] = (offsets, coeffs, [packer.norm(c) for c in coeffs])
+        for g in used - table.keys():
+            offsets, coeffs = row_of(keys.part_exps(g))
+            table[g] = (offsets, coeffs, [packer.norm(c) for c in coeffs])
         # a sum meets at most one product per offset: the largest sum|b_i|
         # of each offset bounds its share
         widths: Dict[int, int] = {}
         for g in used:
-            offsets, _, norms = rows[g]
+            offsets, _, norms = table[g]
             for off, w in zip(offsets, norms):
                 if w > widths.get(off, 0):
                     widths[off] = w
         values = packer.step(acc.values(), height * sum(widths.values()))
-        packed = {g: packer.row(g, *rows[g][:2]) for g in used}
+        packed = {g: packer.row(g, *table[g][:2]) for g in used}
         acc, height = packer.settle(_mac(zip(acc, values, map(packed.__getitem__, groups))))
         if k in wanted:
-            out[k] = WeylElement(ctx, {keys.exps(key): packer.unpack(v, k)
-                                       for key, v in acc.items()})
+            out[k] = {keys.exps(key, k): packer.unpack(v, k) for key, v in acc.items()}
     return out
 
 
