@@ -15,17 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .center import CenterPoly, NotCentralError, theta, theta_inverse
-from .morphisms import (
-    Endomorphism,
-    apply_endo,
-    check_apply_cost,
-    specialize_endomorphism,
-)
+from .center import CenterPoly, theta
+from .morphisms import Endomorphism, check_substituted_degree, specialize_endomorphism
 from .poisson import standard_bracket, transported_bracket
 from .scalars import _check_level, _power, embed as _embed
-from .torus import central_power
-from .weylcore import ROOT, SYMBOLIC, DegreeLimitExceeded, _degree_limit, power, specialize_element
+from .torus import Torus, central_power, to_torus, torus_power_cost
+from .weylcore import POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded, _degree_limit
 
 __all__ = [
     "CentralityFailure",
@@ -209,20 +204,20 @@ def _reim(c: complex) -> List[float]:
 # ---------------------------------------------------------------------------
 
 
-def hat_step(e: Endomorphism, p: CenterPoly,
-             level: int) -> Union[CenterPoly, CentralityFailure]:
+def hat_step(e: Endomorphism, p: CenterPoly, level: int,
+             tori: Optional[Dict[str, Torus]] = None) -> Union[CenterPoly, CentralityFailure]:
     """Specialize at the level, push p through the center isomorphism, apply,
     and decompose; a missing decomposition is returned as data, because
     center preservation is only guaranteed for almost every root.  e may
     also be the specialization at the level (specialize_endomorphism), which
-    is then used as it is: hat_endo specializes once for every coordinate.
+    is then used as it is.
 
     The image of theta(p) is p with r_i and s_i replaced by the center
-    polynomials of e(d_i)^l and e(x_i)^l, which are raised and read in the
-    quantum torus (torus.central_power), with no normal ordering.  Before
-    that, check_apply_cost refuses what apply_endo would.  When one of those
-    powers is not central, the image is made by apply_endo, and
-    theta_inverse gives the result or the reason it has none."""
+    polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
+    torus (torus.central_power), with no normal ordering; when one is not
+    central, the level fails and names its generator.  tori holds the
+    images' torus forms, guarded (_guarded_tori), as hat and hat_endo make
+    them before the first level runs; without it, hat_step makes its own."""
     ctx = e.context
     at_level = ctx.kind == ROOT and ctx.level == level and ctx.qpow == 1
     if ctx.kind != SYMBOLIC and not at_level:
@@ -234,32 +229,49 @@ def hat_step(e: Endomorphism, p: CenterPoly,
     e_l = e if at_level else specialize_endomorphism(e, level)
     if not e_l.validated:
         return CentralityFailure(level, "specialized map violates the relations")
-    image = theta(p, level)
-    check_apply_cost(e_l.images_x, e_l.images_d, image)
-    n = p.n
+    if tori is None:
+        tori = _guarded_tori(e_l, p, level)
     powers = {}
-    for a, b in p.coeffs:
-        for i in range(n):
-            if a[i] and ("r", i) not in powers:
-                powers["r", i] = central_power(e_l.images_d[i])
-            if b[i] and ("s", i) not in powers:
-                powers["s", i] = central_power(e_l.images_x[i])
-    if None in powers.values():
-        try:
-            return theta_inverse(apply_endo(e_l, image))
-        except NotCentralError as err:
-            return CentralityFailure(level, str(err))
+    for name, t in tori.items():
+        powers[name] = central_power(t)
+        if powers[name] is None:
+            return CentralityFailure(
+                level, f"the {level}-th power of the image of {name} is not central")
+    n = p.n
     one = CenterPoly.constant(n, e_l.context.one_scalar())
     out = CenterPoly.zero(n)
     for (a, b), c in p.coeffs.items():
         term = one.scale(c)
         for i in range(n):
             if a[i]:
-                term = term * _power(powers["r", i], a[i], one)
+                term = term * _power(powers[f"d{i + 1}"], a[i], one)
             if b[i]:
-                term = term * _power(powers["s", i], b[i], one)
+                term = term * _power(powers[f"x{i + 1}"], b[i], one)
         out = out + term
     return out
+
+
+def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Torus]:
+    """The torus forms of the images whose l-th powers hat_step substitutes
+    into p, by generator name: d_i's for r_i, x_i's for s_i.  Refuses first
+    (DegreeLimitExceeded) a substitution into theta(p) over the degree
+    guard, and a power whose chain estimates (torus.torus_power_cost) over
+    POWER_COST_LIMIT: on lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at
+    79 and 32.1M at 89."""
+    check_substituted_degree(e_l.images_x, e_l.images_d, theta(p, level))
+    tori = {}
+    for i in range(p.n):
+        if any(a[i] for a, _ in p.coeffs):
+            tori[f"d{i + 1}"] = to_torus(e_l.images_d[i])
+        if any(b[i] for _, b in p.coeffs):
+            tori[f"x{i + 1}"] = to_torus(e_l.images_x[i])
+    for name, t in tori.items():
+        cost = torus_power_cost(t, level)
+        if cost > POWER_COST_LIMIT:
+            raise DegreeLimitExceeded(
+                f"torus power chain of the image of {name} at level {level} of "
+                f"estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}")
+    return tori
 
 
 # ---------------------------------------------------------------------------
@@ -347,40 +359,25 @@ def hat(e: Endomorphism, p: CenterPoly,
     """Run the transport over the schedule and judge convergence.
 
     Refuses, before the first level runs, a schedule with a level at which
-    apply_endo would refuse the substitution (_check_schedule_cost)."""
-    levels = _schedule_levels(schedule)
-    _check_schedule_cost(e, [p], levels)
-    return _transport([e] * len(levels), p, levels)
+    hat_step would refuse the substitution or the power (_guarded_tori)."""
+    return _transport(e, {"p": p}, _schedule_levels(schedule))["p"]
 
 
-def _transport(endos: Sequence[Endomorphism], p: CenterPoly,
-               levels: Sequence[int]) -> ConvergenceReport:
-    """The report of hat_step(endos[i], p, levels[i]) over the levels."""
-    return _assemble_report(p, levels, [(level, hat_step(e, p, level))
-                                        for e, level in zip(endos, levels)])
-
-
-def _check_schedule_cost(e: Endomorphism, polys: Sequence[CenterPoly],
-                         levels: Sequence[int]) -> None:
-    """Raise DegreeLimitExceeded when hat_step of a polynomial at a level
-    would be refused by apply_endo's guards (check_apply_cost).  The
-    estimate of lift_phi(x1^2) on r1 is 3.0M at level 31, 24.7M at 53 and
-    120M at 79, against POWER_COST_LIMIT = 25M.  The images are only
-    specialized: the relations they satisfy do not change the estimate.
-
-    The estimate is of the PBW power chain that apply_endo runs, while
-    hat_step raises the images in the quantum torus, so it overstates the
-    cost of hat_step: on a 2-core machine r1 on lift_phi(x1^2) took 0.18 s
-    at level 53 in the torus, against 1.3 s by the PBW chain."""
+def _transport(e: Endomorphism, polys: Dict[str, CenterPoly],
+               levels: Sequence[int]) -> Dict[str, ConvergenceReport]:
+    """The report of hat_step on each polynomial over the levels.  Each
+    level is specialized, and its images put in the torus and guarded
+    (_guarded_tori), once, and every level before the first one runs."""
     if e.context.kind != SYMBOLIC:
         raise ValueError("transport needs a symbolic endomorphism")
-    if any(p.n != e.context.n for p in polys):
+    if any(p.n != e.context.n for p in polys.values()):
         raise ValueError("polynomial arity mismatch")
-    for level in levels:
-        xs = [specialize_element(img, level) for img in e.images_x]
-        ds = [specialize_element(img, level) for img in e.images_d]
-        for p in polys:
-            check_apply_cost(xs, ds, theta(p, level))
+    specialized = [specialize_endomorphism(e, level) for level in levels]
+    tori = [{k: _guarded_tori(e_l, p, level) for k, p in polys.items()} if e_l.validated else {}
+            for e_l, level in zip(specialized, levels)]
+    return {k: _assemble_report(p, levels, [(level, hat_step(e_l, p, level, t.get(k)))
+                                            for level, e_l, t in zip(levels, specialized, tori)])
+            for k, p in polys.items()}
 
 
 @dataclass(frozen=True)
@@ -405,21 +402,18 @@ class HatEndoReport:
         return out
 
 
+def _coordinates(n: int) -> Dict[str, CenterPoly]:
+    return {f"{v}{i}": make(n, i) for i in range(1, n + 1)
+            for v, make in (("r", CenterPoly.r), ("s", CenterPoly.s))}
+
+
 def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
     """Transport every coordinate polynomial; converged iff all converge.
 
     When all coordinates converge to exact real-rational limits, the induced
     endomorphism of the polynomial ring is assembled.
     """
-    n = e.context.n
-    levels = _schedule_levels(schedule)
-    coords = {}
-    for i in range(1, n + 1):
-        coords[f"r{i}"] = CenterPoly.r(n, i)
-        coords[f"s{i}"] = CenterPoly.s(n, i)
-    _check_schedule_cost(e, list(coords.values()), levels)
-    specialized = [specialize_endomorphism(e, level) for level in levels]
-    reports = {k: _transport(specialized, p, levels) for k, p in coords.items()}
+    reports = _transport(e, _coordinates(e.context.n), _schedule_levels(schedule))
     converged = all(r.converged for r in reports.values())
     induced = None
     if converged:
@@ -432,18 +426,12 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
 def check_center_preservation(e: Endomorphism, level: int) -> bool:
     """True iff the image of every generator's l-th power decomposes over
     the center at this level: the l-th power of each generator image is
-    read in the quantum torus, as hat_step reads it (torus.central_power).
-    check_apply_cost refuses first what apply_endo would."""
+    read in the quantum torus, as hat_step reads it (torus.central_power),
+    after hat_step's guards (_guarded_tori)."""
     e_l = specialize_endomorphism(e, level)
-    if not e_l.validated:
-        return False
-    ctx = e_l.context
-    for i in range(1, ctx.n + 1):
-        for gen, image in ((ctx.x(i), e_l.images_x[i - 1]), (ctx.d(i), e_l.images_d[i - 1])):
-            check_apply_cost(e_l.images_x, e_l.images_d, power(gen, level))
-            if central_power(image) is None:
-                return False
-    return True
+    return e_l.validated and all(
+        central_power(t) is not None
+        for p in _coordinates(e.context.n).values() for t in _guarded_tori(e_l, p, level).values())
 
 
 def transport_limit(p: CenterPoly, q: CenterPoly,

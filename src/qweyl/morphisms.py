@@ -35,7 +35,7 @@ __all__ = [
     "identity_endomorphism",
     "validate",
     "apply_endo",
-    "check_apply_cost",
+    "check_substituted_degree",
     "compose",
     "one_dim_rep",
     "lift_phi",
@@ -147,22 +147,28 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     Substitutes monomial by monomial, multiplying the powers of the
     generator images in PBW order (all x-images first, then all d-images).
     The powers of each image come from one power chain (_powers), which
-    unpacks only the exponents that a uses.  Refuses, before any product,
-    the inputs that check_apply_cost refuses.
+    unpacks only the exponents that a uses.  Refuses, before any product, a
+    substitution over the degree guard (check_substituted_degree) and a
+    chain whose estimated cost (_power_cost) exceeds POWER_COST_LIMIT.
     """
     if not e.validated:
         raise UnvalidatedError("endomorphism failed (or skipped) validation")
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
-    check_apply_cost(e.images_x, e.images_d, a)
-    n = ctx.n
-    pow_x = [_powers(e.images_x[i], {al[i] for al, _ in a.terms if al[i]}) for i in range(n)]
-    pow_d = [_powers(e.images_d[i], {be[i] for _, be in a.terms if be[i]}) for i in range(n)]
+    check_substituted_degree(e.images_x, e.images_d, a)
+    images = e.images_x + e.images_d
+    keys = [al + be for al, be in a.terms]
+    wanted = [{key[i] for key in keys if key[i]} for i in range(2 * ctx.n)]
+    for img, ks in zip(images, wanted):
+        cost = _power_cost(img, max(ks)) if ks and img else 0
+        if cost > POWER_COST_LIMIT:
+            raise DegreeLimitExceeded(
+                f"power chain of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}")
+    powers = [_powers(img, ks) for img, ks in zip(images, wanted)]
     out = ctx.zero()
-    for (al, be), c in a.terms.items():
-        factors = ([pow_x[i][al[i]] for i in range(n) if al[i]]
-                   + [pow_d[i][be[i]] for i in range(n) if be[i]])
+    for key, c in zip(keys, a.terms.values()):
+        factors = [powers[i][k] for i, k in enumerate(key) if k]
         acc = factors[0] if factors else ctx.one()
         for factor in factors[1:]:
             acc = mul(acc, factor)
@@ -170,12 +176,10 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     return out
 
 
-def check_apply_cost(images_x: Sequence[WeylElement], images_d: Sequence[WeylElement],
-                     a: WeylElement) -> None:
-    """Refuse, before any product, what apply_endo with these generator
-    images would refuse: a substituted Bernstein degree above the guard
-    (QWEYL_MAX_DEGREE, default 512), or a power chain of an image whose
-    estimated cost (_power_cost) exceeds POWER_COST_LIMIT."""
+def check_substituted_degree(images_x: Sequence[WeylElement],
+                             images_d: Sequence[WeylElement], a: WeylElement) -> None:
+    """Refuse a substitution of these generator images into a whose
+    Bernstein degree exceeds the guard (QWEYL_MAX_DEGREE, default 512)."""
     limit = _degree_limit()
     n = a.context.n
     deg_x = [bernstein_degree(img) if img else 0 for img in images_x]
@@ -190,15 +194,6 @@ def check_apply_cost(images_x: Sequence[WeylElement], images_d: Sequence[WeylEle
         raise DegreeLimitExceeded(
             f"substituted degree {worst} exceeds the guard {limit}"
         )
-    max_a = [max((al[i] for al, _ in a.terms), default=0) for i in range(n)]
-    max_b = [max((be[i] for _, be in a.terms), default=0) for i in range(n)]
-    for img, k in zip(list(images_x) + list(images_d), max_a + max_b):
-        if k and img:
-            cost = _power_cost(img, k)
-            if cost > POWER_COST_LIMIT:
-                raise DegreeLimitExceeded(
-                    f"power chain of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}"
-                )
 
 
 def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .center import CenterPoly
-from .scalars import inverse_one_minus_q
+from .scalars import euler_phi, inverse_one_minus_q
 from .weylcore import ROOT, AlgebraContext, WeylElement, _Keys, _packed_chain
 
-__all__ = ["Torus", "to_torus", "torus_powers", "central_power"]
+__all__ = ["Torus", "to_torus", "torus_powers", "torus_power_cost", "central_power"]
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -149,10 +149,25 @@ def torus_powers(t: Torus, wanted) -> Dict[int, Dict[Mono, object]]:
     return _packed_chain({0: ctx.one_scalar()}, t.terms, wanted, keys, False, rows)
 
 
-def central_power(a: WeylElement) -> Optional[CenterPoly]:
+def torus_power_cost(t: Torus, k: int) -> int:
+    """Estimated work of the chain to the k-th power (torus_powers): step
+    j < k multiplies the j-th value's terms by t's T terms, products of
+    vectors of phi(l) coordinates.  The j-th value has at most C(j + T - 1,
+    T - 1) terms, the multisets of j terms, and at most its exponent box,
+    the product over the pairs of (j da_i + 1)(j db_i + 1) for da_i and
+    db_i the spans of t's y- and f-exponents."""
+    spans = [max(u[i] for u in parts) - min(u[i] for u in parts)
+             for parts in zip(*t.terms) for i in range(t.context.n)]
+    size = len(t.terms)
+    return euler_phi(t.context.level) * size * sum(
+        min(math.comb(j + size - 1, size - 1), math.prod(j * r + 1 for r in spans if r))
+        for j in range(k))
+
+
+def central_power(t: Torus) -> Optional[CenterPoly]:
     """theta_inverse(a**l) for a nonzero element a of the algebra at a root
-    of unity of level l, computed in the quantum torus; None when a**l is
-    not central.
+    of unity of level l, given by its torus form t = to_torus(a) and
+    computed in the quantum torus; None when a**l is not central.
 
     Each central term c y^(l a) f^(l b) of ((q - 1)^m a)^l is c times the
     product over the pairs of y_i^(l a_i) (1 - (1 - q)^l s_i r_i)^b_i, for
@@ -160,7 +175,6 @@ def central_power(a: WeylElement) -> Optional[CenterPoly]:
     s_i or r_i cancel in the sum, since a**l lies in the algebra.  The sum
     is then divided by (q - 1)^(m l), as 1/(q - 1) = -1/(1 - q)
     (scalars.inverse_one_minus_q)."""
-    t = to_torus(a)
     ctx, level = t.context, t.context.level
     terms = torus_powers(t, {level})[level]
     if any(e % level for key in terms for part in key for e in part):

@@ -64,15 +64,16 @@ JET = "jet"
 
 
 DEFAULT_DEGREE_LIMIT = 512
-# The largest estimated cost (_power_cost) of a power that is computed, and
-# of each power chain apply_endo builds.  On a 2-core Python 3.11 machine,
-# symbolic powers ran at 20 to 80 million units a second (k = 40 powers of
-# two terms with integer or rational coefficients, and of 1 + d1 + x1, the
-# slowest) and powers of the lifts of x1^2 and 2 at roots of unity of
-# level 31 and 53 at 16 to 31 million, so such a power that passes takes
-# at most about 2 s there.  The estimate does not count the height of
-# coordinates: the lift of 1 + x1 - 3*x1^3, whose coordinates grow to
-# hundreds of bits, ran at 5 to 6 million.
+# The largest estimated cost of a power that is computed: by power and each
+# PBW chain apply_endo builds (_power_cost), and by each l-th power of a
+# generator image that hat raises in the quantum torus (torus_power_cost).
+# On a 2-core Python 3.11 machine, symbolic powers ran at 20 to 80 million
+# units a second (k = 40 powers of two terms with integer or rational
+# coefficients, and of 1 + d1 + x1, the slowest), and powers of the lifts of
+# x1^2 and 2 at levels 31 to 101, PBW or torus, at 11 to 31 million, so such
+# a power that passes takes at most about 2 s there.  Neither estimate counts
+# coordinate height: PBW powers of the lift of 1 + x1 - 3*x1^3 ran at 5 to 6
+# million.
 POWER_COST_LIMIT = 25_000_000
 
 

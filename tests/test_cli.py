@@ -354,9 +354,10 @@ def test_lift_validate_hat_roundtrip(tmp_path, capsys):
 
 
 def test_hat_past_the_cost_guard_is_exit_2(tmp_path, capsys):
-    # r1 under lift_phi(x1^2) estimates 120M at l = 79, against the limit of
-    # 25M; it is refused before any level runs.  s1 maps to x1^l, whose
-    # chain is cheap, so --poly s1 runs at the same levels.
+    # r1 under lift_phi(x1^2) raises the image of d1 in the torus, whose
+    # chain estimates 32.1M at l = 89, against the limit of 25M; it is
+    # refused before any level runs.  s1 maps to x1^l, whose chain is cheap,
+    # so --poly s1 runs at the same levels.
     code, out, _ = _capture(capsys, ["lift", "--kind", "phi", "--poly", "x1^2"])
     path = tmp_path / "endo.json"
     path.write_text(out)
@@ -365,8 +366,8 @@ def test_hat_past_the_cost_guard_is_exit_2(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert code == 2
     assert not out
-    assert err == ("error: power chain of estimated cost 120332800 exceeds the guard "
-                   "25000000\n")
+    assert err == ("error: torus power chain of the image of d1 at level 89 of estimated "
+                   "cost 32072040 exceeds the guard 25000000\n")
     code, out, _ = _capture(capsys, ["hat", str(path), "--primes", "79,83,89", "--poly", "s1"])
     assert code == 0
     assert json.loads(out)["limit"]["expr"] == "s1"

@@ -21,16 +21,17 @@ from qweyl import (
     standard_bracket,
     transport_limit,
 )
+from qweyl import hatmap
 from qweyl.hatmap import (
     DEFAULT_PRIMES,
     CentralityFailure,
-    _check_schedule_cost,
     is_stable,
     round_coefficient,
 )
 from qweyl.center import theta
 from qweyl.morphisms import apply_endo, specialize_endomorphism
-from qweyl.weylcore import POWER_COST_LIMIT, DegreeLimitExceeded, _power_cost
+from qweyl.torus import to_torus, torus_power_cost
+from qweyl.weylcore import POWER_COST_LIMIT, DegreeLimitExceeded, _power_cost, f_i
 
 # large enough that the decaying tails drop below the kill threshold
 MID = DEFAULT_PRIMES[:8]
@@ -65,25 +66,33 @@ def test_schedule_validation():
     assert hat(e, r1, (4, 6, 9)).levels == (4, 6, 9)
 
 
-def test_schedule_cost_guard():
-    # hat_step(r1) on lift_phi(x1^2) raises d1 + x1^2 + (q - 1)*x1^3*d1 to
-    # the l-th power.  Its estimate is 3.0M at l = 31 and 24.7M at l = 53,
-    # under POWER_COST_LIMIT = 25M, so the default schedule and every level
-    # up to 53 pass; at l = 79 it is 120M, which is refused before any level
-    # runs (the chain alone took minutes).
+def test_schedule_cost_guard(monkeypatch):
+    # hat_step(r1) on lift_phi(x1^2) raises the image of d1, in the torus
+    # x^-1 f - x^-1 + (q - 1) x^2 f, to the l-th power.  Its chain estimates
+    # phi(l) * 3 * sum_{j<l} C(j + 2, 2): 4.1M at l = 53, 20.0M at 79 and
+    # 24.3M at 83, under POWER_COST_LIMIT = 25M, and 32.1M at 89, which is
+    # refused before any level runs.  apply_endo's PBW chain, which hat no
+    # longer runs, is still refused at l = 79.
     ctx = AlgebraContext.symbolic(1)
     e = lift_phi(ctx, {2: 1})
     r1, s1 = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
-    cost = {level: _power_cost(specialize_endomorphism(e, level).images_d[0], level)
-            for level in (31, 53, 79)}
-    assert cost == {31: 2_983_936, 53: 24_727_680, 79: 120_332_800}
-    assert cost[53] <= POWER_COST_LIMIT < cost[79]
-    _check_schedule_cost(e, [r1, s1], DEFAULT_PRIMES + (37, 41, 43, 47, 53))
+    cost = {level: torus_power_cost(to_torus(specialize_endomorphism(e, level).images_d[0]),
+                                    level)
+            for level in (53, 79, 83, 89)}
+    assert cost == {53: 4_092_660, 79: 19_964_880, 83: 24_297_420, 89: 32_072_040}
+    assert cost[83] <= POWER_COST_LIMIT < cost[89]
+    refusal = "image of d1 at level 89 of estimated cost 32072040 exceeds the guard 25000000"
     start = time.perf_counter()
-    with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
-        hat(e, r1, (31, 53, 79))
-    with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
-        hat_endo(e, (79, 83, 89))
+    with monkeypatch.context() as patch:
+        def no_level(*args):
+            raise AssertionError("a level ran before the guard refused the schedule")
+
+        patch.setattr(hatmap, "hat_step", no_level)
+        with pytest.raises(DegreeLimitExceeded, match=refusal):
+            hat(e, r1, (31, 53, 89))
+        with pytest.raises(DegreeLimitExceeded, match=refusal):
+            hat_endo(e, (79, 83, 89))
+    assert _power_cost(specialize_endomorphism(e, 79).images_d[0], 79) == 120_332_800
     with pytest.raises(DegreeLimitExceeded, match="estimated cost 120332800"):
         apply_endo(specialize_endomorphism(e, 79), theta(r1, 79))
     assert time.perf_counter() - start < 2
@@ -318,6 +327,33 @@ def test_hat_composition_property():
     assert r1.converged and r2.converged and rc.converged
     for coord in ("r1", "s1"):
         assert rc.induced[coord] == _subst(r2.induced[coord], r1.induced)
+
+
+def test_n2_shears_converge_on_the_default_schedule():
+    # the shear S and the quartic shear transport to the classical shears by
+    # s1 s2 and s1^2 s2^2 / 2 over the primes 3..31, and S after the pair
+    # lift P to the substitution of their limits over 3..23: the torus
+    # estimate of each image is at most 0.5M at l = 31
+    ctx = AlgebraContext.symbolic(2)
+    x1, x2, d1, d2 = ctx.x(1), ctx.x(2), ctx.d(1), ctx.d(2)
+    f1, f2 = f_i(ctx, 1), f_i(ctx, 2)
+    shear = make_endomorphism(ctx, [x1, x2], [d1 + x2 * f1, d2 + x1 * f2])
+    quartic = make_endomorphism(ctx, [x1, x2], [d1 + x1 * x2 * x2 * f1, d2 + x1 * x1 * x2 * f2])
+    pair = make_endomorphism(ctx, [x1, x2], [d1 + x1 * x1 * f1, d2])
+    assert shear.validated and quartic.validated and pair.validated
+    r1, s1, r2, s2 = (CenterPoly.r(2, 1), CenterPoly.s(2, 1),
+                      CenterPoly.r(2, 2), CenterPoly.s(2, 2))
+    start = time.perf_counter()
+    sheared = hat_endo(shear).induced
+    assert sheared == {"r1": r1 + s2, "s1": s1, "r2": r2 + s1, "s2": s2}
+    assert hat_endo(quartic).induced == {"r1": r1 + s1 * s2 * s2, "s1": s1,
+                                         "r2": r2 + s1 * s1 * s2, "s2": s2}
+    composite = hat_endo(compose(shear, pair), MID).induced
+    assert composite == {"r1": r1 + s2 + s1 * s1, "s1": s1, "r2": r2 + s1, "s2": s2}
+    paired = hat_endo(pair, MID).induced
+    assert paired == {"r1": r1 + s1 * s1, "s1": s1, "r2": r2, "s2": s2}
+    assert composite == {k: _subst(v, sheared) for k, v in paired.items()}
+    assert time.perf_counter() - start < 10  # about 0.9 s on a 2-core machine
 
 
 def test_hat_poisson_preservation_at_limit():

@@ -1,6 +1,7 @@
 """The quantum torus route of hat_step against the PBW route it replaces:
 theta_inverse(apply_endo(e_l, theta(p, l)))."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ from qweyl import hatmap
 from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
-from qweyl.scalars import inverse_one_minus_q
-from qweyl.torus import central_power, to_torus, torus_powers
+from qweyl.scalars import euler_phi, inverse_one_minus_q
+from qweyl.torus import central_power, to_torus, torus_power_cost, torus_powers
 from qweyl.weylcore import f_i, power
 
 from conftest import random_element
@@ -50,13 +51,10 @@ def _pbw_route(e, p, level):
 
 
 @pytest.fixture
-def torus_only(monkeypatch):
-    """hat_step with no way back to the PBW route, so that a fault of the
+def torus_only():
+    """hat_step has no way back to the PBW route, so that a fault of the
     torus that makes a power look non-central cannot hide behind it."""
-    def refused(*args):
-        raise AssertionError("hat_step fell back to apply_endo")
-
-    monkeypatch.setattr(hatmap, "apply_endo", refused)
+    assert not hasattr(hatmap, "apply_endo") and not hasattr(hatmap, "theta_inverse")
 
 
 def test_hat_step_equals_the_pbw_route_on_the_pair_lifts(torus_only):
@@ -101,7 +99,7 @@ def test_central_power_equals_the_normal_ordered_power(rng):
                     want = theta_inverse(power(a, level))
                 except NotCentralError:
                     want = None
-                assert central_power(a) == want, (level, a)
+                assert central_power(to_torus(a)) == want, (level, a)
                 seen.add(want is None)
     assert seen == {True, False}
 
@@ -161,17 +159,45 @@ def test_torus_powers_of_a_two_term_image_stay_small():
         assert all(a[0] >= 0 and a[0] + b[0] == k for a, b in terms)
 
 
-def test_a_non_central_power_returns_the_pbw_reason():
+def test_torus_terms_stay_under_the_estimate_bound():
+    # after step k the chain holds at most min(C(k + T - 1, T - 1), box_k)
+    # terms, box_k the product over the pairs of (k da_i + 1)(k db_i + 1),
+    # which torus_power_cost sums over the steps
+    ctx = AlgebraContext.symbolic(1)
+    images = [img for e in _lifts() for img in e.images_x + e.images_d]
+    images += list(compose(lift_phi(ctx, {1: 1}), lift_phi(ctx, {2: 1})).images_d)
+    for e in _shear_maps()[1:]:
+        images += list(e.images_d)
+    reached = 0
+    for level in (5, 7, 13):
+        for image in images:
+            t = to_torus(specialize_element(image, level))
+            size = len(t.terms)
+            spans = [max(key[s][i] for key in t.terms) - min(key[s][i] for key in t.terms)
+                     for s in (0, 1) for i in range(image.context.n)]
+            bounds = [min(math.comb(k + size - 1, size - 1), math.prod(k * d + 1 for d in spans))
+                      for k in range(level + 1)]
+            for k, terms in torus_powers(t, range(1, level + 1)).items():
+                assert len(terms) <= bounds[k], (image, level, k)
+                reached += len(terms) == bounds[k]
+            assert torus_power_cost(t, level) == euler_phi(level) * size * sum(bounds[:level])
+    assert reached
+
+
+def test_a_non_central_power_names_its_generator():
     # a map that claims to be validated, with x1 -> x1 d1, whose l-th power
-    # is not central: hat_step reads the reason off apply_endo's image
+    # is not central, as the PBW route finds too: the level fails on s1 and
+    # names x1, while r1 uses only d1 -> d1
     level = 5
     ctx = AlgebraContext.root_of_unity(1, level)
     e = Endomorphism(ctx, [ctx.x(1) * ctx.d(1)], [ctx.d(1)], True, ())
-    s1 = CenterPoly.s(1, 1)
-    got = hat_step(e, s1, level)
-    with pytest.raises(NotCentralError) as err:
+    r1, s1 = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
+    assert hat_step(e, s1, level) == CentralityFailure(
+        level, "the 5-th power of the image of x1 is not central")
+    with pytest.raises(NotCentralError):
         theta_inverse(apply_endo(e, theta(s1, level)))
-    assert got == CentralityFailure(level, str(err.value))
+    assert hat_step(e, r1, level) == r1
+    assert hat_step(e, r1 * s1, level) == hat_step(e, s1, level)
 
 
 def test_center_preservation_reads_the_torus(torus_only):
