@@ -26,6 +26,7 @@ from .hatmap import hat, hat_endo, transport_limit
 from .matrep import _rep_at, burnside_span_dim
 from .morphisms import (
     Endomorphism,
+    UnvalidatedError,
     lift_phi,
     lift_psi,
     make_endomorphism,
@@ -207,7 +208,8 @@ def _check_descriptor(data) -> None:
         raise ValueError('descriptor field \'param\' must be "t" or {"l": <positive integer>}')
 
 
-def _endo_from_json(data) -> Endomorphism:
+def _images_from_json(data):
+    """The context and the parsed generator images of a descriptor."""
     _check_descriptor(data)
     n = data["n"]
     param = data.get("param", "t")
@@ -217,16 +219,16 @@ def _endo_from_json(data) -> Endomorphism:
         ctx = AlgebraContext.root_of_unity(n, param["l"])
     xs = [parse_weyl(src, ctx) for src in data["images_x"]]
     ds = [parse_weyl(src, ctx) for src in data["images_d"]]
-    return make_endomorphism(ctx, xs, ds)
+    return ctx, xs, ds
 
 
-def _load_endo(path: str) -> Endomorphism:
+def _load_images(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("descriptor JSON is nested too deeply") from None
-    return _endo_from_json(data)
+    return _images_from_json(data)
 
 
 def _cmd_lift(args) -> int:
@@ -238,8 +240,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    e = _load_endo(args.file)
-    ok, violations = validate(e.images_x, e.images_d)
+    _, xs, ds = _load_images(args.file)
+    ok, violations = validate(xs, ds)
     out = {
         "schema": SCHEMA,
         "valid": ok,
@@ -252,8 +254,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    e = _load_endo(args.file)
-    if not e.validated:
+    try:
+        e = make_endomorphism(*_load_images(args.file))
+    except UnvalidatedError:
         print(_json_out({"schema": SCHEMA, "error": "endomorphism failed validation"}))
         return 1
     schedule = _parse_primes(args.primes)

@@ -20,7 +20,7 @@ from .morphisms import Endomorphism, check_substituted_degree, specialize_endomo
 from .poisson import standard_bracket, transported_bracket
 from .scalars import _check_level, _power, embed as _embed
 from .torus import Torus, central_power, to_torus, torus_power_cost
-from .weylcore import POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded, _degree_limit
+from .weylcore import DEFAULT_DEGREE_LIMIT, POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded
 
 __all__ = [
     "CentralityFailure",
@@ -209,8 +209,8 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     """Specialize at the level, push p through the center isomorphism, apply,
     and decompose; a missing decomposition is returned as data, because
     center preservation is only guaranteed for almost every root.  e may
-    also be the specialization at the level (specialize_endomorphism), which
-    is then used as it is.
+    also be a map at the level's principal root (specialize_endomorphism,
+    or make_endomorphism in that context), which is then used as it is.
 
     The image of theta(p) is p with r_i and s_i replaced by the center
     polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
@@ -227,8 +227,6 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     if level < 2:
         raise ValueError("need level >= 2")
     e_l = e if at_level else specialize_endomorphism(e, level)
-    if not e_l.validated:
-        return CentralityFailure(level, "specialized map violates the relations")
     if tori is None:
         tori = _guarded_tori(e_l, p, level)
     powers = {}
@@ -373,9 +371,9 @@ def _transport(e: Endomorphism, polys: Dict[str, CenterPoly],
     if any(p.n != e.context.n for p in polys.values()):
         raise ValueError("polynomial arity mismatch")
     specialized = [specialize_endomorphism(e, level) for level in levels]
-    tori = [{k: _guarded_tori(e_l, p, level) for k, p in polys.items()} if e_l.validated else {}
+    tori = [{k: _guarded_tori(e_l, p, level) for k, p in polys.items()}
             for e_l, level in zip(specialized, levels)]
-    return {k: _assemble_report(p, levels, [(level, hat_step(e_l, p, level, t.get(k)))
+    return {k: _assemble_report(p, levels, [(level, hat_step(e_l, p, level, t[k]))
                                             for level, e_l, t in zip(levels, specialized, tori)])
             for k, p in polys.items()}
 
@@ -427,9 +425,10 @@ def check_center_preservation(e: Endomorphism, level: int) -> bool:
     """True iff the image of every generator's l-th power decomposes over
     the center at this level: the l-th power of each generator image is
     read in the quantum torus, as hat_step reads it (torus.central_power),
-    after hat_step's guards (_guarded_tori)."""
+    after hat_step's guards (_guarded_tori).  The relations need no check:
+    e was certified where it was built, and specialization keeps them."""
     e_l = specialize_endomorphism(e, level)
-    return e_l.validated and all(
+    return all(
         central_power(t) is not None
         for p in _coordinates(e.context.n).values() for t in _guarded_tori(e_l, p, level).values())
 
@@ -441,13 +440,11 @@ def transport_limit(p: CenterPoly, q: CenterPoly,
 
     Refuses, before the first level runs, a schedule whose largest level l
     would give the product of the lifts of p and q a Bernstein degree
-    l * (deg p + deg q) over the guard (QWEYL_MAX_DEGREE, default 512)."""
+    l * (deg p + deg q) over the guard DEFAULT_DEGREE_LIMIT (512)."""
     levels = _schedule_levels(schedule)
     degree = levels[-1] * (p.total_degree() + q.total_degree())
-    limit = _degree_limit()
-    if degree > limit:
-        raise DegreeLimitExceeded(
-            f"bracket of lifts of degree {degree} at level {levels[-1]} exceeds the guard {limit}"
-        )
+    if degree > DEFAULT_DEGREE_LIMIT:
+        raise DegreeLimitExceeded(f"bracket of lifts of degree {degree} at level {levels[-1]} "
+                                  f"exceeds the guard {DEFAULT_DEGREE_LIMIT}")
     results = [(level, transported_bracket(p, q, level)) for level in levels]
     return _assemble_report(p, levels, results, standard_bracket(p, q))

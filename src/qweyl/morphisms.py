@@ -5,7 +5,7 @@ automorphisms of the classical algebra.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from .scalars import inverse_one_minus_q
 from .weylcore import (
@@ -17,12 +17,13 @@ from .weylcore import (
     ContextMismatchError,
     DegreeLimitExceeded,
     WeylElement,
-    _degree_limit,
     _power_cost,
     _powers,
     bernstein_degree,
+    commutator,
     f_element,
     mul,
+    q_commutator,
     specialize_element,
 )
 
@@ -44,28 +45,27 @@ __all__ = [
 ]
 
 class UnvalidatedError(ValueError):
-    """Application of an endomorphism whose relation certificate is missing."""
+    """Generator images that violate a defining relation: make_endomorphism
+    names the first one and builds no map."""
 
 
 class Endomorphism:
     """Algebra endomorphism stored as the images of the 2n generators.
 
-    `validated` certifies that all defining relations map to zero; the list
-    of violated relations (if any) is kept as data.
+    Holding one certifies it: make_endomorphism builds it from images that
+    satisfy every defining relation, and a constructor that already has a
+    proof (identity_endomorphism, compose, specialize_endomorphism) builds
+    it directly.
     """
 
-    __slots__ = ("context", "images_x", "images_d", "validated", "violations")
+    __slots__ = ("context", "images_x", "images_d")
 
     def __init__(self, context: AlgebraContext,
                  images_x: Sequence[WeylElement],
-                 images_d: Sequence[WeylElement],
-                 validated: bool,
-                 violations: Tuple[Tuple[str, WeylElement], ...]):
+                 images_d: Sequence[WeylElement]):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "images_x", tuple(images_x))
         object.__setattr__(self, "images_d", tuple(images_d))
-        object.__setattr__(self, "validated", validated)
-        object.__setattr__(self, "violations", violations)
 
     def __setattr__(self, name, value):
         raise AttributeError("Endomorphism values are immutable")
@@ -85,38 +85,30 @@ class Endomorphism:
         return deg
 
     def __repr__(self):
-        return (f"<Endomorphism on {self.context!r}, validated={self.validated}, "
-                f"deg<={self.max_image_degree()}>")
+        return f"<Endomorphism on {self.context!r}, deg<={self.max_image_degree()}>"
 
 
-def validate(images_x, images_d: Optional[Sequence[WeylElement]] = None
+def validate(images_x: Sequence[WeylElement], images_d: Sequence[WeylElement]
              ) -> Tuple[bool, List[Tuple[str, WeylElement]]]:
-    """Substitute the images into every defining relation.
-
-    Accepts either an endomorphism or the two image families directly;
-    returns (all relations vanish, list of (relation label, residual)).
-    """
-    if isinstance(images_x, Endomorphism):
-        images_x, images_d = images_x.images_x, images_x.images_d
+    """Substitute the images into every defining relation; returns (all
+    relations vanish, list of (relation label, residual))."""
     ctx = images_x[0].context
     n = ctx.n
-    t1 = ctx.t_power(1)
     violations: List[Tuple[str, WeylElement]] = []
     for i in range(n):
         for j in range(n):
-            res = mul(images_d[i], images_x[j]) - mul(images_x[j], images_d[i]).scale(
-                t1 if i == j else ctx.one_scalar()
-            )
             if i == j:
-                res = res - ctx.one()
+                res = q_commutator(images_d[i], images_x[i]) - ctx.one()
+            else:
+                res = commutator(images_d[i], images_x[j])
             if res:
                 violations.append((f"d{i+1}*x{j+1} relation", res))
     for i in range(n):
         for j in range(i + 1, n):
-            res = mul(images_x[i], images_x[j]) - mul(images_x[j], images_x[i])
+            res = commutator(images_x[i], images_x[j])
             if res:
                 violations.append((f"x{i+1}*x{j+1} commutation", res))
-            res = mul(images_d[i], images_d[j]) - mul(images_d[j], images_d[i])
+            res = commutator(images_d[i], images_d[j])
             if res:
                 violations.append((f"d{i+1}*d{j+1} commutation", res))
     return (not violations, violations)
@@ -125,24 +117,29 @@ def validate(images_x, images_d: Optional[Sequence[WeylElement]] = None
 def make_endomorphism(ctx: AlgebraContext,
                       images_x: Sequence[WeylElement],
                       images_d: Sequence[WeylElement]) -> Endomorphism:
-    """Build and certify an endomorphism from generator images."""
+    """Build an endomorphism from generator images, certified: raises
+    UnvalidatedError naming the first defining relation they violate.  A
+    map that holds only at a root of unity is built in that root's context,
+    AlgebraContext.root_of_unity(n, l)."""
     if len(images_x) != ctx.n or len(images_d) != ctx.n:
         raise ValueError("need one image per generator")
     for img in tuple(images_x) + tuple(images_d):
         if img.context != ctx:
             raise ContextMismatchError("image lives in a different context")
     ok, violations = validate(images_x, images_d)
-    return Endomorphism(ctx, images_x, images_d, ok, tuple(violations))
+    if not ok:
+        raise UnvalidatedError(f"the images violate the {violations[0][0]}")
+    return Endomorphism(ctx, images_x, images_d)
 
 
 def identity_endomorphism(ctx: AlgebraContext) -> Endomorphism:
     xs = [ctx.x(i) for i in range(1, ctx.n + 1)]
     ds = [ctx.d(i) for i in range(1, ctx.n + 1)]
-    return Endomorphism(ctx, xs, ds, True, ())
+    return Endomorphism(ctx, xs, ds)
 
 
 def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
-    """Image of an element under a validated endomorphism.
+    """Image of an element under an endomorphism.
 
     Substitutes monomial by monomial, multiplying the powers of the
     generator images in PBW order (all x-images first, then all d-images).
@@ -151,8 +148,6 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     substitution over the degree guard (check_substituted_degree) and a
     chain whose estimated cost (_power_cost) exceeds POWER_COST_LIMIT.
     """
-    if not e.validated:
-        raise UnvalidatedError("endomorphism failed (or skipped) validation")
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
@@ -179,8 +174,7 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
 def check_substituted_degree(images_x: Sequence[WeylElement],
                              images_d: Sequence[WeylElement], a: WeylElement) -> None:
     """Refuse a substitution of these generator images into a whose
-    Bernstein degree exceeds the guard (QWEYL_MAX_DEGREE, default 512)."""
-    limit = _degree_limit()
+    Bernstein degree exceeds the guard DEFAULT_DEGREE_LIMIT (512)."""
     n = a.context.n
     deg_x = [bernstein_degree(img) if img else 0 for img in images_x]
     deg_d = [bernstein_degree(img) if img else 0 for img in images_d]
@@ -190,22 +184,20 @@ def check_substituted_degree(images_x: Sequence[WeylElement],
             be[i] * deg_d[i] for i in range(n)
         )
         worst = max(worst, est)
-    if worst > limit:
+    if worst > DEFAULT_DEGREE_LIMIT:
         raise DegreeLimitExceeded(
-            f"substituted degree {worst} exceeds the guard {limit}"
+            f"substituted degree {worst} exceeds the guard {DEFAULT_DEGREE_LIMIT}"
         )
 
 
 def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
-    """e1 after e2: images of the composite are e1 applied to e2's images."""
+    """e1 after e2: images of the composite are e1 applied to e2's images.
+    A composite of homomorphisms is one, so it is built without validation."""
     if e1.context != e2.context:
         raise ContextMismatchError("cannot compose across contexts")
-    if not (e1.validated and e2.validated):
-        raise UnvalidatedError("compose requires validated endomorphisms")
     xs = [apply_endo(e1, img) for img in e2.images_x]
     ds = [apply_endo(e1, img) for img in e2.images_d]
-    # a composite of certified homomorphisms is a homomorphism
-    return Endomorphism(e1.context, xs, ds, True, ())
+    return Endomorphism(e1.context, xs, ds)
 
 
 def one_dim_rep(ctx: AlgebraContext, a: Sequence) -> Endomorphism:
@@ -251,17 +243,14 @@ def _as_x_poly(ctx: AlgebraContext, poly: Union[WeylElement, Mapping[int, object
 def lift_phi(ctx: AlgebraContext, coeff_poly: Union[WeylElement, Mapping[int, object]]) -> Endomorphism:
     """The lift  x -> x,  d -> d + F(x) * f  of the translation d -> d + F(x).
 
-    Single-pair construction (n = 1); validation must succeed and is asserted.
+    Single-pair construction (n = 1), validated by make_endomorphism.
     """
     if ctx.n != 1:
         raise ValueError("lifts are constructed for a single generator pair")
     if ctx.kind != SYMBOLIC:
         raise ValueError("lifts are built over symbolic t")
     F = _as_x_poly(ctx, coeff_poly, "x")
-    e = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + mul(F, f_element(ctx))])
-    if not e.validated:  # pragma: no cover - construction guarantee
-        raise AssertionError("canonical lift failed validation")
-    return e
+    return make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + mul(F, f_element(ctx))])
 
 
 def lift_psi(ctx: AlgebraContext, coeff_poly: Union[WeylElement, Mapping[int, object]]) -> Endomorphism:
@@ -271,20 +260,17 @@ def lift_psi(ctx: AlgebraContext, coeff_poly: Union[WeylElement, Mapping[int, ob
     if ctx.kind != SYMBOLIC:
         raise ValueError("lifts are built over symbolic t")
     G = _as_x_poly(ctx, coeff_poly, "d")
-    e = make_endomorphism(ctx, [ctx.x(1) + mul(f_element(ctx), G)], [ctx.d(1)])
-    if not e.validated:  # pragma: no cover - construction guarantee
-        raise AssertionError("canonical lift failed validation")
-    return e
+    return make_endomorphism(ctx, [ctx.x(1) + mul(f_element(ctx), G)], [ctx.d(1)])
 
 
 def specialize_endomorphism(e: Endomorphism, level: int) -> Endomorphism:
-    """Specialize the generator images at q = zeta_level and re-certify.
+    """Specialize the generator images at q = zeta_level.
 
-    Re-validation matters: some maps satisfy the relations only at specific
-    values of the parameter.
+    t -> zeta_level is a ring homomorphism, so the specialized images
+    satisfy the relations at the root and need no validation.
     """
     if e.context.kind != SYMBOLIC:
         raise ValueError("only symbolic endomorphisms specialize")
     xs = [specialize_element(img, level) for img in e.images_x]
     ds = [specialize_element(img, level) for img in e.images_d]
-    return make_endomorphism(xs[0].context, xs, ds)
+    return Endomorphism(xs[0].context, xs, ds)

@@ -16,7 +16,6 @@ quantum torus (torus.py) runs it too, with rows of twisted monomials.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -63,6 +62,10 @@ ROOT = "root"
 JET = "jet"
 
 
+# The largest Bernstein degree of a power (power), of a substitution of
+# generator images (morphisms.check_substituted_degree, which apply_endo and
+# hat run) and of a product of lifts (hatmap.transport_limit).  It is fixed,
+# so a refusal depends on the input alone.
 DEFAULT_DEGREE_LIMIT = 512
 # The largest estimated cost of a power that is computed: by power and each
 # PBW chain apply_endo builds (_power_cost), and by each l-th power of a
@@ -92,19 +95,6 @@ def _check_pairs(n: int) -> None:
 
 class ContextMismatchError(ValueError):
     """Operands live in different algebras."""
-
-
-def _degree_limit() -> int:
-    env = os.environ.get("QWEYL_MAX_DEGREE")
-    if not env:
-        return DEFAULT_DEGREE_LIMIT
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"QWEYL_MAX_DEGREE must be a non-negative integer, not {env!r}")
-    return limit
 
 
 class AlgebraContext:
@@ -786,7 +776,7 @@ def power(a: WeylElement, k: int) -> WeylElement:
     """k-th power; a**0 = 1.
 
     Refuses, before any work, a power whose Bernstein degree k*deg(a)
-    would exceed the guard (QWEYL_MAX_DEGREE, default 512), or whose
+    would exceed the guard DEFAULT_DEGREE_LIMIT (512), or whose
     estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
     in which no pair carries both x and d commutes with itself and is
     raised in closed form, by the power of its coefficient, which must pass
@@ -802,9 +792,9 @@ def power(a: WeylElement, k: int) -> WeylElement:
     if not a.terms:
         return a.context.one() if k == 0 else a
     degree = k * bernstein_degree(a)
-    limit = _degree_limit()
-    if degree > limit:
-        raise DegreeLimitExceeded(f"power of degree {degree} exceeds the guard {limit}")
+    if degree > DEFAULT_DEGREE_LIMIT:
+        raise DegreeLimitExceeded(
+            f"power of degree {degree} exceeds the guard {DEFAULT_DEGREE_LIMIT}")
     if len(a.terms) == 1:
         ((al, be), c), = a.terms.items()
         if not any(x and y for x, y in zip(al, be)):

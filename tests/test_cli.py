@@ -4,10 +4,12 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +33,27 @@ def test_normalize(capsys):
     code, out, _ = _capture(capsys, ["normalize", "--n", "1", "d1*x1"])
     assert code == 0
     assert out.strip() == "1 + t*x1*d1"
+
+
+def _readme_commands():
+    """The commands of README's "Command line" block that print one
+    expression, whose comment is then their whole output."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[1] in ("normalize", "qcomm", "poisson"):
+            yield argv[1:], comment.strip()
+
+
+def test_readme_commands_print_their_comments(capsys):
+    commands = list(_readme_commands())
+    assert [argv[0] for argv, _ in commands] == ["normalize", "normalize", "qcomm",
+                                                 "poisson", "poisson"]
+    for argv, want in commands:
+        assert _capture(capsys, argv) == (0, want + "\n", ""), argv
 
 
 def test_python_dash_m_runs_the_cli():
@@ -114,14 +137,12 @@ def test_flag_error_is_exit_2(capsys):
     assert code == 2
 
 
-def test_power_over_degree_guard_is_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("QWEYL_MAX_DEGREE", "20")
-    code, _, err = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^21"])
+def test_power_over_degree_guard_is_exit_2(capsys):
+    code, out, err = _capture(capsys, ["normalize", "--n", "1", "x1^513"])
     assert code == 2
-    assert "exceeds the guard 20" in err
-    code, out, _ = _capture(capsys, ["normalize", "--n", "1", "(d1+x1)^20"])
-    assert code == 0
-    assert out.strip().endswith(" + x1^20")
+    assert not out
+    assert "power of degree 513 exceeds the guard 512" in err
+    assert _capture(capsys, ["normalize", "--n", "1", "x1^512"]) == (0, "x1^512\n", "")
 
 
 def test_power_over_cost_guard_is_exit_2_before_work(capsys):
@@ -132,15 +153,6 @@ def test_power_over_cost_guard_is_exit_2_before_work(capsys):
     assert code == 2
     assert not out
     assert "estimated cost" in err and "exceeds the guard" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_malformed_degree_guard_is_exit_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("QWEYL_MAX_DEGREE", value)
-    code, out, err = _capture(capsys, ["normalize", "--n", "1", "x1^0"])
-    assert code == 2
-    assert not out
-    assert "QWEYL_MAX_DEGREE must be a non-negative integer" in err
 
 
 def test_poisson_center_syntax(capsys):
@@ -383,6 +395,9 @@ def test_validate_invalid_map(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["valid"] is False
     assert blob["violations"][0]["residual"] == "(1 - t)*x1^2"
+    # hat refuses the map before it reads --primes
+    assert _capture(capsys, ["hat", str(path), "--primes", "not levels"]) == (
+        1, '{\n  "error": "endomorphism failed validation",\n  "schema": 1\n}\n', "")
 
 
 _GOOD = {"n": 1, "param": "t", "images_x": ["x1"], "images_d": ["d1"]}
@@ -439,7 +454,6 @@ def _run_in_1gib_child(argv):
     import qweyl
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qweyl.__file__)))
-    env.pop("QWEYL_MAX_DEGREE", None)
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "qweyl", *argv], env=env, capture_output=True,

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import sys
 import time
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ from qweyl import (
     AlgebraContext,
     CenterPoly,
     Cyclo,
+    Endomorphism,
     check_center_preservation,
     compose,
     hat,
@@ -21,10 +25,9 @@ from qweyl import (
     standard_bracket,
     transport_limit,
 )
-from qweyl import hatmap
+from qweyl import hatmap, morphisms, weylcore
 from qweyl.hatmap import (
     DEFAULT_PRIMES,
-    CentralityFailure,
     is_stable,
     round_coefficient,
 )
@@ -231,16 +234,6 @@ def test_hat_step_degree_bound():
         assert out.total_degree() <= p.total_degree() * 3
 
 
-def test_hat_step_records_relation_failure():
-    ctx = AlgebraContext.symbolic(1)
-    bad = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + ctx.x(1)])
-    out = hat_step(bad, CenterPoly.r(1, 1), 5)
-    assert isinstance(out, CentralityFailure)
-    assert out.level == 5
-    # the map specialized at the level gives the same step
-    assert hat_step(specialize_endomorphism(bad, 5), CenterPoly.r(1, 1), 5) == out
-
-
 def test_hat_step_takes_the_map_specialized_at_its_level():
     ctx = AlgebraContext.symbolic(1)
     e = lift_phi(ctx, parse_weyl("x1^2", ctx))
@@ -340,7 +333,6 @@ def test_n2_shears_converge_on_the_default_schedule():
     shear = make_endomorphism(ctx, [x1, x2], [d1 + x2 * f1, d2 + x1 * f2])
     quartic = make_endomorphism(ctx, [x1, x2], [d1 + x1 * x2 * x2 * f1, d2 + x1 * x1 * x2 * f2])
     pair = make_endomorphism(ctx, [x1, x2], [d1 + x1 * x1 * f1, d2])
-    assert shear.validated and quartic.validated and pair.validated
     r1, s1, r2, s2 = (CenterPoly.r(2, 1), CenterPoly.s(2, 1),
                       CenterPoly.r(2, 2), CenterPoly.s(2, 2))
     start = time.perf_counter()
@@ -395,12 +387,18 @@ def test_mixed_lift_diverges_while_the_composition_converges():
     assert composed.limit_polynomial() == r + s + s * s
 
 
+def _forged(ctx):
+    """x1 -> x1 d1, d1 -> d1, built without validation: the l-th power of
+    x1 d1 is not central at any level."""
+    return Endomorphism(ctx, [ctx.x(1) * ctx.d(1)], [ctx.d(1)])
+
+
 def test_hat_centrality_failures_reported():
-    ctx = AlgebraContext.symbolic(1)
-    bad = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + ctx.x(1)])
-    report = hat(bad, CenterPoly.r(1, 1), DEFAULT_PRIMES[:3])
+    report = hat(_forged(AlgebraContext.symbolic(1)), CenterPoly.s(1, 1), DEFAULT_PRIMES[:3])
     assert report.verdict == "centrality-failed"
     assert report.failed_levels == (3, 5, 7)
+    assert report.to_json()["primes"][0]["reason"] == \
+        "the 3-th power of the image of x1 is not central"
 
 
 def test_hat_json_shape():
@@ -431,9 +429,32 @@ def test_center_preservation_for_lifts():
 
 
 def test_center_preservation_fails_for_invalid_map():
+    assert not check_center_preservation(_forged(AlgebraContext.symbolic(1)), 5)
+
+
+def test_transport_makes_no_product_and_no_validation(monkeypatch):
+    # hat reads the images' powers in the torus and trusts the maps it is
+    # given, so once the lifts are built it calls neither validate nor mul
     ctx = AlgebraContext.symbolic(1)
-    bad = make_endomorphism(ctx, [ctx.x(1)], [ctx.d(1) + ctx.x(1)])
-    assert not check_center_preservation(bad, 5)
+    lifts = {poly: lift_phi(ctx, parse_weyl(poly, ctx)) for poly in ("x1^2", "2")}
+
+    def no_call(*args):
+        raise AssertionError("transport validated a map or multiplied in PBW form")
+
+    monkeypatch.setattr(morphisms, "validate", no_call)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qweyl") and getattr(module, "mul", None) is weylcore.mul:
+            monkeypatch.setattr(module, "mul", no_call)
+    reports = {poly: hat_endo(e).to_json() for poly, e in lifts.items()}
+    assert {poly: (r["converged"], r["induced"]) for poly, r in reports.items()} == {
+        "x1^2": (True, {"r1": "r1 + s1^2", "s1": "s1"}), "2": (False, None)}
+    # digest of both reports' JSON on the default schedule, as hat printed
+    # it while every level was still validated
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "b096f53bc729db5b1dbbf1bc3a1b185d0133d740d964220542b7507bb911c34f"
+    for e in lifts.values():
+        for level in (3, 5, 7):
+            assert check_center_preservation(e, level)
 
 
 # ---------------------------------------------------------------------------

@@ -36,31 +36,36 @@ def sym1():
 
 def test_identity_validates(sym1):
     e = identity_endomorphism(sym1)
-    assert e.validated and not e.violations
+    assert validate(e.images_x, e.images_d) == (True, [])
 
 
 def test_translation_by_f_validates(sym1):
     e = make_endomorphism(sym1, [sym1.x(1)], [sym1.d(1) + f_element(sym1)])
-    assert e.validated
+    assert validate(e.images_x, e.images_d) == (True, [])
 
 
 def test_translation_by_x_fails_off_one(sym1):
-    e = make_endomorphism(sym1, [sym1.x(1)], [sym1.d(1) + sym1.x(1)])
-    assert not e.validated
+    images = [sym1.x(1)], [sym1.d(1) + sym1.x(1)]
+    with pytest.raises(UnvalidatedError, match=r"d1\*x1 relation"):
+        make_endomorphism(sym1, *images)
     # residual of the defining relation: (1 - t) x^2
-    assert len(e.violations) == 1
-    name, residual = e.violations[0]
+    ok, violations = validate(*images)
+    assert not ok and len(violations) == 1
+    name, residual = violations[0]
+    assert name == "d1*x1 relation"
     assert residual == sym1.monomial((2,), (0,), LaurentPoly({0: 1, 1: -1}))
-    # but the same map is valid in the classical algebra t = 1
+    # but the same map is built in the classical algebra t = 1
     c1 = AlgebraContext.root_of_unity(1, 1)
     classical = make_endomorphism(c1, [c1.x(1)], [c1.d(1) + c1.x(1)])
-    assert classical.validated
+    assert apply_endo(classical, c1.d(1)) == c1.d(1) + c1.x(1)
 
 
 def test_translation_by_scalar_fails_off_one(sym1):
-    e = make_endomorphism(sym1, [sym1.x(1)], [sym1.d(1) + sym1.one()])
-    assert not e.validated
-    _, residual = e.violations[0]
+    images = [sym1.x(1)], [sym1.d(1) + sym1.one()]
+    with pytest.raises(UnvalidatedError, match=r"d1\*x1 relation"):
+        make_endomorphism(sym1, *images)
+    _, violations = validate(*images)
+    _, residual = violations[0]
     assert residual == sym1.monomial((1,), (0,), LaurentPoly({0: 1, 1: -1}))
 
 
@@ -113,23 +118,30 @@ def test_apply_is_ring_hom(rng, sym1):
         assert apply_endo(e, mul(a, b)) == mul(apply_endo(e, a), apply_endo(e, b))
 
 
-def test_apply_requires_validation(sym1):
-    bad = make_endomorphism(sym1, [sym1.x(1)], [sym1.d(1) + sym1.x(1)])
-    with pytest.raises(UnvalidatedError):
-        apply_endo(bad, sym1.x(1))
+def test_apply_requires_validation():
+    # apply_endo takes no invalid map, since none is built: at n = 2, d2 ->
+    # d2 + x1 breaks the d2*x2 relation and the d1*d2 commutation, and the
+    # refusal names the first of them
+    sym2 = AlgebraContext.symbolic(2)
+    images = [sym2.x(1), sym2.x(2)], [sym2.d(1), sym2.d(2) + sym2.x(1)]
+    with pytest.raises(UnvalidatedError, match=r"the images violate the d2\*x2 relation$"):
+        make_endomorphism(sym2, *images)
+    ok, violations = validate(*images)
+    assert not ok
+    assert [name for name, _ in violations] == ["d2*x2 relation", "d1*d2 commutation"]
 
 
-def test_degree_guard(sym1, monkeypatch):
+def test_degree_guard(sym1):
     e = lift_phi(sym1, {2: 1})  # d-image has degree 4
     big = sym1.monomial((0,), (200,))
     with pytest.raises(DegreeLimitExceeded):
         apply_endo(e, big)
-    small = sym1.monomial((0,), (3,))
-    monkeypatch.setenv("QWEYL_MAX_DEGREE", "8")
-    with pytest.raises(DegreeLimitExceeded):
-        apply_endo(e, small)
-    monkeypatch.setenv("QWEYL_MAX_DEGREE", "12")
-    assert apply_endo(e, small)  # the raised guard computes
+    # the guard is 512, whatever the environment
+    identity = identity_endomorphism(sym1)
+    at_guard = sym1.monomial((512,), (0,))
+    assert apply_endo(identity, at_guard) == at_guard
+    with pytest.raises(DegreeLimitExceeded, match="substituted degree 513 exceeds the guard 512"):
+        apply_endo(identity, sym1.monomial((513,), (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +181,6 @@ def test_compose_associative(rng, sym1):
 def test_character_level_two():
     ctx = AlgebraContext.root_of_unity(1, 2)
     e = one_dim_rep(ctx, [1])
-    assert e.validated
     assert e.images_x[0] == ctx.one()
     assert e.images_d[0] == ctx.scalar_element(Fraction(1, 2))
 
@@ -177,7 +188,7 @@ def test_character_level_two():
 def test_character_level_three_at_zeta():
     ctx = AlgebraContext.root_of_unity(1, 3)
     e = one_dim_rep(ctx, [Cyclo.zeta(3)])
-    assert e.validated
+    assert validate(e.images_x, e.images_d) == (True, [])
 
 
 def test_character_rejects_zero():
@@ -207,7 +218,6 @@ def test_lift_phi_constant(sym1):
     e = lift_phi(sym1, {0: 1})
     assert e.images_x[0] == sym1.x(1)
     assert e.images_d[0] == sym1.d(1) + f_element(sym1)
-    assert e.validated
 
 
 def test_lift_phi_monomial(sym1):
@@ -221,7 +231,6 @@ def test_lift_psi(sym1):
     e = lift_psi(sym1, {1: 1})
     assert e.images_x[0] == sym1.x(1) + mul(f_element(sym1), sym1.d(1))
     assert e.images_d[0] == sym1.d(1)
-    assert e.validated
 
 
 def test_lifts_specialize_to_classical_translations(sym1):
@@ -242,7 +251,6 @@ def test_two_lifts_of_identity(sym1):
     e = make_endomorphism(
         sym1, [sym1.x(1)], [sym1.d(1) + f_element(sym1).scale(t_minus_1)]
     )
-    assert e.validated
     i = identity_endomorphism(sym1)
     assert lift_phi(sym1, {}) == i  # the zero-polynomial lift is the identity
     assert e != i
@@ -253,7 +261,7 @@ def test_specialization_commutes_with_application(rng, sym1):
     e = lift_phi(sym1, {1: 1})
     for level in (2, 3, 5):
         e_l = specialize_endomorphism(e, level)
-        assert e_l.validated
+        assert validate(e_l.images_x, e_l.images_d) == (True, [])
         for _ in range(5):
             a = random_element(rng, sym1, max_terms=3, degree_cap=3)
             assert specialize_element(apply_endo(e, a), level) == apply_endo(

@@ -71,7 +71,6 @@ def _shear_maps():
     x1, x2, d1, d2 = ctx.x(1), ctx.x(2), ctx.d(1), ctx.d(2)
     shear = make_endomorphism(ctx, [x1, x2], [d1 + x2 * f_i(ctx, 1), d2 + x1 * f_i(ctx, 2)])
     pair = make_endomorphism(ctx, [x1, x2], [d1 + x1 * x1 * f_i(ctx, 1), d2])
-    assert shear.validated and pair.validated
     return [identity_endomorphism(ctx), shear, compose(shear, pair), compose(pair, shear)]
 
 
@@ -185,12 +184,12 @@ def test_torus_terms_stay_under_the_estimate_bound():
 
 
 def test_a_non_central_power_names_its_generator():
-    # a map that claims to be validated, with x1 -> x1 d1, whose l-th power
+    # a map built without validation, with x1 -> x1 d1, whose l-th power
     # is not central, as the PBW route finds too: the level fails on s1 and
     # names x1, while r1 uses only d1 -> d1
     level = 5
     ctx = AlgebraContext.root_of_unity(1, level)
-    e = Endomorphism(ctx, [ctx.x(1) * ctx.d(1)], [ctx.d(1)], True, ())
+    e = Endomorphism(ctx, [ctx.x(1) * ctx.d(1)], [ctx.d(1)])
     r1, s1 = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
     assert hat_step(e, s1, level) == CentralityFailure(
         level, "the 5-th power of the image of x1 is not central")
@@ -222,7 +221,6 @@ def test_one_dim_rep_builds_where_the_inverse_is_refused():
         start = time.perf_counter()
         e = one_dim_rep(ctx, [Fraction(1, 2)])
         assert time.perf_counter() - start < 2
-        assert e.validated
         inv = e.images_d[0].scalar_value() * Fraction(1, 2)
         assert inv * (Cyclo.one(level) - Cyclo.zeta(level)) == 1
 

@@ -301,13 +301,15 @@ def test_power_at_t_one_matches_closed_form(sym1, a, b):
         assert got == expected
 
 
-def test_power_degree_guard(sym1, monkeypatch):
-    monkeypatch.setenv("QWEYL_MAX_DEGREE", "20")
-    base = sym1.d(1) + sym1.x(1)
-    with pytest.raises(DegreeLimitExceeded):
-        power(base, 21)
-    assert bernstein_degree(power(base, 20)) == 20
-    assert power(sym1.zero(), 21) == sym1.zero()  # zero has no degree
+def test_power_degree_guard(sym1):
+    x1 = sym1.x(1)
+    with pytest.raises(DegreeLimitExceeded, match="power of degree 513 exceeds the guard 512"):
+        power(x1, 513)
+    assert power(x1, 512) == sym1.monomial((512,), (0,))
+    # (d1+x1)^513 is refused by its degree before its cost is estimated
+    with pytest.raises(DegreeLimitExceeded, match="power of degree 513"):
+        power(sym1.d(1) + x1, 513)
+    assert power(sym1.zero(), 513) == sym1.zero()  # zero has no degree
 
 
 def test_power_cost_guard(sym1):
