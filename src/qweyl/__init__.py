@@ -31,7 +31,6 @@ from .weylcore import (
     power,
     q_commutator,
     specialize_element,
-    twist_by_f,
 )
 from .center import (
     CenterPoly,
@@ -59,11 +58,9 @@ from .morphisms import (
     UnvalidatedError,
     apply_endo,
     compose,
-    identity_endomorphism,
     lift_phi,
     lift_psi,
     make_endomorphism,
-    one_dim_rep,
     specialize_endomorphism,
     validate,
 )

@@ -221,7 +221,7 @@ class CenterPoly:
                     math.comb(e + m - 1, m - 1))
         return e * terms * m
 
-    # calculus and evaluation ----------------------------------------------------
+    # calculus and embedding ----------------------------------------------------
 
     def partial_r(self, i: int) -> "CenterPoly":
         i0 = i - 1
@@ -240,20 +240,6 @@ class CenterPoly:
                 b2 = b[:i0] + (b[i0] - 1,) + b[i0 + 1:]
                 d[(a, b2)] = c * b[i0]
         return CenterPoly(self.n, d)
-
-    def evaluate(self, r_values: Sequence, s_values: Sequence):
-        if len(r_values) != self.n or len(s_values) != self.n:
-            raise ValueError("need one value per variable")
-        acc = None
-        for (a, b), c in self.coeffs.items():
-            term = c
-            for i in range(self.n):
-                if a[i]:
-                    term = term * r_values[i] ** a[i]
-                if b[i]:
-                    term = term * s_values[i] ** b[i]
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else Fraction(0)
 
     def map_coefficients(self, fn) -> "CenterPoly":
         return CenterPoly(self.n, {k: fn(c) for k, c in self.coeffs.items()})

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .center import CenterPoly, theta
+from .center import CenterPoly
 from .morphisms import Endomorphism, check_substituted_degree, specialize_endomorphism
 from .poisson import standard_bracket, transported_bracket
-from .scalars import _check_level, _power, embed as _embed
+from .scalars import _check_level, _sparse_power, embed as _embed
 from .torus import Torus, central_power, to_torus, torus_power_cost
 from .weylcore import DEFAULT_DEGREE_LIMIT, POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded
 
@@ -215,9 +215,12 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     The image of theta(p) is p with r_i and s_i replaced by the center
     polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
     torus (torus.central_power), with no normal ordering; when one is not
-    central, the level fails and names its generator.  tori holds the
-    images' torus forms, guarded (_guarded_tori), as hat and hat_endo make
-    them before the first level runs; without it, hat_step makes its own."""
+    central, the level fails and names its generator.  Their powers in p
+    are taken by the routine CenterPoly.__pow__ runs (scalars._sparse_power),
+    without its guard: hat refuses before the first level runs, and its
+    degree guard (_guarded_tori) bounds them.  tori holds the images' torus
+    forms, guarded, as hat and hat_endo make them before the first level
+    runs; without it, hat_step makes its own."""
     ctx = e.context
     at_level = ctx.kind == ROOT and ctx.level == level and ctx.qpow == 1
     if ctx.kind != SYMBOLIC and not at_level:
@@ -241,10 +244,9 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     for (a, b), c in p.coeffs.items():
         term = one.scale(c)
         for i in range(n):
-            if a[i]:
-                term = term * _power(powers[f"d{i + 1}"], a[i], one)
-            if b[i]:
-                term = term * _power(powers[f"x{i + 1}"], b[i], one)
+            for name, k in ((f"d{i + 1}", a[i]), (f"x{i + 1}", b[i])):
+                if k:
+                    term = term * _sparse_power(powers[name], k, one, len(powers[name].coeffs))
         out = out + term
     return out
 
@@ -253,10 +255,12 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
     """The torus forms of the images whose l-th powers hat_step substitutes
     into p, by generator name: d_i's for r_i, x_i's for s_i.  Refuses first
     (DegreeLimitExceeded) a substitution into theta(p) over the degree
-    guard, and a power whose chain estimates (torus.torus_power_cost) over
-    POWER_COST_LIMIT: on lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at
-    79 and 32.1M at 89."""
-    check_substituted_degree(e_l.images_x, e_l.images_d, theta(p, level))
+    guard, read off p's monomials scaled by the level (r_i -> d_i^l,
+    s_i -> x_i^l) with no element built, and then a power whose chain
+    estimates (torus.torus_power_cost) over POWER_COST_LIMIT: on
+    lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at 79 and 32.1M at 89."""
+    check_substituted_degree(e_l.images_x, e_l.images_d, [
+        (tuple(level * e for e in b), tuple(level * e for e in a)) for a, b in p.coeffs])
     tori = {}
     for i in range(p.n):
         if any(a[i] for a, _ in p.coeffs):

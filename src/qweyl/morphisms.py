@@ -1,23 +1,20 @@
 """Endomorphisms given by generator images: validation, application,
-composition, characters, and the canonical lifts of the translation-type
-automorphisms of the classical algebra.
+composition, and the canonical lifts of the translation-type automorphisms
+of the classical algebra.
 """
 
 from __future__ import annotations
 
 from typing import List, Mapping, Sequence, Tuple, Union
 
-from .scalars import inverse_one_minus_q
 from .weylcore import (
     DEFAULT_DEGREE_LIMIT,
-    POWER_COST_LIMIT,
-    ROOT,
     SYMBOLIC,
     AlgebraContext,
     ContextMismatchError,
     DegreeLimitExceeded,
     WeylElement,
-    _power_cost,
+    _check_power,
     _powers,
     bernstein_degree,
     commutator,
@@ -33,12 +30,10 @@ __all__ = [
     "DegreeLimitExceeded",
     "DEFAULT_DEGREE_LIMIT",
     "make_endomorphism",
-    "identity_endomorphism",
     "validate",
     "apply_endo",
     "check_substituted_degree",
     "compose",
-    "one_dim_rep",
     "lift_phi",
     "lift_psi",
     "specialize_endomorphism",
@@ -54,8 +49,7 @@ class Endomorphism:
 
     Holding one certifies it: make_endomorphism builds it from images that
     satisfy every defining relation, and a constructor that already has a
-    proof (identity_endomorphism, compose, specialize_endomorphism) builds
-    it directly.
+    proof (compose, specialize_endomorphism) builds it directly.
     """
 
     __slots__ = ("context", "images_x", "images_d")
@@ -132,34 +126,27 @@ def make_endomorphism(ctx: AlgebraContext,
     return Endomorphism(ctx, images_x, images_d)
 
 
-def identity_endomorphism(ctx: AlgebraContext) -> Endomorphism:
-    xs = [ctx.x(i) for i in range(1, ctx.n + 1)]
-    ds = [ctx.d(i) for i in range(1, ctx.n + 1)]
-    return Endomorphism(ctx, xs, ds)
-
-
 def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
     """Image of an element under an endomorphism.
 
     Substitutes monomial by monomial, multiplying the powers of the
     generator images in PBW order (all x-images first, then all d-images).
-    The powers of each image come from one power chain (_powers), which
-    unpacks only the exponents that a uses.  Refuses, before any product, a
-    substitution over the degree guard (check_substituted_degree) and a
-    chain whose estimated cost (_power_cost) exceeds POWER_COST_LIMIT.
+    The powers of each image come from one call of the power routine
+    (_powers), which unpacks only the exponents that a uses.  Refuses,
+    before any product, a substitution over the degree guard
+    (check_substituted_degree), then the highest power of any image that
+    power would refuse (_check_power).
     """
     ctx = e.context
     if a.context != ctx:
         raise ContextMismatchError("element lives in a different context")
-    check_substituted_degree(e.images_x, e.images_d, a)
+    check_substituted_degree(e.images_x, e.images_d, a.terms)
     images = e.images_x + e.images_d
     keys = [al + be for al, be in a.terms]
     wanted = [{key[i] for key in keys if key[i]} for i in range(2 * ctx.n)]
     for img, ks in zip(images, wanted):
-        cost = _power_cost(img, max(ks)) if ks and img else 0
-        if cost > POWER_COST_LIMIT:
-            raise DegreeLimitExceeded(
-                f"power chain of estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}")
+        if ks:
+            _check_power(img, max(ks))
     powers = [_powers(img, ks) for img, ks in zip(images, wanted)]
     out = ctx.zero()
     for key, c in zip(keys, a.terms.values()):
@@ -172,17 +159,15 @@ def apply_endo(e: Endomorphism, a: WeylElement) -> WeylElement:
 
 
 def check_substituted_degree(images_x: Sequence[WeylElement],
-                             images_d: Sequence[WeylElement], a: WeylElement) -> None:
-    """Refuse a substitution of these generator images into a whose
-    Bernstein degree exceeds the guard DEFAULT_DEGREE_LIMIT (512)."""
-    n = a.context.n
+                             images_d: Sequence[WeylElement], monomials) -> None:
+    """Refuse a substitution of these generator images into the monomials
+    x^al d^be, given as their keys (al, be), whose Bernstein degree exceeds
+    the guard DEFAULT_DEGREE_LIMIT (512)."""
     deg_x = [bernstein_degree(img) if img else 0 for img in images_x]
     deg_d = [bernstein_degree(img) if img else 0 for img in images_d]
     worst = 0
-    for (al, be) in a.terms:
-        est = sum(al[i] * deg_x[i] for i in range(n)) + sum(
-            be[i] * deg_d[i] for i in range(n)
-        )
+    for (al, be) in monomials:
+        est = sum(e * d for e, d in zip(al + be, deg_x + deg_d))
         worst = max(worst, est)
     if worst > DEFAULT_DEGREE_LIMIT:
         raise DegreeLimitExceeded(
@@ -198,29 +183,6 @@ def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     xs = [apply_endo(e1, img) for img in e2.images_x]
     ds = [apply_endo(e1, img) for img in e2.images_d]
     return Endomorphism(e1.context, xs, ds)
-
-
-def one_dim_rep(ctx: AlgebraContext, a: Sequence) -> Endomorphism:
-    """Character x_i -> a_i, d_i -> a_i^(-1)/(1-q); needs q != 1.
-
-    Composing with the inclusion of scalars, this is the standard
-    one-dimensional representation; it validates against the relations and
-    is visibly non-injective.
-    """
-    if ctx.kind != ROOT or ctx.level < 2:
-        raise ValueError("characters exist only at roots of unity q != 1")
-    if len(a) != ctx.n:
-        raise ValueError("need one scalar per pair")
-    inv_one_minus_q = inverse_one_minus_q(ctx.level, ctx.qpow)
-    xs = []
-    ds = []
-    for ai in a:
-        c = ctx.scalar(ai)
-        if not c:
-            raise ValueError("character parameters must be nonzero")
-        xs.append(ctx.scalar_element(c))
-        ds.append(ctx.scalar_element(inv_one_minus_q * c.inverse()))
-    return make_endomorphism(ctx, xs, ds)
 
 
 def _as_x_poly(ctx: AlgebraContext, poly: Union[WeylElement, Mapping[int, object]],

@@ -449,9 +449,6 @@ class _Residue:
             return None
         return Fraction(self.num[0], self.den)
 
-    def coefficients(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     # arithmetic ------------------------------------------------------------
 
     def _coerce(self, other):

@@ -8,9 +8,10 @@ algebra), cyclotomic numbers at a fixed primitive root of unity, and
 first-order expansions around such a root (for divided differences), which
 are residues mod Phi_level(t)^2.  Each scalar is an integer vector over a
 denominator, and in each domain products and powers multiply and sum
-coefficients as Kronecker-packed integers (scalars.PackedPowers): mul is
-one step of the power chain (_chain) that power and apply_endo run.  The
-chain's driver (_packed_chain) takes its rows from a row builder, so the
+coefficients as Kronecker-packed integers (scalars.PackedPowers).  Powers
+have one routine, _powers, behind one guard, _check_power: power and
+apply_endo both run it, and mul is one step of its power chain (_chain).
+The chain's driver (_packed_chain) takes its rows from a row builder, so the
 quantum torus (torus.py) runs it too, with rows of twisted monomials.
 """
 
@@ -52,7 +53,6 @@ __all__ = [
     "f_element",
     "specialize_element",
     "bernstein_degree",
-    "twist_by_f",
     "divisible_by_f",
     "act_on_polynomial",
 ]
@@ -68,8 +68,9 @@ JET = "jet"
 # so a refusal depends on the input alone.
 DEFAULT_DEGREE_LIMIT = 512
 # The largest estimated cost of a power that is computed: by power and each
-# PBW chain apply_endo builds (_power_cost), and by each l-th power of a
-# generator image that hat raises in the quantum torus (torus_power_cost).
+# power of a generator image apply_endo builds (_check_power), and by each
+# l-th power of a generator image that hat raises in the quantum torus
+# (torus_power_cost).
 # On a 2-core Python 3.11 machine, symbolic powers ran at 20 to 80 million
 # units a second (k = 40 powers of two terms with integer or rational
 # coefficients, and of 1 + d1 + x1, the slowest), and powers of the lifts of
@@ -681,25 +682,46 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return _chain(a, b, {1}, False)[1]
 
 
-def _powers(base: WeylElement, exponents) -> Dict[int, WeylElement]:
-    """{k: base**k for each k in exponents}, from one power chain (_chain)
-    that starts from 1.
+def _powers(base: WeylElement, wanted) -> Dict[int, WeylElement]:
+    """{k: base**k for each k >= 0 in wanted}, the one power routine of
+    the algebra; power and apply_endo guard it first (_check_power).
 
-    Each step multiplies by base on the side with fewer pair expansions
-    (_left_side).  Both orders give the same power, as base commutes with
-    its own powers.
-    Binary powering would multiply large powers by each other, and every
-    pair of their terms expands under normal ordering.
+    A single term in which no pair carries both x and d commutes with
+    itself and is raised in closed form, by the power of its coefficient.
+    Any other base is multiplied up one factor at a time: mul squares it,
+    and one power chain (_chain) multiplies the square by base on the side
+    _left_side picks and unpacks only the exponents wanted.  Both orders
+    give the same power, as base commutes with its own powers.  Binary
+    powering would multiply large powers by each other, and every pair of
+    their terms expands under normal ordering.
     """
     ctx = base.context
-    wanted = set(exponents)
-    out = {k: ctx.one() for k in wanted if not k}
-    if not max(wanted, default=0):
+    wanted = set(wanted)
+    term = _commuting_term(base)
+    if term:
+        (al, be), c = term
+        return {k: WeylElement(ctx, {(tuple(k * x for x in al), tuple(k * y for y in be)): c ** k})
+                for k in wanted}
+    out = {k: base if k else ctx.one() for k in wanted if k < 2}
+    if max(wanted, default=0) < 2:
         return out
-    if not base.terms:
-        return {k: base if k else ctx.one() for k in wanted}
-    out.update(_chain(ctx.one(), base, wanted, _left_side(base)))
+    square = mul(base, base)
+    later = {k - 2 for k in wanted if k > 2}
+    chain = _chain(square, base, later, _left_side(base)) if later and square.terms else {}
+    # base**2 is the square; so is every later power when the square is 0,
+    # as it is for base 0
+    out.update((k, chain.get(k - 2, square)) for k in wanted if k > 1)
     return out
+
+
+def _commuting_term(a: WeylElement):
+    """The one term ((al, be), c) of a, when a is a single term in which no
+    pair carries both x and d, so that it commutes with itself; else None."""
+    if len(a.terms) == 1:
+        ((al, be), c), = a.terms.items()
+        if not any(x and y for x, y in zip(al, be)):
+            return (al, be), c
+    return None
 
 
 def _left_side(base: WeylElement) -> bool:
@@ -773,46 +795,35 @@ def _packed_chain(start: Mapping[int, object], base: Mapping, wanted, keys: _Key
 
 
 def power(a: WeylElement, k: int) -> WeylElement:
-    """k-th power; a**0 = 1.
+    """k-th power; a**0 = 1.  Guarded before any work (_check_power), then
+    computed by the one power routine (_powers)."""
+    _check_power(a, k)
+    return _powers(a, {k})[k]
 
-    Refuses, before any work, a power whose Bernstein degree k*deg(a)
-    would exceed the guard DEFAULT_DEGREE_LIMIT (512), or whose
-    estimated work (_power_cost) exceeds POWER_COST_LIMIT.  A single term
-    in which no pair carries both x and d commutes with itself and is
-    raised in closed form, by the power of its coefficient, which must pass
-    the scalar height bound (scalars.MAX_POWER_BITS); only a Laurent
-    coefficient of more than one term makes that cost more than a few
-    products, so the cost guard skips the others.  Any other base is
-    multiplied up one factor at a time: mul squares it, and the power chain
-    (_chain) multiplies the square by a on the side _left_side picks, k - 2
-    times, and returns its own k-th value.
-    """
+
+def _check_power(a: WeylElement, k: int) -> None:
+    """Refuse, before any work, the k-th power of a that _powers would
+    compute: k < 0; then a Bernstein degree k*deg(a) over the guard
+    DEFAULT_DEGREE_LIMIT (512); then, for a base _powers raises in closed
+    form, a power of its coefficient over the scalar height bound
+    (scalars.MAX_POWER_BITS); then an estimated work (_power_cost) over
+    POWER_COST_LIMIT.  A closed form costs a few products unless its
+    coefficient is a Laurent polynomial of more than one term, so only
+    that one is held to the cost guard."""
     if k < 0:
         raise ValueError("negative powers are not defined in the algebra")
     if not a.terms:
-        return a.context.one() if k == 0 else a
+        return
     degree = k * bernstein_degree(a)
     if degree > DEFAULT_DEGREE_LIMIT:
         raise DegreeLimitExceeded(
             f"power of degree {degree} exceeds the guard {DEFAULT_DEGREE_LIMIT}")
-    if len(a.terms) == 1:
-        ((al, be), c), = a.terms.items()
-        if not any(x and y for x, y in zip(al, be)):
-            _check_power_height((c,), k)
-            if isinstance(c, LaurentPoly) and not c.is_monomial():
-                _check_power_cost(a, k)
-            key = (tuple(k * x for x in al), tuple(k * y for y in be))
-            return WeylElement(a.context, {key: c ** k})
-    _check_power_cost(a, k)
-    if k < 2:
-        return a if k else a.context.one()
-    square = mul(a, a)
-    if k == 2 or not square.terms:
-        return square
-    return _chain(square, a, {k - 2}, _left_side(a))[k - 2]
-
-
-def _check_power_cost(a: WeylElement, k: int) -> None:
+    term = _commuting_term(a)
+    if term:
+        c = term[1]
+        _check_power_height((c,), k)
+        if not isinstance(c, LaurentPoly) or c.is_monomial():
+            return
     cost = _power_cost(a, k)
     if cost > POWER_COST_LIMIT:
         raise DegreeLimitExceeded(
@@ -877,24 +888,13 @@ def f_element(ctx: AlgebraContext) -> WeylElement:
 
 
 def specialize_element(a: WeylElement, level: int) -> WeylElement:
-    """Coefficientwise specialization t -> zeta_level into the root-of-unity
-    algebra.
-
-    Also lowers first-order expansions back to their value at their own root
-    (Jet.at_root).
-    """
+    """Coefficientwise specialization t -> zeta_level of a symbolic element
+    into the root-of-unity algebra."""
     ctx = a.context
-    if ctx.kind == SYMBOLIC:
-        target = AlgebraContext.root_of_unity(ctx.n, level)
-        terms = {k: _specialize_scalar(c, level) for k, c in a.terms.items()}
-    elif ctx.kind == JET:
-        if ctx.level != level:
-            raise ValueError("first-order expansions specialize at their own root")
-        target = AlgebraContext.root_of_unity(ctx.n, level, ctx.qpow)
-        terms = {k: c.at_root(ctx.qpow)[0] for k, c in a.terms.items()}
-    else:
+    if ctx.kind != SYMBOLIC:
         raise ValueError("element is already specialized")
-    return WeylElement(target, terms)
+    target = AlgebraContext.root_of_unity(ctx.n, level)
+    return WeylElement(target, {k: _specialize_scalar(c, level) for k, c in a.terms.items()})
 
 
 def bernstein_degree(a: WeylElement) -> int:
@@ -902,17 +902,6 @@ def bernstein_degree(a: WeylElement) -> int:
     if not a.terms:
         raise ValueError("the zero element has no degree")
     return max(sum(al) + sum(be) for (al, be) in a.terms)
-
-
-def twist_by_f(a: WeylElement, i: int) -> WeylElement:
-    """The unique Q with f_i * a = Q * f_i: scales each term by t^(alpha_i - beta_i)."""
-    ctx = a.context
-    _unit(ctx.n, i)  # index check
-    i0 = i - 1
-    return WeylElement(
-        ctx,
-        {k: c * ctx.t_power(k[0][i0] - k[1][i0]) for k, c in a.terms.items()},
-    )
 
 
 def divisible_by_f(a: WeylElement, i: int) -> bool:

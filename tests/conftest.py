@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from qweyl import AlgebraContext
+from qweyl import AlgebraContext, Endomorphism
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a run never replays failures cached by an earlier one.
@@ -41,3 +41,9 @@ def standard_contexts():
         AlgebraContext.root_of_unity(1, 4),
         AlgebraContext.root_of_unity(2, 5),
     ]
+
+
+def identity_endomorphism(ctx):
+    """The identity map of the algebra of ctx, built without validation."""
+    return Endomorphism(ctx, [ctx.x(i) for i in range(1, ctx.n + 1)],
+                        [ctx.d(i) for i in range(1, ctx.n + 1)])

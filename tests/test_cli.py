@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -383,6 +384,19 @@ def test_hat_past_the_cost_guard_is_exit_2(tmp_path, capsys):
     code, out, _ = _capture(capsys, ["hat", str(path), "--primes", "79,83,89", "--poly", "s1"])
     assert code == 0
     assert json.loads(out)["limit"]["expr"] == "s1"
+
+
+def test_hat_of_a_power_of_r1_prints_the_parents_bytes(tmp_path, capsys):
+    # hat_step raises the central power of d1 to the 10th by the routine of
+    # CenterPoly.__pow__; the report is the one binary powering printed
+    # (sha256 of its 111,839 bytes), and the schedule diverges
+    code, out, _ = _capture(capsys, ["lift", "--kind", "phi", "--poly", "x1^2"])
+    path = tmp_path / "sq.json"
+    path.write_text(out)
+    code, out, err = _capture(capsys, ["hat", str(path), "--poly", "r1^10", "--primes", "2,3,4"])
+    assert (code, err, len(out)) == (1, "", 111839)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d519877275443362f9bebd5b1e5857a561a8779c164d859e2a1db533d362104")
 
 
 def test_validate_invalid_map(tmp_path, capsys):

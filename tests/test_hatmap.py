@@ -16,7 +16,6 @@ from qweyl import (
     hat,
     hat_endo,
     hat_step,
-    identity_endomorphism,
     lift_phi,
     lift_psi,
     make_endomorphism,
@@ -35,6 +34,8 @@ from qweyl.center import theta
 from qweyl.morphisms import apply_endo, specialize_endomorphism
 from qweyl.torus import to_torus, torus_power_cost
 from qweyl.weylcore import POWER_COST_LIMIT, DegreeLimitExceeded, _power_cost, f_i
+
+from conftest import identity_endomorphism
 
 # large enough that the decaying tails drop below the kill threshold
 MID = DEFAULT_PRIMES[:8]
@@ -214,6 +215,19 @@ def test_hat_step_matches_the_fiber_oracle():
                              for ((r,), (s,)), c in got.coeffs.items()), Cyclo.zero(level))
                 assert value == _fiber_value(image, level, Fraction(lam), Fraction(b)), \
                     (poly, level, lam, b)
+
+
+def test_hat_step_raises_central_powers_as_center_powers_do():
+    # hat_step raises the center polynomial of e(d1)^l by the routine of
+    # CenterPoly.__pow__, which _subst runs through its guards
+    ctx = AlgebraContext.symbolic(1)
+    e = lift_phi(ctx, parse_weyl("x1^2", ctx))
+    r, s = CenterPoly.r(1, 1), CenterPoly.s(1, 1)
+    images = {"r1": hat_step(e, r, 3), "s1": hat_step(e, s, 3)}
+    assert len(images["r1"].coeffs) > 2
+    for k in (2, 10, 20):
+        p = CenterPoly.monomial(1, (k,), (0,))
+        assert hat_step(e, p, 3) == _subst(p, images)
 
 
 def test_hat_step_multiplicative_per_level():
@@ -433,18 +447,20 @@ def test_center_preservation_fails_for_invalid_map():
 
 
 def test_transport_makes_no_product_and_no_validation(monkeypatch):
-    # hat reads the images' powers in the torus and trusts the maps it is
-    # given, so once the lifts are built it calls neither validate nor mul
+    # hat reads the images' powers in the torus, reads its degree guard off
+    # p's monomials and trusts the maps it is given, so once the lifts are
+    # built it calls neither validate nor mul, and builds no theta(p)
     ctx = AlgebraContext.symbolic(1)
     lifts = {poly: lift_phi(ctx, parse_weyl(poly, ctx)) for poly in ("x1^2", "2")}
 
     def no_call(*args):
-        raise AssertionError("transport validated a map or multiplied in PBW form")
+        raise AssertionError("transport validated a map or built a PBW element")
 
     monkeypatch.setattr(morphisms, "validate", no_call)
     for name, module in list(sys.modules.items()):
-        if name.startswith("qweyl") and getattr(module, "mul", None) is weylcore.mul:
-            monkeypatch.setattr(module, "mul", no_call)
+        for fn in (weylcore.mul, theta):
+            if name.startswith("qweyl") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, no_call)
     reports = {poly: hat_endo(e).to_json() for poly, e in lifts.items()}
     assert {poly: (r["converged"], r["induced"]) for poly, r in reports.items()} == {
         "x1^2": (True, {"r1": "r1 + s1^2", "s1": "s1"}), "2": (False, None)}

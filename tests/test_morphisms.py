@@ -4,24 +4,23 @@ import pytest
 
 from qweyl import (
     AlgebraContext,
-    Cyclo,
     DegreeLimitExceeded,
+    Endomorphism,
     LaurentPoly,
     UnvalidatedError,
     apply_endo,
     compose,
     f_element,
-    identity_endomorphism,
     lift_phi,
     lift_psi,
     make_endomorphism,
     mul,
-    one_dim_rep,
     specialize_element,
     specialize_endomorphism,
     validate,
 )
-from conftest import random_element
+from qweyl import morphisms, weylcore
+from conftest import identity_endomorphism, random_element
 
 
 @pytest.fixture
@@ -144,6 +143,23 @@ def test_degree_guard(sym1):
         apply_endo(identity, sym1.monomial((513,), (0,)))
 
 
+def test_apply_guards_every_power_before_any_product(sym1, monkeypatch):
+    # the image of d1 raised to the 50th is over the cost guard, as power
+    # refuses it; the image of x1, whose square needs a product, is guarded
+    # first but not raised, since no product runs before every image passes
+    base = sym1.d(1) + sym1.x(1)
+    e = Endomorphism(sym1, [base], [base])
+
+    def no_product(*args):
+        raise AssertionError("apply_endo multiplied before its guards passed")
+
+    monkeypatch.setattr(weylcore, "mul", no_product)
+    monkeypatch.setattr(morphisms, "mul", no_product)
+    refusal = "^power of estimated cost [0-9]+ exceeds the guard 25000000$"
+    with pytest.raises(DegreeLimitExceeded, match=refusal):
+        apply_endo(e, sym1.monomial((2,), (50,)))
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -171,42 +187,6 @@ def test_compose_associative(rng, sym1):
         for b in es:
             for c in es:
                 assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-
-# ---------------------------------------------------------------------------
-# characters
-# ---------------------------------------------------------------------------
-
-
-def test_character_level_two():
-    ctx = AlgebraContext.root_of_unity(1, 2)
-    e = one_dim_rep(ctx, [1])
-    assert e.images_x[0] == ctx.one()
-    assert e.images_d[0] == ctx.scalar_element(Fraction(1, 2))
-
-
-def test_character_level_three_at_zeta():
-    ctx = AlgebraContext.root_of_unity(1, 3)
-    e = one_dim_rep(ctx, [Cyclo.zeta(3)])
-    assert validate(e.images_x, e.images_d) == (True, [])
-
-
-def test_character_rejects_zero():
-    ctx = AlgebraContext.root_of_unity(1, 3)
-    with pytest.raises(ValueError):
-        one_dim_rep(ctx, [0])
-
-
-def test_character_kills_witness():
-    # the kernel visibly contains d - (1-q)^(-1) a^(-1)
-    ctx = AlgebraContext.root_of_unity(1, 3)
-    e = one_dim_rep(ctx, [2])
-    q = Cyclo.zeta(3)
-    witness = ctx.d(1) - ctx.scalar_element(
-        (Cyclo.one(3) - q).inverse() * Fraction(1, 2)
-    )
-    assert not apply_endo(e, witness)
-    assert apply_endo(e, ctx.x(1))  # but not everything dies
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def _poly_z(coeffs) -> sympy.Poly:
     return sympy.Poly([_rational(c) for c in reversed(coeffs)], Z, domain="QQ")
 
 
+def _fractions(c: Cyclo):
+    """The coordinates of c as fractions, lowest power first."""
+    return tuple(Fraction(v, c.den) for v in c.num)
+
+
 def _coordinates(poly: sympy.Poly, degree: int):
     low_first = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
     return tuple(low_first + [Fraction(0)] * (degree - len(low_first)))
@@ -84,11 +89,11 @@ def test_cyclo_products_match_sympy(level):
         a = [_random_coefficient(rng) for _ in range(degree)]
         b = [_random_coefficient(rng) for _ in range(degree)]
         expected = sympy.rem(_poly_z(a) * _poly_z(b), phi)
-        assert (Cyclo(level, a) * Cyclo(level, b)).coefficients() == _coordinates(expected, degree)
+        assert _fractions(Cyclo(level, a) * Cyclo(level, b)) == _coordinates(expected, degree)
         # vectors longer than the level also fold by z^level = 1 first
         long = [_random_coefficient(rng) for _ in range(rng.randint(degree + 1, 2 * level + 3))]
         expected = sympy.rem(_poly_z(long), phi)
-        assert Cyclo(level, long).coefficients() == _coordinates(expected, degree)
+        assert _fractions(Cyclo(level, long)) == _coordinates(expected, degree)
 
 
 
@@ -106,4 +111,4 @@ def test_cyclo_inverse_matches_sympy(level):
         if not any(a):
             continue
         expected = sympy.invert(_poly_z(a), phi)
-        assert Cyclo(level, a).inverse().coefficients() == _coordinates(expected, degree)
+        assert _fractions(Cyclo(level, a).inverse()) == _coordinates(expected, degree)

@@ -26,9 +26,8 @@ from qweyl import (
     q_commutator,
     qint,
     specialize_element,
-    twist_by_f,
 )
-from qweyl.scalars import Jet, PackedPowers, _jetdata, _leveldata, euler_phi
+from qweyl.scalars import Jet, PackedPowers, _jetdata, _leveldata, cyclotomic_polynomial, euler_phi
 from qweyl.weylcore import (JET, ROOT, SYMBOLIC, WeylElement, _gauss_row, _Keys, _left_side,
                              _powers, _scaled_rows, _times_qint, _top_exponent)
 from conftest import random_element, standard_contexts
@@ -398,6 +397,12 @@ def test_degree_multiplicative(rng):
 # ---------------------------------------------------------------------------
 # twisted commutation with f
 # ---------------------------------------------------------------------------
+
+
+def twist_by_f(a, i):
+    """The unique Q with f_i * a = Q * f_i: each term scaled by t^(alpha_i - beta_i)."""
+    ctx = a.context
+    return ctx.from_terms({k: c * ctx.t_power(k[0][i - 1] - k[1][i - 1]) for k, c in a.terms.items()})
 
 
 def test_twist_examples(sym1):
@@ -872,23 +877,35 @@ def test_power_chain_matches_repeated_plain_products(ctx, top):
     AlgebraContext.symbolic(2),
     AlgebraContext.root_of_unity(1, 7),
     AlgebraContext.first_order_at_root(1, 5),
+    AlgebraContext.root_of_unity(2, 5),
+    AlgebraContext.first_order_at_root(2, 5),
 ], ids=repr)
 def test_power_is_successive_mul(ctx):
-    # power squares through mul and runs the chain from the square on the
-    # side _left_side picks; k - 1 calls of mul give the same power.  The
-    # single terms are x1 d1, which the chain raises, and c x1^2, raised in
-    # closed form.
+    # power and apply_endo share one routine, _powers: it squares through
+    # mul and runs the chain from the square on the side _left_side picks;
+    # k - 1 calls of mul give the same power.  The single terms are x1 d1,
+    # which the chain raises, and c x1^2 and c x1 d2, raised in closed form.
+    # A jet base Phi_l(t) x1 (closed form) or Phi_l(t)(d1 + x1) (chain)
+    # squares to 0, since Phi_l^2 is the modulus.
     left, right = _chain_bases(ctx)
     assert _left_side(left) and not _left_side(right)
     c = ctx.t_power(-1) * ctx.scalar(Fraction(3, 2))
     pad = (0,) * (ctx.n - 1)
-    singles = [ctx.monomial((1,) + pad, (1,) + pad, c), ctx.monomial((2,) + pad, (0,) + pad, c)]
-    for base in [left, right, *singles]:
-        want = base
-        assert power(base, 0) == ctx.one()
-        for k in range(1, 8):
-            assert power(base, k) == want
-            want = mul(want, base)
+    bases = [left, right, ctx.monomial((1,) + pad, (1,) + pad, c),
+             ctx.monomial((2,) + pad, (0,) + pad, c)]
+    if ctx.n == 2:
+        bases.append(ctx.monomial((1, 0), (0, 1), c))
+    if ctx.kind == JET:
+        phi = Jet(ctx.level, cyclotomic_polynomial(ctx.level))
+        bases += [ctx.x(1).scale(phi), (ctx.d(1) + ctx.x(1)).scale(phi)]
+        assert not any(mul(b, b) for b in bases[-2:])
+    for base in bases:
+        want = [ctx.one(), base]
+        for _ in range(6):
+            want.append(mul(want[-1], base))
+        assert _powers(base, range(8)) == dict(enumerate(want))
+        for k in range(8):
+            assert power(base, k) == want[k]
 
 
 @given(_symbolic_pair(), st.sampled_from((1, 2, 6, 8, 9, 31)))
@@ -909,6 +926,7 @@ def test_power_chain_slot_needs_the_spare_bit():
     # 7 * (7 + 7) = 98, under 2**7, but its reduced product
     # 49 (1 - q)^2 = -147 q does not fit a signed byte.  The spare bit of
     # the codec widens the slots; without it the value reads back wrong.
+    # mul runs that step; _powers raises the single term in closed form.
     ctx = AlgebraContext.root_of_unity(1, 3)
     base = ctx.x(1).scale(7 - 7 * ctx.t_power(1))
     want = ctx.monomial((2,), (0,), -147 * ctx.t_power(1))
