@@ -214,13 +214,16 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
 
     The image of theta(p) is p with r_i and s_i replaced by the center
     polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
-    torus (torus.central_power), with no normal ordering; when one is not
-    central, the level fails and names its generator.  Their powers in p
-    are taken by the routine CenterPoly.__pow__ runs (scalars._sparse_power),
-    without its guard: hat refuses before the first level runs, and its
-    degree guard (_guarded_tori) bounds them.  tori holds the images' torus
-    forms, guarded, as hat and hat_endo make them before the first level
-    runs; without it, hat_step makes its own."""
+    torus (torus.central_power), with no normal ordering: at one pair and a
+    prime level the chain stops at the power l - floor(l/2), centrality is
+    decided exactly by reduced traces and the l-th power's central terms
+    are read by contraction; elsewhere the chain runs to the l-th power.
+    When one is not central, the level fails and names its generator.
+    Their powers in p are taken by the routine CenterPoly.__pow__ runs
+    (scalars._sparse_power), without its guard: hat refuses before the
+    first level runs, and its degree guard (_guarded_tori) bounds them.
+    tori holds the images' torus forms, guarded, as hat and hat_endo make
+    them before the first level runs; without it, hat_step makes its own."""
     ctx = e.context
     at_level = ctx.kind == ROOT and ctx.level == level and ctx.qpow == 1
     if ctx.kind != SYMBOLIC and not at_level:
@@ -258,7 +261,10 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
     guard, read off p's monomials scaled by the level (r_i -> d_i^l,
     s_i -> x_i^l) with no element built, and then a power whose chain
     estimates (torus.torus_power_cost) over POWER_COST_LIMIT: on
-    lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at 79 and 32.1M at 89."""
+    lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at 79 and 32.1M at 89.
+    The estimate is of the chain to the l-th power, so at one pair and a
+    prime level, where central_power stops at about half of it, it
+    overstates the work."""
     check_substituted_degree(e_l.images_x, e_l.images_d, [
         (tuple(level * e for e in b), tuple(level * e for e in a)) for a, b in p.coeffs])
     tori = {}
@@ -428,9 +434,11 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
 def check_center_preservation(e: Endomorphism, level: int) -> bool:
     """True iff the image of every generator's l-th power decomposes over
     the center at this level: the l-th power of each generator image is
-    read in the quantum torus, as hat_step reads it (torus.central_power),
-    after hat_step's guards (_guarded_tori).  The relations need no check:
-    e was certified where it was built, and specialization keeps them."""
+    read in the quantum torus, as hat_step reads it (torus.central_power:
+    by reduced traces at one pair and a prime level, by the terms of the
+    whole l-th power elsewhere), after hat_step's guards (_guarded_tori).
+    The relations need no check: e was certified where it was built, and
+    specialization keeps them."""
     e_l = specialize_endomorphism(e, level)
     return all(
         central_power(t) is not None

@@ -22,7 +22,9 @@ A central element has central torus terms only, those with every exponent
 a multiple of l, and y_i^l is s_i = x_i^l or r_i = d_i^l, while
 f_i^l = 1 - (1 - q)^l s_i r_i (center.f_power_closed_form): the center
 polynomial is read off the torus terms, with no conversion back to PBW form
-(central_power).
+(central_power).  At one pair and a prime level, only the central terms of
+the l-th power are computed, from two powers near l/2, once reduced traces
+have shown it central.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ def torus_power_cost(t: Torus, k: int) -> int:
     vectors of phi(l) coordinates.  The j-th value has at most C(j + T - 1,
     T - 1) terms, the multisets of j terms, and at most its exponent box,
     the product over the pairs of (j da_i + 1)(j db_i + 1) for da_i and
-    db_i the spans of t's y- and f-exponents."""
+    db_i the spans of t's y- and f-exponents.  At one pair and a prime
+    level l, central_power runs the chain to l - floor(l/2) only, so the
+    estimate for k = l overstates its work there."""
     spans = [max(u[i] for u in parts) - min(u[i] for u in parts)
              for parts in zip(*t.terms) for i in range(t.context.n)]
     size = len(t.terms)
@@ -169,15 +173,91 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     of unity of level l, given by its torus form t = to_torus(a) and
     computed in the quantum torus; None when a**l is not central.
 
-    Each central term c y^(l a) f^(l b) of ((q - 1)^m a)^l is c times the
-    product over the pairs of y_i^(l a_i) (1 - (1 - q)^l s_i r_i)^b_i, for
-    y_i^l = s_i on the x side and r_i on the d side.  Negative powers of
+    At one pair and a prime level the chain runs to a^(l - h) only, for
+    h = floor(l/2): centrality is decided by reduced traces, and the
+    central terms of a^l = a^h a^(l - h) are read by contraction
+    (_central_product).  Elsewhere (a composite level, or n >= 2) the chain
+    runs to a^l, and a^l is central when none of its terms survives off
+    the central keys.
+
+    The reduced-trace criterion.  Let n = 1 and q a primitive l-th root.
+    Over the fraction field K of the center, the torus is the symbol
+    algebra (y^l, f^l)_q of degree l, a division algebra.  Let tau(b) be
+    b's central part, its terms whose every exponent is divisible by l;
+    the reduced trace is Trd(b) = l tau(b).  For a non-central a:
+
+        a^l is central  <=>  tau(a^k) = 0 for 1 <= k <= l - 1.
+
+    <= (at any l): Trd(a^k) = 0 for k < l makes the reduced characteristic
+    polynomial X^l - c by Newton's identities (characteristic 0), and
+    Cayley-Hamilton gives a^l = c.  => (l prime): K(a) is a field of
+    degree l, so a's minimal polynomial has degree l and divides X^l - a^l;
+    its power sums p_k = Trd(a^k) vanish for l not dividing k.  Scaling by
+    (q - 1)^m changes nothing.  At n >= 2 the criterion fails: x1 + x2 has
+    tau(a^k) = 0 for every k < l, and its l-th power is not central.
+
+    tau(a^k) for k <= l - h is nonzero exactly when a central key survives
+    in the chain's k-th value, whose zero sums are dropped; past l - h it
+    is the contraction of the floor(k/2)-th and ceil(k/2)-th values.  An
+    all-central t skips the test: its powers are central, and the
+    contraction of two of them is their whole product."""
+    ctx, level = t.context, t.context.level
+    if ctx.n > 1 or euler_phi(level) != level - 1:
+        return _readout(t, torus_powers(t, {level})[level])
+    h = level // 2
+    values = torus_powers(t, range(1, level - h + 1))
+    if not all(_central(key, level) for key in t.terms):
+        for k in range(1, level):
+            power = values[k] if k <= level - h else \
+                _central_product(t, values[k // 2], values[k - k // 2])
+            if any(_central(key, level) for key in power):
+                return None
+    return _readout(t, _central_product(t, values[h], values[level - h]))
+
+
+def _central(key: Mono, level: int) -> bool:
+    """Whether the level divides every exponent of a torus monomial."""
+    return not any(e % level for part in key for e in part)
+
+
+def _central_product(t: Torus, left: Dict[Mono, object], right: Dict[Mono, object]):
+    """The nonzero central terms of left * right, for two values of t's
+    chain at one pair.  A term u = y^a f^b of left meets only the terms
+    y^c f^e of right with c = -a and e = -b mod l, and then the twist
+    q^(s b c) of the product rule is q^(-s a b), one rotation per term of
+    left."""
+    ctx, level = t.context, t.context.level
+    sign = 1 if t.x_side[0] else -1
+    classes: Dict[Tuple[int, int], list] = {}
+    for ((c,), (e,)), v in right.items():
+        classes.setdefault((c % level, e % level), []).append((c, e, v))
+    out: Dict = {}
+    for ((a,), (b,)), u in left.items():
+        meets = classes.get((-a % level, -b % level))
+        if not meets:
+            continue
+        j = -sign * a * b % level
+        if j:
+            u = u * ctx.t_power(j)
+        for c, e, v in meets:
+            key = ((a + c,), (b + e,))
+            cur = out.get(key)
+            out[key] = u * v if cur is None else cur + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _readout(t: Torus, terms: Dict[Mono, object]) -> Optional[CenterPoly]:
+    """theta_inverse(a**l) from the terms of ((q - 1)^m a)^l, or their
+    central terms; None when a term is not central.
+
+    Each central term c y^(l a) f^(l b) is c times the product over the
+    pairs of y_i^(l a_i) (1 - (1 - q)^l s_i r_i)^b_i, for y_i^l = s_i on
+    the x side and r_i on the d side.  Negative powers of
     s_i or r_i cancel in the sum, since a**l lies in the algebra.  The sum
     is then divided by (q - 1)^(m l), as 1/(q - 1) = -1/(1 - q)
     (scalars.inverse_one_minus_q)."""
     ctx, level = t.context, t.context.level
-    terms = torus_powers(t, {level})[level]
-    if any(e % level for key in terms for part in key for e in part):
+    if not all(_central(key, level) for key in terms):
         return None
     eps = -((ctx.one_scalar() - ctx.t_power(1)) ** level)  # f_i^l = 1 + eps s_i r_i
     top = max(max(b) for _, b in terms) // level

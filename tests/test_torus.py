@@ -3,6 +3,7 @@ theta_inverse(apply_endo(e_l, theta(p, l)))."""
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
 from qweyl.scalars import euler_phi, inverse_one_minus_q
-from qweyl.torus import central_power, to_torus, torus_power_cost, torus_powers
+from qweyl.torus import Torus, _readout, central_power, to_torus, torus_power_cost, torus_powers
 from qweyl.weylcore import f_i, power
 
 from conftest import identity_endomorphism, random_element
@@ -37,6 +38,13 @@ def _lifts():
     ctx = AlgebraContext.symbolic(1)
     return ([lift_phi(ctx, parse_weyl(f, ctx)) for f in PHI]
             + [lift_psi(ctx, parse_weyl(g, ctx)) for g in PSI])
+
+
+def _full_chain(t):
+    """central_power by the chain to the l-th power, read as the composite
+    levels read it: the oracle of the half route."""
+    level = t.context.level
+    return _readout(t, torus_powers(t, {level})[level])
 
 
 def _pbw_route(e, p, level):
@@ -98,6 +106,78 @@ def test_central_power_equals_the_normal_ordered_power(rng):
                 assert central_power(to_torus(a)) == want, (level, a)
                 seen.add(want is None)
     assert seen == {True, False}
+
+
+def test_central_power_equals_the_full_chain_on_the_lifts():
+    # at prime levels central_power stops the chain at a^(l - floor(l/2))
+    ctx = AlgebraContext.symbolic(1)
+    maps = _lifts() + [compose(lift_phi(ctx, {1: 1}), lift_phi(ctx, {2: 1})),
+                       compose(lift_psi(ctx, {2: 1}), lift_phi(ctx, {0: 2}))]
+    for level in (2, 3, 5, 7, 13, 31):
+        for e in maps:
+            for image in e.images_x + e.images_d:
+                t = to_torus(specialize_element(image, level))
+                got = central_power(t)
+                assert got is not None and got == _full_chain(t), (level, image)
+
+
+def _forged(rng, ctx):
+    """Torus elements (x side or d side) of four kinds: y^a u(f) and
+    u(y) f^b, whose l-th powers are norms, so central, for l not dividing
+    a or b; random sums, mostly not; and central sums."""
+    level = ctx.level
+
+    def coeff():
+        c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        return c * ctx.t_power(rng.randrange(level))
+
+    a = rng.randint(1, 3)
+    kinds = [{((a,), (b,)): coeff() for b in rng.sample(range(4), rng.randint(1, 3))},
+             {((b,), (a,)): coeff() for b in rng.sample(range(4), rng.randint(1, 3))},
+             {((rng.randint(0, 3),), (rng.randint(0, 3),)): coeff() for _ in range(3)},
+             {((level * rng.randint(0, 1),), (level * j,)): coeff() for j in range(2)}]
+    return [Torus(ctx, (x_side,), terms, rng.randint(0, 1)) for terms in kinds
+            for x_side in (True, False)]
+
+
+def test_central_power_equals_the_full_chain_on_random_elements(rng):
+    seen = set()
+    for level in range(2, 12):
+        ctx = AlgebraContext.root_of_unity(1, level)
+        elements = [to_torus(a) for a in (random_element(rng, ctx, max_exp=2, degree_cap=3)
+                                          for _ in range(6)) if a]
+        for t in elements + _forged(rng, ctx):
+            got = central_power(t)
+            assert got == _full_chain(t), (level, t.terms)
+            if euler_phi(level) == level - 1:
+                seen.add(got is None)
+    assert seen == {True, False}
+
+
+def test_central_power_of_the_square_lift_at_level_101():
+    # the guard refuses this level in hat (53.1M); the chain to a^51 and
+    # 50 contractions read it
+    level = 101
+    image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
+    t = to_torus(specialize_element(image, level))
+    start = time.perf_counter()
+    got = central_power(t)
+    elapsed = time.perf_counter() - start
+    q = Cyclo.zeta(level)
+    assert got == (CenterPoly.r(1, 1) + CenterPoly.monomial(1, (0,), (2,))
+                   + CenterPoly.monomial(1, (1,), (3,), -(Cyclo.one(level) - q) ** level))
+    assert elapsed < 2.5  # about 0.7 s on a 2-core machine; the full chain 3.9 s
+
+
+def test_two_pairs_keep_the_full_chain():
+    # x1 + x2 has no central part below its l-th power, which is not
+    # central: the reduced-trace criterion holds at n = 1 only
+    level = 5
+    ctx = AlgebraContext.root_of_unity(2, level)
+    t = to_torus(ctx.x(1) + ctx.x(2))
+    for k, terms in torus_powers(t, range(1, level)).items():
+        assert not any(all(e % level == 0 for e in a + b) for a, b in terms), k
+    assert central_power(t) is None
 
 
 def test_torus_powers_equal_the_converted_normal_ordered_powers(rng):
@@ -210,7 +290,7 @@ def test_inverse_one_minus_q_in_closed_form():
         assert inverse_one_minus_q(5, qpow) * (Cyclo.one(5) - Cyclo.zeta(5, qpow)) == 1
 
 
-def test_one_dim_rep_builds_where_the_inverse_is_refused():
+def test_inverse_one_minus_q_builds_where_the_inverse_is_refused():
     # 1 - q has two coordinates, so Cyclo.inverse would multiply phi(l) - 1
     # conjugates: refused from l = 509 on.  1/(1 - q), which the torus
     # readout takes, is built in closed form at any level.
