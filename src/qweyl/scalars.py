@@ -855,11 +855,11 @@ class PackedPowers:
         n = data.degree if data else max(map(codec.slots, values), default=1)
         return out, codec.top(values, n)
 
-    def unpack(self, v, k: int):
-        """The value v of start * base**k, a packed value or a coordinate
-        list as settle gives it, as a scalar."""
+    def unpack(self, v, k: int, codec: "_SlotCodec"):
+        """The value v of start * base**k, a packed value of codec or a
+        coordinate list as settle gives it, as a scalar."""
         den, data = self.den0 * self.den ** k, self.data
-        vec = self._read(self.codec, v) if type(v) is int else v
+        vec = self._read(codec, v) if type(v) is int else v
         if data:
             return data.kind._normalized(data.level, vec, den)
         return LaurentPoly._normalized(self.low0 + k * self.low, vec, den)

@@ -22,9 +22,10 @@ A central element has central torus terms only, those with every exponent
 a multiple of l, and y_i^l is s_i = x_i^l or r_i = d_i^l, while
 f_i^l = 1 - (1 - q)^l s_i r_i (center.f_power_closed_form): the center
 polynomial is read off the torus terms, with no conversion back to PBW form
-(central_power).  At one pair and a prime level, only the central terms of
-the l-th power are computed, from two powers near l/2, once reduced traces
-have shown it central.
+(central_power).  At one pair and a prime level, the powers stay
+Kronecker-packed integers, and only the central terms of the l-th power
+are built as scalars, from two powers near l/2, once reduced traces have
+shown it central.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .center import CenterPoly
-from .scalars import euler_phi, inverse_one_minus_q
+from .scalars import _residue_reducer, _slot_codec, euler_phi, inverse_one_minus_q
 from .weylcore import ROOT, AlgebraContext, WeylElement, _Keys, _packed_chain
 
 __all__ = ["Torus", "to_torus", "torus_powers", "torus_power_cost", "central_power"]
@@ -127,11 +128,18 @@ def _falling(ctx: AlgebraContext, k: int):
 
 def torus_powers(t: Torus, wanted) -> Dict[int, Dict[Mono, object]]:
     """{k: the terms of ((q - 1)^m a)^k} for each k >= 1 in wanted, for t
-    the torus image of a (to_torus): the packed chain of weylcore, whose
-    rows are the terms of t, each times q^(s <b, c>) (_packed_chain groups
-    a value's terms by their f-exponents b).  The y-exponents of the k-th
-    value go down to k times the most negative one of t, so each row
-    offset adds that shift once (weylcore._Keys)."""
+    the torus image of a (to_torus): the packed chain (_packed), unpacked."""
+    keys, packer, values = _packed(t, wanted)
+    return {k: {keys.exps(key, k): packer.unpack(v, k, codec) for key, v in acc.items()}
+            for k, (acc, codec) in values.items()}
+
+
+def _packed(t: Torus, wanted):
+    """(keys, packer, {k: (values, codec)}) of weylcore's packed chain from
+    1 (so den0 = 1) to the powers in wanted, whose rows are the terms of t,
+    each times q^(s <b, c>) (_packed_chain groups a value's terms by their
+    f-exponents b).  The y-exponents of the k-th value go down to k times
+    the most negative one of t, so each row offset adds that shift once."""
     ctx, n = t.context, t.context.n
     shift = tuple(max(0, -min(a[i] for a, _ in t.terms)) for i in range(n))
     top = max(max(max(a[i] + shift[i], b[i]) for i in range(n)) for a, b in t.terms)
@@ -148,7 +156,7 @@ def torus_powers(t: Torus, wanted) -> Dict[int, Dict[Mono, object]]:
         return row
 
     # the code of y^0 f^0 is 0
-    return _packed_chain({0: ctx.one_scalar()}, t.terms, wanted, keys, False, rows)
+    return (keys, *_packed_chain({0: ctx.one_scalar()}, t.terms, wanted, keys, False, rows))
 
 
 def torus_power_cost(t: Torus, k: int) -> int:
@@ -174,11 +182,11 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     computed in the quantum torus; None when a**l is not central.
 
     At one pair and a prime level the chain runs to a^(l - h) only, for
-    h = floor(l/2): centrality is decided by reduced traces, and the
-    central terms of a^l = a^h a^(l - h) are read by contraction
-    (_central_product).  Elsewhere (a composite level, or n >= 2) the chain
-    runs to a^l, and a^l is central when none of its terms survives off
-    the central keys.
+    h = floor(l/2), and its values stay packed: centrality is decided by
+    reduced traces, and only the central terms of a^l = a^h a^(l - h),
+    read by contraction (_contract), become scalars.  Elsewhere (a
+    composite level, or n >= 2) the chain runs to a^l, and a^l is central
+    when none of its terms survives off the central keys.
 
     The reduced-trace criterion.  Let n = 1 and q a primitive l-th root.
     Over the fraction field K of the center, the torus is the symbol
@@ -196,23 +204,23 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     (q - 1)^m changes nothing.  At n >= 2 the criterion fails: x1 + x2 has
     tau(a^k) = 0 for every k < l, and its l-th power is not central.
 
-    tau(a^k) for k <= l - h is nonzero exactly when a central key survives
-    in the chain's k-th value, whose zero sums are dropped; past l - h it
-    is the contraction of the floor(k/2)-th and ceil(k/2)-th values.  An
-    all-central t skips the test: its powers are central, and the
-    contraction of two of them is their whole product."""
+    tau(a^k) for k <= l - h is nonzero exactly when the chain's k-th
+    value, whose zero sums are dropped, has a term in the class (0, 0)
+    (_classes); past l - h it is the contraction of the floor(k/2)-th and
+    ceil(k/2)-th values.  An all-central t skips the test: its powers are central, and
+    the contraction of two of them is their whole product."""
     ctx, level = t.context, t.context.level
     if ctx.n > 1 or euler_phi(level) != level - 1:
         return _readout(t, torus_powers(t, {level})[level])
     h = level // 2
-    values = torus_powers(t, range(1, level - h + 1))
-    if not all(_central(key, level) for key in t.terms):
-        for k in range(1, level):
-            power = values[k] if k <= level - h else \
-                _central_product(t, values[k // 2], values[k - k // 2])
-            if any(_central(key, level) for key in power):
-                return None
-    return _readout(t, _central_product(t, values[h], values[level - h]))
+    keys, packer, values = _packed(t, range(1, level - h + 1))
+    classes = {k: _classes(t, keys, k, *value) for k, value in values.items()}
+    if not all(_central(key, level) for key in t.terms) and any(
+            _contract(t, packer, *classes[k // 2], *classes[k - k // 2])[0] if k > level - h
+            else (0, 0) in classes[k][0] for k in range(1, level)):
+        return None
+    sums, codec = _contract(t, packer, *classes[h], *classes[level - h])
+    return _readout(t, {key: packer.unpack(v, level, codec) for key, v in sums.items()})
 
 
 def _central(key: Mono, level: int) -> bool:
@@ -220,30 +228,50 @@ def _central(key: Mono, level: int) -> bool:
     return not any(e % level for part in key for e in part)
 
 
-def _central_product(t: Torus, left: Dict[Mono, object], right: Dict[Mono, object]):
-    """The nonzero central terms of left * right, for two values of t's
-    chain at one pair.  A term u = y^a f^b of left meets only the terms
-    y^c f^e of right with c = -a and e = -b mod l, and then the twist
-    q^(s b c) of the product rule is q^(-s a b), one rotation per term of
-    left."""
-    ctx, level = t.context, t.context.level
-    sign = 1 if t.x_side[0] else -1
-    classes: Dict[Tuple[int, int], list] = {}
-    for ((c,), (e,)), v in right.items():
-        classes.setdefault((c % level, e % level), []).append((c, e, v))
-    out: Dict = {}
-    for ((a,), (b,)), u in left.items():
-        meets = classes.get((-a % level, -b % level))
-        if not meets:
-            continue
-        j = -sign * a * b % level
-        if j:
-            u = u * ctx.t_power(j)
-        for c, e, v in meets:
-            key = ((a + c,), (b + e,))
-            cur = out.get(key)
-            out[key] = u * v if cur is None else cur + u * v
-    return {key: v for key, v in out.items() if v}
+def _classes(t: Torus, keys: _Keys, k: int, value: Dict[int, int], codec):
+    """(classes, codec): the terms (a, b, packed coefficient) of y^a f^b of
+    the k-th value of t's chain at one pair (_packed), by (a, b) mod l."""
+    level, s = t.context.level, keys.s
+    out: Dict[Tuple[int, int], list] = {}
+    for code, v in value.items():
+        a, b = (code >> s) - k * keys.shift[0], code & ((1 << s) - 1)
+        out.setdefault((a % level, b % level), []).append((a, b, v))
+    return out, codec
+
+
+def _contract(t: Torus, packer, left, lcodec, right, rcodec):
+    """(sums, codec): the nonzero central terms of the product of the k1-th
+    and k2-th values of t's chain at one pair and a prime level l, given by
+    their classes (_classes), packed by codec over den^(k1 + k2).  A term
+    u y^a f^b meets the terms v y^c f^e in the class -(a, b) mod l, with
+    the twist q^(-s a b): u is read, rotated by -s a b qpow places
+    (z^l = 1) and reduced to l - 1 coordinates.  Each key's products are
+    one Kronecker sum, reduced once, in the codec of max|u| max sum|v|
+    times the pairs at a key, at most the fewer terms that meet on a side."""
+    level, d, twist = t.context.level, packer.data.degree, (-1 if t.x_side[0] else 1) * t.context.qpow
+    met = []
+    for (x, y), us in left.items():
+        vs = right.get((-x % level, -y % level))
+        if vs:
+            rotated = []
+            for a, b, u in us:
+                r = twist * a * b % level
+                u = [*lcodec.read(u + lcodec.flip(d), d), 0]
+                u = u[-r:] + u[:-r]
+                rotated.append((a, b, [c - u[-1] for c in u[:-1]]))
+            met.append((rotated, [(c, e, rcodec.read(v + rcodec.flip(d), d)) for c, e, v in vs]))
+    codec = _slot_codec(max((max(map(abs, u)) for us, _ in met for _, _, u in us), default=0)
+                        * max((sum(map(abs, v)) for _, vs in met for _, _, v in vs), default=0)
+                        * min(sum(len(us) for us, _ in met), sum(len(vs) for _, vs in met)))
+    sums: Dict[Tuple[int, int], int] = {}
+    for us, vs in met:
+        vs = [(c, e, codec.pack(v)) for c, e, v in vs]
+        for a, b, u in us:
+            u = codec.pack(u)
+            for c, e, v in vs:
+                sums[a + c, b + e] = sums.get((a + c, b + e), 0) + u * v
+    reduce = _residue_reducer(codec, packer.data)
+    return {((a,), (b,)): v for (a, b), v in zip(sums, map(reduce, sums.values())) if v}, codec
 
 
 def _readout(t: Torus, terms: Dict[Mono, object]) -> Optional[CenterPoly]:

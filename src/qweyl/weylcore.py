@@ -746,13 +746,14 @@ def _chain(start: WeylElement, base: WeylElement, wanted, left: bool) -> Dict[in
         scaled = WeylElement(ctx, scaled)
         return lambda exps: _scaled_rows(ctx, exps, scaled, keys, not left)
 
-    return {k: WeylElement(ctx, terms)
-            for k, terms in _packed_chain(start, base.terms, wanted, keys, left, rows).items()}
+    packer, values = _packed_chain(start, base.terms, wanted, keys, left, rows)
+    return {k: WeylElement(ctx, {keys.exps(c, k): packer.unpack(v, k, codec) for c, v in acc.items()})
+            for k, (acc, codec) in values.items()}
 
 
 def _packed_chain(start: Mapping[int, object], base: Mapping, wanted, keys: _Keys, left: bool,
-                  rows) -> Dict[int, Dict]:
-    """{k: the terms of the k-th value} for each k >= 1 in wanted, for a
+                  rows) -> Tuple[PackedPowers, Dict[int, Tuple[Dict, object]]]:
+    """(packer, {k: (values, codec)}) for each k >= 1 in wanted, for a
     chain that multiplies the nonzero start, given by the codes (keys) of
     its monomials, by the nonzero base one factor at a time.
 
@@ -761,9 +762,10 @@ def _packed_chain(start: Mapping[int, object], base: Mapping, wanted, keys: _Key
     base with their coefficients as PackedPowers scales them, gives the
     function of a group's exponents that returns the distinct offsets and
     the nonzero coefficients of its row.  The chain keeps each value as
-    codes and as coefficients packed by PackedPowers; only the values asked
-    for are unpacked, and keyed by their exponents (keys.exps).  Rows are
-    built once per group, for the whole chain, and each step's slot bound
+    codes and as coefficients packed by PackedPowers, and hands the values
+    asked for over so, with the codec of their step: the callers unpack
+    what they read (packer.unpack).  Rows are built once per group, for
+    the whole chain, and each step's slot bound
     is a bound on the height (largest |coordinate|) of its values times the
     per-offset widths of the rows it meets (PackedPowers).
     """
@@ -790,8 +792,8 @@ def _packed_chain(start: Mapping[int, object], base: Mapping, wanted, keys: _Key
         packed = {g: packer.row(g, *table[g][:2]) for g in used}
         acc, height = packer.settle(_mac(zip(acc, values, map(packed.__getitem__, groups))))
         if k in wanted:
-            out[k] = {keys.exps(key, k): packer.unpack(v, k) for key, v in acc.items()}
-    return out
+            out[k] = acc, packer.codec
+    return packer, out
 
 
 def power(a: WeylElement, k: int) -> WeylElement:

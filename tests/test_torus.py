@@ -3,6 +3,7 @@ theta_inverse(apply_endo(e_l, theta(p, l)))."""
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
 from qweyl.scalars import euler_phi, inverse_one_minus_q
-from qweyl.torus import Torus, _readout, central_power, to_torus, torus_power_cost, torus_powers
+from qweyl.torus import (Torus, _classes, _contract, _packed, _readout, central_power, to_torus,
+                         torus_power_cost, torus_powers)
 from qweyl.weylcore import f_i, power
 
 from conftest import identity_endomorphism, random_element
@@ -45,6 +47,33 @@ def _full_chain(t):
     levels read it: the oracle of the half route."""
     level = t.context.level
     return _readout(t, torus_powers(t, {level})[level])
+
+
+def _central_product(t, left, right):
+    """The nonzero central terms of left * right, for two unpacked values
+    of t's chain at one pair, by Cyclo products: the oracle of the packed
+    contraction (torus._contract).  A term u = y^a f^b of left meets only
+    the terms y^c f^e of right with c = -a and e = -b mod l, and then the
+    twist q^(s b c) of the product rule is q^(-s a b), one rotation per
+    term of left."""
+    ctx, level = t.context, t.context.level
+    sign = 1 if t.x_side[0] else -1
+    classes = {}
+    for ((c,), (e,)), v in right.items():
+        classes.setdefault((c % level, e % level), []).append((c, e, v))
+    out = {}
+    for ((a,), (b,)), u in left.items():
+        meets = classes.get((-a % level, -b % level))
+        if not meets:
+            continue
+        j = -sign * a * b % level
+        if j:
+            u = u * ctx.t_power(j)
+        for c, e, v in meets:
+            key = ((a + c,), (b + e,))
+            cur = out.get(key)
+            out[key] = u * v if cur is None else cur + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 def _pbw_route(e, p, level):
@@ -141,17 +170,57 @@ def _forged(rng, ctx):
 
 
 def test_central_power_equals_the_full_chain_on_random_elements(rng):
+    # at each prime level >= 3 also at one primitive q = zeta^qpow, qpow != 1,
+    # which the twists of the chain and of the contraction rotate by
     seen = set()
     for level in range(2, 12):
-        ctx = AlgebraContext.root_of_unity(1, level)
-        elements = [to_torus(a) for a in (random_element(rng, ctx, max_exp=2, degree_cap=3)
-                                          for _ in range(6)) if a]
-        for t in elements + _forged(rng, ctx):
-            got = central_power(t)
-            assert got == _full_chain(t), (level, t.terms)
-            if euler_phi(level) == level - 1:
-                seen.add(got is None)
+        prime = euler_phi(level) == level - 1
+        for qpow in (1, rng.randrange(2, level)) if prime and level > 2 else (1,):
+            ctx = AlgebraContext.root_of_unity(1, level, qpow)
+            elements = [to_torus(a) for a in (random_element(rng, ctx, max_exp=2, degree_cap=3)
+                                              for _ in range(6)) if a]
+            for t in elements + _forged(rng, ctx):
+                got = central_power(t)
+                assert got == _full_chain(t), (level, qpow, t.terms)
+                if prime:
+                    seen.add(got is None)
     assert seen == {True, False}
+
+
+def test_the_packed_contraction_equals_the_cyclo_products():
+    # the half route contracts the chain's packed values; the oracle
+    # multiplies their Cyclo terms.  The lift of x1/2 + 3 x1^2 has
+    # denominators 2^k; on the cubic lift at l = 31 and 43 the contracted
+    # values come from steps of different slot widths.  Below a^l every
+    # central sum of a lift cancels (tau(a^k) = 0), at a^l some survive.
+    # The forged (5 - 5q)(y + y^2) at l = 3 has -150 q in a * a, a slot
+    # that the reduction takes past its bound of 100 (two pairs of max|u|
+    # 5 and sum|v| 10): the codec's spare bit holds it.
+    ctx = AlgebraContext.symbolic(1)
+    cases = [(to_torus(specialize_element(image, level)), True)
+             for f, levels in (("(1/2)*x1 + 3*x1^2", (2, 3, 5, 7, 13)),
+                               ("1 + x1 - 3*x1^3", (31, 43)))
+             for e in [lift_phi(ctx, parse_weyl(f, ctx))]
+             for level in levels for image in e.images_x + e.images_d]
+    c = 5 - 5 * Cyclo.zeta(3)
+    cases.append((Torus(AlgebraContext.root_of_unity(1, 3), (True,),
+                        {((1,), (0,)): c, ((2,), (0,)): c}, 0), False))
+    outcomes, same_codec = set(), set()
+    for t, lift in cases:
+        level = t.context.level
+        wanted = range(1, level - level // 2 + 1)
+        keys, packer, values = _packed(t, wanted)
+        unpacked = torus_powers(t, wanted)
+        for k in range(2, level + 1):
+            k1, k2 = k // 2, k - k // 2
+            sums, codec = _contract(t, packer, *_classes(t, keys, k1, *values[k1]),
+                                    *_classes(t, keys, k2, *values[k2]))
+            got = {key: packer.unpack(v, k, codec) for key, v in sums.items()}
+            assert got == _central_product(t, unpacked[k1], unpacked[k2]), (t.terms, k)
+            if lift:
+                outcomes.add((k == level, bool(got)))
+            same_codec.add(values[k1][1] is values[k2][1])
+    assert outcomes == {(False, False), (True, True)} and same_codec == {True, False}
 
 
 def test_central_power_of_the_square_lift_at_level_101():
@@ -166,7 +235,23 @@ def test_central_power_of_the_square_lift_at_level_101():
     q = Cyclo.zeta(level)
     assert got == (CenterPoly.r(1, 1) + CenterPoly.monomial(1, (0,), (2,))
                    + CenterPoly.monomial(1, (1,), (3,), -(Cyclo.one(level) - q) ** level))
-    assert elapsed < 2.5  # about 0.7 s on a 2-core machine; the full chain 3.9 s
+    assert elapsed < 2.5  # about 0.4 s on a 2-core machine; the full chain 3.9 s
+
+
+def test_central_power_keeps_the_chain_packed():
+    # the chain to a^27 stays packed integers, and only the central terms of
+    # a^53 become Cyclo: a traced peak of about 2.4 MB, where unpacking
+    # every value of the chain peaks at 7.9 MB
+    level = 53
+    image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
+    t = to_torus(specialize_element(image, level))
+    tracemalloc.start()
+    try:
+        assert central_power(t) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_two_pairs_keep_the_full_chain():
