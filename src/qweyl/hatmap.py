@@ -214,10 +214,12 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
 
     The image of theta(p) is p with r_i and s_i replaced by the center
     polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
-    torus (torus.central_power), with no normal ordering: at one pair and a
-    prime level the chain stops at the power l - floor(l/2), centrality is
-    decided exactly by reduced traces and the l-th power's central terms
-    are read by contraction; elsewhere the chain runs to the l-th power.
+    torus (torus.central_power), with no normal ordering: an image of one
+    or two torus terms is raised in closed form (the q-binomial theorem);
+    of three or more, at one pair and a prime level the chain stops at the
+    power l - floor(l/2), centrality is decided exactly by reduced traces
+    and the l-th power's central terms are read by contraction; elsewhere
+    the chain runs to the l-th power.
     When one is not central, the level fails and names its generator.
     Their powers in p are taken by the routine CenterPoly.__pow__ runs
     (scalars._sparse_power), without its guard: hat refuses before the
@@ -262,9 +264,11 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
     s_i -> x_i^l) with no element built, and then a power whose chain
     estimates (torus.torus_power_cost) over POWER_COST_LIMIT: on
     lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at 79 and 32.1M at 89.
-    The estimate is of the chain to the l-th power, so at one pair and a
-    prime level, where central_power stops at about half of it, it
-    overstates the work."""
+    The estimate is of the chain to the l-th power, so it overstates the
+    work where central_power runs less: on an image of one or two torus
+    terms, which it raises in closed form with no chain (d1's of
+    lift_phi(2), 1.03M at level 101), and at one pair and a prime level,
+    where it stops at about half of the chain."""
     check_substituted_degree(e_l.images_x, e_l.images_d, [
         (tuple(level * e for e in b), tuple(level * e for e in a)) for a, b in p.coeffs])
     tori = {}

@@ -22,16 +22,19 @@ A central element has central torus terms only, those with every exponent
 a multiple of l, and y_i^l is s_i = x_i^l or r_i = d_i^l, while
 f_i^l = 1 - (1 - q)^l s_i r_i (center.f_power_closed_form): the center
 polynomial is read off the torus terms, with no conversion back to PBW form
-(central_power).  At one pair and a prime level, the powers stay
+(central_power).  An image of one or two terms is raised in closed form,
+by the q-binomial theorem at a root of unity, at every level and every n.
+Of three or more terms, at one pair and a prime level, the powers stay
 Kronecker-packed integers, and only the central terms of the l-th power
 are built as scalars, from two powers near l/2, once reduced traces have
-shown it central.
+shown it central; elsewhere the chain runs to the l-th power.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, Optional, Tuple
 
 from .center import CenterPoly
@@ -165,9 +168,11 @@ def torus_power_cost(t: Torus, k: int) -> int:
     vectors of phi(l) coordinates.  The j-th value has at most C(j + T - 1,
     T - 1) terms, the multisets of j terms, and at most its exponent box,
     the product over the pairs of (j da_i + 1)(j db_i + 1) for da_i and
-    db_i the spans of t's y- and f-exponents.  At one pair and a prime
-    level l, central_power runs the chain to l - floor(l/2) only, so the
-    estimate for k = l overstates its work there."""
+    db_i the spans of t's y- and f-exponents.  The estimate for k = l
+    overstates what central_power does where it runs less than the chain
+    to the l-th power: a form of one or two terms takes a closed form of
+    at most l + 1 terms and no chain, and at one pair and a prime level a
+    form of three or more runs the chain to l - floor(l/2) only."""
     spans = [max(u[i] for u in parts) - min(u[i] for u in parts)
              for parts in zip(*t.terms) for i in range(t.context.n)]
     size = len(t.terms)
@@ -181,12 +186,14 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     of unity of level l, given by its torus form t = to_torus(a) and
     computed in the quantum torus; None when a**l is not central.
 
-    At one pair and a prime level the chain runs to a^(l - h) only, for
-    h = floor(l/2), and its values stay packed: centrality is decided by
-    reduced traces, and only the central terms of a^l = a^h a^(l - h),
-    read by contraction (_contract), become scalars.  Elsewhere (a
-    composite level, or n >= 2) the chain runs to a^l, and a^l is central
-    when none of its terms survives off the central keys.
+    A form of one or two terms is raised in closed form, at every level
+    and every n (_binomial_power).  Of three or more terms: at one pair and
+    a prime level the chain runs to a^(l - h) only, for h = floor(l/2), and
+    its values stay packed: centrality is decided by reduced traces, and
+    only the central terms of a^l = a^h a^(l - h), read by contraction
+    (_contract), become scalars.  Elsewhere (a composite level, or n >= 2)
+    the chain runs to a^l, and a^l is central when none of its terms
+    survives off the central keys.
 
     The reduced-trace criterion.  Let n = 1 and q a primitive l-th root.
     Over the fraction field K of the center, the torus is the symbol
@@ -206,21 +213,68 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
 
     tau(a^k) for k <= l - h is nonzero exactly when the chain's k-th
     value, whose zero sums are dropped, has a term in the class (0, 0)
-    (_classes); past l - h it is the contraction of the floor(k/2)-th and
-    ceil(k/2)-th values.  An all-central t skips the test: its powers are central, and
-    the contraction of two of them is their whole product."""
+    (_meets_center); past l - h it is the contraction of the floor(k/2)-th
+    and ceil(k/2)-th values, whose classes (_classes) are built for the
+    values a contraction reads only, from the floor((l - h + 1)/2)-th up.
+    An all-central t skips the test: its powers are central, and the
+    contraction of two of them is their whole product."""
     ctx, level = t.context, t.context.level
+    if len(t.terms) <= 2:
+        return _readout(t, _binomial_power(t))
     if ctx.n > 1 or euler_phi(level) != level - 1:
         return _readout(t, torus_powers(t, {level})[level])
     h = level // 2
     keys, packer, values = _packed(t, range(1, level - h + 1))
-    classes = {k: _classes(t, keys, k, *value) for k, value in values.items()}
+    classes = {k: _classes(t, keys, k, *values[k])
+               for k in range((level - h + 1) // 2, level - h + 1)}
     if not all(_central(key, level) for key in t.terms) and any(
             _contract(t, packer, *classes[k // 2], *classes[k - k // 2])[0] if k > level - h
-            else (0, 0) in classes[k][0] for k in range(1, level)):
+            else _meets_center(keys, k, values[k][0], level) for k in range(1, level)):
         return None
     sums, codec = _contract(t, packer, *classes[h], *classes[level - h])
     return _readout(t, {key: packer.unpack(v, level, codec) for key, v in sums.items()})
+
+
+def _binomial_power(t: Torus) -> Dict[Mono, object]:
+    """The terms of ((q - 1)^m a)^l for a torus form t of one or two terms.
+
+    One term u = c y^a f^b:  u^k = c^k q^(s<b, a> k(k - 1)/2) y^(ka) f^(kb),
+    for s<b, a> the sum over the pairs of s_i b_i a_i.  Two terms u and
+    v = c' y^c f^e: v u = zeta u v for zeta = q^w, w = s<e, a> - s<b, c>,
+    of order d = l / gcd(w, l).  By the q-binomial theorem and q-Lucas at
+    a primitive d-th root, (u + v)^l is the sum over the j that d divides
+    of C(l/d, j/d) u^j v^(l - j), and u^j v^(l - j) twists by
+    q^(j (l - j) s<b, c>).  At a prime level and zeta != 1 that is
+    u^l + v^l."""
+    ctx, level = t.context, t.context.level
+    signs = [1 if x_side else -1 for x_side in t.x_side]
+
+    def twist(b, c):
+        """The exponent of q in y^. f^b * y^c f^. = q^(s<b, c>) y^. f^."""
+        return sum(s * u * v for s, u, v in zip(signs, b, c))
+
+    def power(key, c, k):
+        """u^k for u = c y^a f^b, as (ka, kb, its coefficient)."""
+        a, b = key
+        r = twist(b, a) * (k * (k - 1) // 2) % level
+        c = c ** k
+        return tuple(k * e for e in a), tuple(k * e for e in b), c * ctx.t_power(r) if r else c
+
+    (u, cu), *rest = t.terms.items()
+    if not rest:
+        a, b, c = power(u, cu, level)
+        return {(a, b): c}
+    (v, cv), = rest
+    twist_uv = twist(u[1], v[0])
+    d = level // math.gcd(twist(v[1], u[0]) - twist_uv, level)
+    out = {}
+    for j in range(0, level + 1, d):
+        a, b, c = power(u, cu, j)
+        e, f, c2 = power(v, cv, level - j)
+        r = j * (level - j) * twist_uv % level
+        c = math.comb(level // d, j // d) * c * c2
+        out[tuple(map(add, a, e)), tuple(map(add, b, f))] = c * ctx.t_power(r) if r else c
+    return out
 
 
 def _central(key: Mono, level: int) -> bool:
@@ -228,13 +282,25 @@ def _central(key: Mono, level: int) -> bool:
     return not any(e % level for part in key for e in part)
 
 
+def _exps(keys: _Keys, k: int, code: int) -> Tuple[int, int]:
+    """(a, b) of the code of y^a f^b in the k-th value of t's chain at one
+    pair (_packed)."""
+    return (code >> keys.s) - k * keys.shift[0], code & ((1 << keys.s) - 1)
+
+
+def _meets_center(keys: _Keys, k: int, value: Dict[int, int], level: int) -> bool:
+    """Whether the k-th value of t's chain at one pair (_packed) has a
+    term y^a f^b with l dividing a and b."""
+    return any(not (a % level or b % level) for a, b in (_exps(keys, k, code) for code in value))
+
+
 def _classes(t: Torus, keys: _Keys, k: int, value: Dict[int, int], codec):
     """(classes, codec): the terms (a, b, packed coefficient) of y^a f^b of
     the k-th value of t's chain at one pair (_packed), by (a, b) mod l."""
-    level, s = t.context.level, keys.s
+    level = t.context.level
     out: Dict[Tuple[int, int], list] = {}
     for code, v in value.items():
-        a, b = (code >> s) - k * keys.shift[0], code & ((1 << s) - 1)
+        a, b = _exps(keys, k, code)
         out.setdefault((a % level, b % level), []).append((a, b, v))
     return out, codec
 

@@ -21,13 +21,13 @@ from qweyl import (
     parse_weyl,
     specialize_element,
 )
-from qweyl import hatmap
+from qweyl import hatmap, torus
 from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
 from qweyl.scalars import euler_phi, inverse_one_minus_q
-from qweyl.torus import (Torus, _classes, _contract, _packed, _readout, central_power, to_torus,
-                         torus_power_cost, torus_powers)
+from qweyl.torus import (Torus, _binomial_power, _classes, _contract, _packed, _readout,
+                         central_power, to_torus, torus_power_cost, torus_powers)
 from qweyl.weylcore import f_i, power
 
 from conftest import identity_endomorphism, random_element
@@ -240,7 +240,7 @@ def test_central_power_of_the_square_lift_at_level_101():
 
 def test_central_power_keeps_the_chain_packed():
     # the chain to a^27 stays packed integers, and only the central terms of
-    # a^53 become Cyclo: a traced peak of about 2.4 MB, where unpacking
+    # a^53 become Cyclo: a traced peak of about 2.3 MB, where unpacking
     # every value of the chain peaks at 7.9 MB
     level = 53
     image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
@@ -263,6 +263,102 @@ def test_two_pairs_keep_the_full_chain():
     for k, terms in torus_powers(t, range(1, level)).items():
         assert not any(all(e % level == 0 for e in a + b) for a, b in terms), k
     assert central_power(t) is None
+
+
+def test_two_pairs_keep_the_full_chain_past_two_terms():
+    # x1 + x2 above is raised in closed form; three or more terms at n = 2
+    # take the chain to the l-th power, central or not
+    outcomes = set()
+    for level in (3, 5, 6):
+        ctx = AlgebraContext.root_of_unity(2, level)
+        x1, x2, d1 = ctx.x(1), ctx.x(2), ctx.d(1)
+        elements = [x1 + x2 + d1, x1 * x2 + x2 + 3 * x1]
+        elements += [specialize_element(image, level) for e in _shear_maps()[2:]
+                     for image in e.images_d]
+        for t in (t for t in map(to_torus, elements) if len(t.terms) >= 3):
+            got = central_power(t)
+            assert got == _full_chain(t), (level, t.terms)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _twist(t, b, c):
+    """s<b, c>: the exponent of q in y^. f^b * y^c f^. at t's sides."""
+    return sum((1 if x_side else -1) * u * v for x_side, u, v in zip(t.x_side, b, c))
+
+
+def _closed_form_cases(rng):
+    """Torus forms of one and two terms at l = 2..13, n = 1 and 2, each
+    side, qpow = 1 and != 1, m from 0 to 2.  In the pairs u = y^a f^b,
+    v = y^c f^e, with v u = q^w u v, the exponent e runs over 0..l - 1, so
+    w = s<e, a> - s<b, c> takes every class mod l, and q^w every order d
+    that divides l."""
+    for level in range(2, 14):
+        for qpow in sorted({1, max(j for j in range(1, level) if math.gcd(j, level) == 1)}):
+            for n in (1, 2):
+                ctx = AlgebraContext.root_of_unity(n, level, qpow)
+
+                def coeff():
+                    c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+                    return c * ctx.t_power(rng.randrange(level))
+
+                if n == 1:
+                    sides = [(True,), (False,)]
+                    monos = [((a,), (b,)) for a in (-1, 0, 2) for b in (0, 1, 3)]
+                    pairs = [(((1,), (1,)), ((2,), (e,))) for e in range(level)]
+                    pairs += [(((-1,), (2,)), ((1,), (e,))) for e in range(0, level, 3)]
+                else:
+                    sides = [(True, False), (False, True)]
+                    monos = [((1, -1), (2, 1)), ((0, 2), (1, 0))]
+                    pairs = [(((1, 0), (1, 1)), ((2, 1), (e, 0))) for e in range(level)]
+                for x_side in sides:
+                    for terms in ([{u: coeff()} for u in monos]
+                                  + [{u: coeff(), v: coeff()} for u, v in pairs]):
+                        yield Torus(ctx, x_side, terms, rng.randint(0, 2))
+
+
+def test_the_closed_form_equals_the_chain(rng):
+    # the q-binomial theorem and the monomial power against torus_powers,
+    # term for term, at every order d of q^w: commuting pairs (d = 1),
+    # u^l + v^l (d = l) and, at composite levels, 1 < d < l
+    orders = {}
+    for t in _closed_form_cases(rng):
+        level = t.context.level
+        assert _binomial_power(t) == torus_powers(t, {level})[level], (level, t.x_side, t.terms)
+        if len(t.terms) == 2:
+            (a, b), (c, e) = t.terms
+            w = _twist(t, e, a) - _twist(t, b, c)
+            orders.setdefault(level, set()).add(level // math.gcd(w, level))
+    for level, seen in orders.items():
+        assert seen == {d for d in range(1, level + 1) if level % d == 0}, level
+
+
+def test_one_and_two_terms_take_the_closed_form(monkeypatch):
+    # with the chain raising, central_power still answers every form of at
+    # most two terms: the images of the pair lifts and of the n = 2 maps,
+    # and x1 d1 = (f - 1)/(q - 1) and x1 + x2, whose powers are not central
+    cases = [to_torus(specialize_element(image, level))
+             for level in range(2, 14)
+             for e in _lifts() + _shear_maps()
+             for image in e.images_x + e.images_d]
+    for level in (3, 4, 5):
+        one, two = AlgebraContext.root_of_unity(1, level), AlgebraContext.root_of_unity(2, level)
+        cases += [to_torus(one.x(1) * one.d(1)), to_torus(two.x(1) + two.x(2))]
+    cases = [t for t in cases if len(t.terms) <= 2]
+    want = [_full_chain(t) for t in cases]
+    three = to_torus(specialize_element(_lifts()[0].images_d[0], 5))
+    assert len(three.terms) == 3
+
+    def chain(*args):
+        raise AssertionError("the chain ran")
+
+    # the name torus calls, weylcore's _packed_chain
+    monkeypatch.setattr(torus, "_packed_chain", chain)
+    with pytest.raises(AssertionError, match="the chain ran"):
+        central_power(three)
+    for t, expected in zip(cases, want):
+        assert central_power(t) == expected, (t.context, t.terms)
+    assert {expected is None for expected in want} == {True, False}
 
 
 def test_torus_powers_equal_the_converted_normal_ordered_powers(rng):
