@@ -216,10 +216,13 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     polynomials of e(d_i)^l and e(x_i)^l, raised and read in the quantum
     torus (torus.central_power), with no normal ordering: an image of one
     or two torus terms is raised in closed form (the q-binomial theorem);
-    of three or more, at one pair and a prime level the chain stops at the
-    power l - floor(l/2), centrality is decided exactly by reduced traces
-    and the l-th power's central terms are read by contraction; elsewhere
-    the chain runs to the l-th power.
+    at one pair, an image A + B f linear in f, as d1 of every lift_phi and
+    x1 of every lift_psi at a prime-power level or l = 6, by its reduced
+    norm, a^l = A^l + N(B) f^l; of
+    other images of three or more terms, at one pair and a prime level the
+    chain stops at the power l - floor(l/2), centrality is decided exactly
+    by reduced traces and the l-th power's central terms are read by
+    contraction; elsewhere the chain runs to the l-th power.
     When one is not central, the level fails and names its generator.
     Their powers in p are taken by the routine CenterPoly.__pow__ runs
     (scalars._sparse_power), without its guard: hat refuses before the
@@ -267,8 +270,10 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
     The estimate is of the chain to the l-th power, so it overstates the
     work where central_power runs less: on an image of one or two torus
     terms, which it raises in closed form with no chain (d1's of
-    lift_phi(2), 1.03M at level 101), and at one pair and a prime level,
-    where it stops at about half of the chain."""
+    lift_phi(2), 1.03M at level 101); on an image A + B f at one pair,
+    raised by its reduced norm with no chain (d1's of lift_phi(x1^2),
+    refused at level 89, takes about 0.02 s there); and at one pair and a
+    prime level, where it stops at about half of the chain."""
     check_substituted_degree(e_l.images_x, e_l.images_d, [
         (tuple(level * e for e in b), tuple(level * e for e in a)) for a, b in p.coeffs])
     tori = {}

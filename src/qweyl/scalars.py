@@ -503,8 +503,13 @@ class _Residue:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """self**exponent by square-and-multiply; a rational value, whose
+        only nonzero coordinate is the first, as num^k / den^k."""
         if exponent < 0:
             raise ValueError(f"negative power of a {type(self).__name__}")
+        num = self.num
+        if not any(num[1:]):
+            return self._raw(self.level, (num[0] ** exponent,) + num[1:], self.den ** exponent)
         return _power(self, exponent, self.one(self.level))
 
     # comparisons / misc ----------------------------------------------------

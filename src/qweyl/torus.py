@@ -24,7 +24,13 @@ f_i^l = 1 - (1 - q)^l s_i r_i (center.f_power_closed_form): the center
 polynomial is read off the torus terms, with no conversion back to PBW form
 (central_power).  An image of one or two terms is raised in closed form,
 by the q-binomial theorem at a root of unity, at every level and every n.
-Of three or more terms, at one pair and a prime level, the powers stay
+At one pair, an image A + B f linear in f, with A zero or c y^e for e
+prime to l, is raised by its reduced norm, a^l = A^l + N(B) f^l, whose
+norm comes from Newton's identities with no chain, at every level where
+the lowest coefficient of B is a rational times a power of q: d1 of
+every lift_phi and x1 of every lift_psi at a prime power level or l = 6,
+where 1 - q is no unit or q - 1 = q^2.  Of other images of
+three or more terms, at one pair and a prime level, the powers stay
 Kronecker-packed integers, and only the central terms of the l-th power
 are built as scalars, from two powers near l/2, once reduced traces have
 shown it central; elsewhere the chain runs to the l-th power.
@@ -34,11 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import Dict, Optional, Tuple
 
 from .center import CenterPoly
-from .scalars import _residue_reducer, _slot_codec, euler_phi, inverse_one_minus_q
+from .scalars import (Cyclo, _at_root, _residue_reducer, _slot_codec, euler_phi,
+                      inverse_one_minus_q)
 from .weylcore import ROOT, AlgebraContext, WeylElement, _Keys, _packed_chain
 
 __all__ = ["Torus", "to_torus", "torus_powers", "torus_power_cost", "central_power"]
@@ -171,8 +179,10 @@ def torus_power_cost(t: Torus, k: int) -> int:
     db_i the spans of t's y- and f-exponents.  The estimate for k = l
     overstates what central_power does where it runs less than the chain
     to the l-th power: a form of one or two terms takes a closed form of
-    at most l + 1 terms and no chain, and at one pair and a prime level a
-    form of three or more runs the chain to l - floor(l/2) only."""
+    at most l + 1 terms and no chain; at one pair a form A + B f takes the
+    norm route, about l D products for B of degree D, and no chain; and
+    at one pair and a prime level another form of three or more runs the
+    chain to l - floor(l/2) only."""
     spans = [max(u[i] for u in parts) - min(u[i] for u in parts)
              for parts in zip(*t.terms) for i in range(t.context.n)]
     size = len(t.terms)
@@ -187,13 +197,54 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     computed in the quantum torus; None when a**l is not central.
 
     A form of one or two terms is raised in closed form, at every level
-    and every n (_binomial_power).  Of three or more terms: at one pair and
-    a prime level the chain runs to a^(l - h) only, for h = floor(l/2), and
-    its values stay packed: centrality is decided by reduced traces, and
-    only the central terms of a^l = a^h a^(l - h), read by contraction
-    (_contract), become scalars.  Elsewhere (a composite level, or n >= 2)
-    the chain runs to a^l, and a^l is central when none of its terms
-    survives off the central keys.
+    and every n (_binomial_power).  At one pair, a form A + B f, with A
+    zero or c y^e for gcd(e, l) = 1 and B a Laurent polynomial in y whose
+    lowest coefficient is a rational times a power of q, is raised by its
+    reduced norm at every level (_norm_power).  Of other forms of three or
+    more terms: at one pair and a prime level the chain runs to a^(l - h)
+    only, for h = floor(l/2), and its values stay packed: centrality is
+    decided by reduced traces, and only the central terms of
+    a^l = a^h a^(l - h), read by contraction (_contract), become scalars
+    (_half_route).  Elsewhere (a composite level, or n >= 2) the chain runs
+    to a^l, and a^l is central when none of its terms survives off the
+    central keys.
+
+    The norm route.  Let n = 1 and q a primitive l-th root, at any l >= 2.
+    Over the fraction field K of the center, the torus is the cyclic
+    algebra (L/K, sigma, f^l), L = K(y), sigma(y) = q^s y, of degree l, in
+    which f c = sigma(c) f.  On the L-basis 1, f, ..., f^(l - 1), right
+    multiplication by a = A + B f is a cyclic bidiagonal matrix, with the
+    sigma^k A on its diagonal and the sigma^k B, one times f^l, off it.
+    Its determinant expansion makes the reduced characteristic polynomial
+
+        prod_(k<l) (X - sigma^k A) - N(B) f^l,   N(B) = prod_(k<l) sigma^k B.
+
+    For A = c y^e with gcd(e, l) = 1 the sigma^k A = q^(s k e) A are A
+    times every l-th root of unity, so the product is X^l - A^l (and X^l
+    for A = 0), and Cayley-Hamilton in this central simple algebra gives
+
+        a^l = A^l + N(B) f^l.
+
+    At n = 1 every term of it is central.  N(B) needs no chain: with
+    B = b0 y^lo prod_k (1 - g_k y), each prod_(j<l) (1 - g_k q^(s j) y)
+    is 1 - g_k^l y^l, and Newton's identities turn the power sums of the
+    g_k into the coefficients of prod_k (1 - g_k^l y^l) (_norm_power)."""
+    ctx, level = t.context, t.context.level
+    if len(t.terms) <= 2:
+        return _readout(t, _binomial_power(t))
+    if ctx.n == 1:
+        terms = _norm_power(t)
+        if terms is not None:
+            return _readout(t, terms)
+    if ctx.n > 1 or euler_phi(level) != level - 1:
+        return _readout(t, torus_powers(t, {level})[level])
+    return _half_route(t)
+
+
+def _half_route(t: Torus) -> Optional[CenterPoly]:
+    """central_power at one pair and a prime level, by the chain to
+    a^(l - h), h = floor(l/2), with packed values, reduced traces and the
+    contraction.
 
     The reduced-trace criterion.  Let n = 1 and q a primitive l-th root.
     Over the fraction field K of the center, the torus is the symbol
@@ -218,11 +269,7 @@ def central_power(t: Torus) -> Optional[CenterPoly]:
     values a contraction reads only, from the floor((l - h + 1)/2)-th up.
     An all-central t skips the test: its powers are central, and the
     contraction of two of them is their whole product."""
-    ctx, level = t.context, t.context.level
-    if len(t.terms) <= 2:
-        return _readout(t, _binomial_power(t))
-    if ctx.n > 1 or euler_phi(level) != level - 1:
-        return _readout(t, torus_powers(t, {level})[level])
+    level = t.context.level
     h = level // 2
     keys, packer, values = _packed(t, range(1, level - h + 1))
     classes = {k: _classes(t, keys, k, *values[k])
@@ -275,6 +322,81 @@ def _binomial_power(t: Torus) -> Dict[Mono, object]:
         c = math.comb(level // d, j // d) * c * c2
         out[tuple(map(add, a, e)), tuple(map(add, b, f))] = c * ctx.t_power(r) if r else c
     return out
+
+
+def _norm_power(t: Torus) -> Optional[Dict[Mono, object]]:
+    """The terms of ((q - 1)^m a)^l = A^l + N(B) f^l for a torus form t =
+    A + B f at one pair, A zero or one term c y^e with gcd(e, l) = 1 and B
+    a Laurent polynomial in y (central_power); None for any other form,
+    and for a B whose lowest coefficient b0 is not a rational times a
+    power of q (_unit_inverse).
+
+    Write B = b0 y^lo R(y), R = 1 + sum_i r_i y^i = prod_k (1 - g_k y) of
+    degree D.  Since prod_(j<l) (1 - g q^(s j) y) = 1 - g^l y^l,
+
+        N(B) = b0^l q^(s lo l(l - 1)/2) y^(lo l) prod_k (1 - g_k^l y^l).
+
+    Newton's identities give the power sums p_i of the g_k up to p_(D l),
+    p_i = -i r_i - sum_(0<j<i) r_j p_(i - j), skipping the zero r_j and
+    p_(i - j), and then the coefficients of prod_k (1 - g_k^l Y) from
+    p_l, p_2l, ..., p_(D l): e_0 = 1 and e_j = -(1/j) sum_(i<j) e_i
+    p_((j - i) l).  With b0 = c q^j, b0^l = c^l."""
+    ctx, level = t.context, t.context.level
+    monos, linear = [], {}
+    for ((e,), (b,)), c in t.terms.items():
+        if b == 1:
+            linear[e] = c
+        elif b or monos or math.gcd(e, level) != 1:
+            return None
+        else:
+            monos.append((e, c))
+    lo = min(linear)
+    unit = _unit_inverse(linear[lo])
+    if unit is None:
+        return None
+    b0, inverse = unit
+    r = {e - lo: c * inverse for e, c in linear.items() if e > lo}
+    degree = max(r)
+    zero = ctx.scalar(0)
+    window, sums = [zero] * degree, []  # p_(i - degree) .. p_(i - 1); p_l, p_2l, ...
+    for i in range(1, degree * level + 1):
+        p = -i * r[i] if i in r else zero
+        for j, rj in r.items():
+            if window[-j]:
+                p -= rj * window[-j]
+        window = window[1:] + [p]
+        if not i % level:
+            sums.append(p)
+    coeffs = [ctx.one_scalar()]  # e_0, e_1, ...
+    for j in range(1, degree + 1):
+        acc = zero
+        for ei, p in zip(coeffs, reversed(sums[:j])):
+            if ei and p:
+                acc += ei * p
+        coeffs.append(Cyclo._normalized(level, [-v for v in acc.num], acc.den * j))
+    sign = 1 if t.x_side[0] else -1
+    scale = ctx.t_power(sign * lo * (level * (level - 1) // 2)) * b0 ** level
+    out = {((e * level,), (0,)): c ** level for e, c in monos}
+    for j, ej in enumerate(coeffs):
+        if ej:
+            out[((lo + j) * level,), (level,)] = ej * scale
+    return out
+
+
+def _unit_inverse(c) -> Optional[Tuple[Fraction, object]]:
+    """(b, 1/c) for a Cyclo c = b z^k with b rational, else None, and no
+    Cyclo.inverse of a value of more than one coordinate.  b z^k has one
+    coordinate for k < phi(l); for phi(l) <= k < l, c z^(l - k) = b."""
+    level = c.level
+    nonzero = [k for k, v in enumerate(c.num) if v]
+    if len(nonzero) == 1:
+        return Fraction(c.num[nonzero[0]], c.den), c.inverse()
+    for k in range(1, level - euler_phi(level) + 1):
+        z = Cyclo.zeta(level, k)
+        b = (c * z).as_rational()
+        if b is not None:
+            return b, z * (1 / b)
+    return None
 
 
 def _central(key: Mono, level: int) -> bool:
@@ -353,11 +475,13 @@ def _readout(t: Torus, terms: Dict[Mono, object]) -> Optional[CenterPoly]:
     ctx, level = t.context, t.context.level
     if not all(_central(key, level) for key in terms):
         return None
-    eps = -((ctx.one_scalar() - ctx.t_power(1)) ** level)  # f_i^l = 1 + eps s_i r_i
     top = max(max(b) for _, b in terms) // level
     eps_powers = [ctx.one_scalar()]
-    while len(eps_powers) <= top:
-        eps_powers.append(eps_powers[-1] * eps)
+    if top:  # f_i^l = 1 + eps s_i r_i, eps = -(1 - q)^l = -sum_k C(l, k) (-q)^k
+        eps = _at_root([(-1) ** (k + 1) * math.comb(level, k) for k in range(level + 1)],
+                       0, 1, level, ctx.qpow)
+        while len(eps_powers) <= top:
+            eps_powers.append(eps_powers[-1] * eps)
     out: Dict = {}
     for (ys, fs), c in terms.items():
         parts = [((), (), c)]
@@ -369,5 +493,7 @@ def _readout(t: Torus, terms: Dict[Mono, object]) -> Optional[CenterPoly]:
         for r, s, v in parts:
             cur = out.get((r, s))
             out[(r, s)] = v if cur is None else cur + v
-    scale = (-inverse_one_minus_q(level, ctx.qpow)) ** (t.m * level)
-    return CenterPoly(ctx.n, {key: v * scale for key, v in out.items() if v})
+    if t.m:
+        scale = (-inverse_one_minus_q(level, ctx.qpow)) ** (t.m * level)
+        out = {key: v * scale for key, v in out.items()}
+    return CenterPoly(ctx.n, {key: v for key, v in out.items() if v})

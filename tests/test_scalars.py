@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qweyl import scalars
 from qweyl.scalars import (
     INVERSE_COST_LIMIT,
     MAX_LEVEL,
@@ -17,6 +18,7 @@ from qweyl.scalars import (
     LaurentPoly,
     _CYCLO_CACHE,
     _inverse_cost,
+    _power,
     _product,
     _slot_codec,
     cyclotomic_polynomial,
@@ -227,6 +229,22 @@ def test_power_is_repeated_product(x, one, inverse):
             assert x ** -e == expected_inverse
             expected_inverse = expected_inverse * inverse
         expected = expected * x
+
+
+@pytest.mark.parametrize("cls, level", [(Cyclo, 7), (Cyclo, 12), (Jet, 5)])
+def test_a_rational_value_is_raised_as_a_rational(cls, level, monkeypatch):
+    # num^k / den^k, with no product, equals square-and-multiply
+    cases = [(cls.from_rational(level, value), k)
+             for value in (0, 1, -1, 2, Fraction(3, 4)) for k in (0, 1, 31)]
+    want = [_power(x, k, cls.one(level)) for x, k in cases]
+
+    def product(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(scalars, "_product", product)
+    for (x, k), w in zip(cases, want):
+        got = x ** k
+        assert (type(got), got.level, got.num, got.den) == (cls, level, w.num, w.den), (x, k)
 
 
 def test_cyclo_rational_interop():

@@ -25,10 +25,11 @@ from qweyl import hatmap, torus
 from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
-from qweyl.scalars import euler_phi, inverse_one_minus_q
-from qweyl.torus import (Torus, _binomial_power, _classes, _contract, _packed, _readout,
-                         central_power, to_torus, torus_power_cost, torus_powers)
-from qweyl.weylcore import f_i, power
+from qweyl.scalars import euler_phi, inverse_one_minus_q, specialize
+from qweyl.torus import (Torus, _binomial_power, _classes, _contract, _half_route, _norm_power,
+                         _packed, _readout, central_power, to_torus, torus_power_cost,
+                         torus_powers)
+from qweyl.weylcore import WeylElement, f_i, power
 
 from conftest import identity_endomorphism, random_element
 
@@ -223,31 +224,52 @@ def test_the_packed_contraction_equals_the_cyclo_products():
     assert outcomes == {(False, False), (True, True)} and same_codec == {True, False}
 
 
+def _square_lift_power(level):
+    """theta_inverse of the l-th power of d1 of lift_phi(x1^2): r1 + s1^2 +
+    eps s1^3 r1, eps = -(1 - q)^l."""
+    q = Cyclo.zeta(level)
+    return (CenterPoly.r(1, 1) + CenterPoly.monomial(1, (0,), (2,))
+            + CenterPoly.monomial(1, (1,), (3,), -(Cyclo.one(level) - q) ** level))
+
+
 def test_central_power_of_the_square_lift_at_level_101():
-    # the guard refuses this level in hat (53.1M); the chain to a^51 and
-    # 50 contractions read it
+    # the half route, which central_power no longer takes for this image
+    # (the norm route below): the chain to a^51 and 50 contractions read it
     level = 101
     image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
     t = to_torus(specialize_element(image, level))
     start = time.perf_counter()
-    got = central_power(t)
+    got = _half_route(t)
     elapsed = time.perf_counter() - start
-    q = Cyclo.zeta(level)
-    assert got == (CenterPoly.r(1, 1) + CenterPoly.monomial(1, (0,), (2,))
-                   + CenterPoly.monomial(1, (1,), (3,), -(Cyclo.one(level) - q) ** level))
+    assert got == _square_lift_power(level)
     assert elapsed < 2.5  # about 0.4 s on a 2-core machine; the full chain 3.9 s
 
 
+def test_the_norm_route_of_the_square_lift_at_levels_101_and_211():
+    # a^l = N(B) f^l + A^l, with no chain: the value of the half route above
+    image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
+    for level, bound in ((101, 0.5), (211, 2.5)):
+        t = to_torus(specialize_element(image, level))
+        assert _norm_power(t) is not None
+        start = time.perf_counter()
+        got = central_power(t)
+        elapsed = time.perf_counter() - start
+        assert got == _square_lift_power(level)
+        # about 0.013 s and 0.1 s on a 2-core machine; the half route 0.4 s
+        # and 13.5 s
+        assert elapsed < bound, level
+
+
 def test_central_power_keeps_the_chain_packed():
-    # the chain to a^27 stays packed integers, and only the central terms of
-    # a^53 become Cyclo: a traced peak of about 2.3 MB, where unpacking
-    # every value of the chain peaks at 7.9 MB
+    # on the half route the chain to a^27 stays packed integers, and only
+    # the central terms of a^53 become Cyclo: a traced peak of about 2.3 MB,
+    # where unpacking every value of the chain peaks at 7.9 MB
     level = 53
     image = lift_phi(AlgebraContext.symbolic(1), {2: 1}).images_d[0]
     t = to_torus(specialize_element(image, level))
     tracemalloc.start()
     try:
-        assert central_power(t) is not None
+        assert _half_route(t) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,8 +368,8 @@ def test_one_and_two_terms_take_the_closed_form(monkeypatch):
         cases += [to_torus(one.x(1) * one.d(1)), to_torus(two.x(1) + two.x(2))]
     cases = [t for t in cases if len(t.terms) <= 2]
     want = [_full_chain(t) for t in cases]
-    three = to_torus(specialize_element(_lifts()[0].images_d[0], 5))
-    assert len(three.terms) == 3
+    three = to_torus(specialize_element(_outside_the_norm_shape(), 5))
+    assert len(three.terms) >= 3 and _norm_power(three) is None
 
     def chain(*args):
         raise AssertionError("the chain ran")
@@ -359,6 +381,106 @@ def test_one_and_two_terms_take_the_closed_form(monkeypatch):
     for t, expected in zip(cases, want):
         assert central_power(t) == expected, (t.context, t.terms)
     assert {expected is None for expected in want} == {True, False}
+
+
+def _outside_the_norm_shape():
+    """d1 of psi(d1^2) o phi(x1^2), whose torus form has f-exponents up to
+    3: no torus form of it takes the norm route."""
+    ctx = AlgebraContext.symbolic(1)
+    return compose(lift_psi(ctx, {2: 1}), lift_phi(ctx, {2: 1})).images_d[0]
+
+
+def _norm_cases(rng, levels=(*range(2, 14), 17, 19, 23, 31)):
+    """Torus forms A + B f of three or more terms at one pair: the images
+    of the phi and psi lifts and of x1 o x1^2 (A = c y^-1 and B of 2 to 4
+    terms) at each level, at q = zeta and, below l = 31, at a second
+    primitive root q = zeta^qpow; and, up to l = 13, forged forms B f
+    (A = 0) on each side, whose lowest coefficient of B runs over rational
+    multiples of every power of q, those of more than one coordinate among
+    them."""
+    ctx = AlgebraContext.symbolic(1)
+    images = [image for e in _lifts() + [compose(lift_phi(ctx, {1: 1}), lift_phi(ctx, {2: 1}))]
+              for image in e.images_x + e.images_d]
+    for level in levels:
+        qpows = {1, max(j for j in range(1, level) if math.gcd(j, level) == 1)}
+        for qpow in sorted(qpows) if level < 31 else (1,):
+            root = AlgebraContext.root_of_unity(1, level, qpow)
+            for image in images:
+                t = to_torus(WeylElement(root, {key: specialize(c, level, qpow)
+                                                for key, c in image.terms.items()}))
+                if len(t.terms) >= 3:
+                    yield t
+            if level > 13:
+                continue
+            for j in range(level):
+                b0 = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3)) * root.t_power(j)
+                rest = [rng.randint(-2, 2) + root.t_power(rng.randrange(level)) for _ in range(2)]
+                terms = {((1,), (1,)): b0, ((2,), (1,)): rest[0], ((4,), (1,)): rest[1]}
+                yield Torus(root, (j % 2 == 0,), terms, rng.randint(0, 1))
+
+
+def test_the_norm_route_equals_the_chain(rng):
+    # A^l + N(B) f^l against the chain's l-th power, term for term, and
+    # read out; b0 = c q^j of one coordinate and of more than one.  Some
+    # forms decline the route: at l = 2 one image is rewritten on the side
+    # where f^3 appears, and at l = 10 and 12, where 1 - q is a unit,
+    # to_torus divides the lifts by q - 1, so b0 = +-1/(q - 1), which is
+    # no rational multiple of a power of q.
+    levels, sides, qpows, spread, declined = set(), set(), set(), set(), set()
+    for t in _norm_cases(rng):
+        level = t.context.level
+        terms, chain = _norm_power(t), torus_powers(t, {level})[level]
+        assert central_power(t) == _readout(t, chain), (level, t.x_side, t.terms)
+        if terms is None:
+            declined.add(level)
+            continue
+        assert terms == chain, (level, t.x_side, t.terms)
+        b0 = t.terms[min(key for key in t.terms if key[1] == (1,))]
+        levels.add(level)
+        sides.add(t.x_side)
+        qpows.add(t.context.qpow != 1)
+        spread.add(sum(1 for c in b0.num if c) > 1)
+    assert levels == {*range(2, 14), 17, 19, 23, 31} and declined == {2, 10, 12}
+    assert sides == {(True,), (False,)} and qpows == spread == {True, False}
+
+
+def test_the_norm_route_runs_no_chain(rng, monkeypatch):
+    # with the chain raising, central_power still answers every form of the
+    # norm route's shape
+    cases = [t for t in _norm_cases(rng, range(2, 14)) if _norm_power(t) is not None]
+    want = [_full_chain(t) for t in cases]
+    three = to_torus(specialize_element(_outside_the_norm_shape(), 7))
+
+    def chain(*args):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(torus, "_packed_chain", chain)
+    with pytest.raises(AssertionError, match="the chain ran"):
+        central_power(three)
+    for t, expected in zip(cases, want):
+        assert central_power(t) == expected, (t.context.level, t.terms)
+
+
+def test_the_norm_route_declines_other_forms():
+    # A = c y^e with gcd(e, l) > 1, where the conjugates of A repeat and
+    # a^l is not A^l + N(B) f^l; a b0 that is no rational multiple of a
+    # power of q; and f-exponents past 1.  Each takes the chain.
+    cases = []
+    for level, e in ((4, 4), (4, 2), (6, 3), (6, 12), (9, 3), (5, 5)):
+        ctx = AlgebraContext.root_of_unity(1, level)
+        q = ctx.t_power(1)
+        for x_side in (True, False):
+            cases.append(Torus(ctx, (x_side,), {((e,), (0,)): 2 * q, ((1,), (1,)): q ** 0,
+                                                ((2,), (1,)): q - 1}, 1))
+    for level in (5, 6):
+        ctx = AlgebraContext.root_of_unity(1, level)
+        q = ctx.t_power(1)
+        cases.append(Torus(ctx, (True,), {((1,), (0,)): -q ** 0, ((1,), (1,)): 1 + 2 * q,
+                                          ((2,), (1,)): q - 1}, 1))
+    cases.append(to_torus(specialize_element(_outside_the_norm_shape(), 6)))
+    for t in cases:
+        assert _norm_power(t) is None, (t.context.level, t.terms)
+        assert central_power(t) == _full_chain(t), (t.context.level, t.terms)
 
 
 def test_torus_powers_equal_the_converted_normal_ordered_powers(rng):
