@@ -1,12 +1,14 @@
 """Prime-limit transport of endomorphisms to the commutative model.
 
-For each level l in a schedule the endomorphism is specialized at the
-principal l-th root zeta_l, conjugated through the center isomorphism, and the
+For each level l in a schedule the endomorphism is read at the principal
+l-th root zeta_l, conjugated through the center isomorphism, and the
 resulting polynomial's complex-embedded coefficients are tracked as
-trajectories.  A trajectory family converges when the supports stabilize and
-the last three values of every surviving coefficient agree to EPS_CONV;
-converged limits are rounded to nearby small rationals so integrality of the
-limit endomorphism is checkable without being assumed.
+trajectories.  The generator images are put in the quantum torus once per
+schedule, over Q(t), and each level only evaluates their coefficients at
+zeta_l (torus.specialize_torus).  A trajectory family converges when the
+supports stabilize and the last three values of every surviving coefficient
+agree to EPS_CONV; converged limits are rounded to nearby small rationals so
+integrality of the limit endomorphism is checkable without being assumed.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .center import CenterPoly
 from .morphisms import Endomorphism, check_substituted_degree, specialize_endomorphism
 from .poisson import standard_bracket, transported_bracket
 from .scalars import _check_level, _sparse_power, embed as _embed
-from .torus import Torus, central_power, to_torus, torus_power_cost
-from .weylcore import DEFAULT_DEGREE_LIMIT, POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded
+from .torus import Torus, central_power, specialize_torus, to_torus, torus_power_cost
+from .weylcore import (DEFAULT_DEGREE_LIMIT, POWER_COST_LIMIT, ROOT, SYMBOLIC, DegreeLimitExceeded,
+                       WeylElement)
 
 __all__ = [
     "CentralityFailure",
@@ -217,9 +220,9 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     torus (torus.central_power), with no normal ordering: an image of one
     or two torus terms is raised in closed form (the q-binomial theorem);
     at one pair, an image A + B f linear in f, as d1 of every lift_phi and
-    x1 of every lift_psi at a prime-power level or l = 6, by its reduced
-    norm, a^l = A^l + N(B) f^l; of
-    other images of three or more terms, at one pair and a prime level the
+    x1 of every lift_psi at every level (for a map given at its root, at a
+    prime-power level or l = 6), by its reduced norm, a^l = A^l + N(B) f^l;
+    of other images of three or more terms, at one pair and a prime level the
     chain stops at the power l - floor(l/2), centrality is decided exactly
     by reduced traces and the l-th power's central terms are read by
     contraction; elsewhere the chain runs to the l-th power.
@@ -228,7 +231,10 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     (scalars._sparse_power), without its guard: hat refuses before the
     first level runs, and its degree guard (_guarded_tori) bounds them.
     tori holds the images' torus forms, guarded, as hat and hat_endo make
-    them before the first level runs; without it, hat_step makes its own."""
+    them before the first level runs; without it, hat_step makes its own,
+    for a symbolic e by evaluating the images' forms over Q(t) at the level
+    (_symbolic_forms, _guarded_tori), and for a map given at its root by
+    converting its images there (torus.to_torus)."""
     ctx = e.context
     at_level = ctx.kind == ROOT and ctx.level == level and ctx.qpow == 1
     if ctx.kind != SYMBOLIC and not at_level:
@@ -239,7 +245,7 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
         raise ValueError("need level >= 2")
     e_l = e if at_level else specialize_endomorphism(e, level)
     if tori is None:
-        tori = _guarded_tori(e_l, p, level)
+        tori = _guarded_tori(e_l, p, level, None if at_level else _symbolic_forms(e, [p]))
     powers = {}
     for name, t in tori.items():
         powers[name] = central_power(t)
@@ -259,14 +265,19 @@ def hat_step(e: Endomorphism, p: CenterPoly, level: int,
     return out
 
 
-def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Torus]:
+def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int,
+                  forms: Optional[Dict[str, Torus]]) -> Dict[str, Torus]:
     """The torus forms of the images whose l-th powers hat_step substitutes
-    into p, by generator name: d_i's for r_i, x_i's for s_i.  Refuses first
-    (DegreeLimitExceeded) a substitution into theta(p) over the degree
-    guard, read off p's monomials scaled by the level (r_i -> d_i^l,
-    s_i -> x_i^l) with no element built, and then a power whose chain
-    estimates (torus.torus_power_cost) over POWER_COST_LIMIT: on
-    lift_phi(x1^2), d1's is 4.1M at level 53, 20.0M at 79 and 32.1M at 89.
+    into p, by generator name: d_i's for r_i, x_i's for s_i.  forms holds
+    those images' forms over Q(t) (_symbolic_forms), which are evaluated at
+    the level (torus.specialize_torus); without it, as for a map given at
+    its root, e_l's own images are converted there (torus.to_torus).
+    Refuses first (DegreeLimitExceeded) a substitution into theta(p) over
+    the degree guard, read off p's monomials scaled by the level
+    (r_i -> d_i^l, s_i -> x_i^l) and e_l's images with no element built,
+    and then a power whose chain estimates (torus.torus_power_cost), on
+    the level's form, over POWER_COST_LIMIT: on lift_phi(x1^2), d1's is
+    4.1M at level 53, 20.0M at 79 and 32.1M at 89.
     The estimate is of the chain to the l-th power, so it overstates the
     work where central_power runs less: on an image of one or two torus
     terms, which it raises in closed form with no chain (d1's of
@@ -276,12 +287,8 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
     prime level, where it stops at about half of the chain."""
     check_substituted_degree(e_l.images_x, e_l.images_d, [
         (tuple(level * e for e in b), tuple(level * e for e in a)) for a, b in p.coeffs])
-    tori = {}
-    for i in range(p.n):
-        if any(a[i] for a, _ in p.coeffs):
-            tori[f"d{i + 1}"] = to_torus(e_l.images_d[i])
-        if any(b[i] for _, b in p.coeffs):
-            tori[f"x{i + 1}"] = to_torus(e_l.images_x[i])
+    tori = {name: to_torus(image) if forms is None else specialize_torus(forms[name], e_l.context)
+            for name, image in _substituted(e_l, p).items()}
     for name, t in tori.items():
         cost = torus_power_cost(t, level)
         if cost > POWER_COST_LIMIT:
@@ -289,6 +296,28 @@ def _guarded_tori(e_l: Endomorphism, p: CenterPoly, level: int) -> Dict[str, Tor
                 f"torus power chain of the image of {name} at level {level} of "
                 f"estimated cost {cost} exceeds the guard {POWER_COST_LIMIT}")
     return tori
+
+
+def _substituted(e: Endomorphism, p: CenterPoly) -> Dict[str, WeylElement]:
+    """The images of e whose l-th powers hat_step substitutes into p, by
+    generator name: d_i's where p has r_i, x_i's where it has s_i."""
+    images = {}
+    for i in range(p.n):
+        if any(a[i] for a, _ in p.coeffs):
+            images[f"d{i + 1}"] = e.images_d[i]
+        if any(b[i] for _, b in p.coeffs):
+            images[f"x{i + 1}"] = e.images_x[i]
+    return images
+
+
+def _symbolic_forms(e: Endomorphism, polys) -> Dict[str, Torus]:
+    """The torus forms over Q(t) (torus.to_torus) of the images of a
+    symbolic e that hat_step substitutes into any of polys, by generator
+    name: each built once, for every level (_guarded_tori)."""
+    images = {}
+    for p in polys:
+        images.update(_substituted(e, p))
+    return {name: to_torus(image) for name, image in images.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +411,18 @@ def hat(e: Endomorphism, p: CenterPoly,
 
 def _transport(e: Endomorphism, polys: Dict[str, CenterPoly],
                levels: Sequence[int]) -> Dict[str, ConvergenceReport]:
-    """The report of hat_step on each polynomial over the levels.  Each
-    level is specialized, and its images put in the torus and guarded
-    (_guarded_tori), once, and every level before the first one runs."""
+    """The report of hat_step on each polynomial over the levels.  The
+    images the polynomials substitute are put in the torus once, over Q(t)
+    (_symbolic_forms), for the whole call.  Then each level is specialized,
+    for the degree guard, and the forms are evaluated at it and guarded
+    (_guarded_tori), once per level, every level before the first one runs."""
     if e.context.kind != SYMBOLIC:
         raise ValueError("transport needs a symbolic endomorphism")
     if any(p.n != e.context.n for p in polys.values()):
         raise ValueError("polynomial arity mismatch")
+    forms = _symbolic_forms(e, polys.values())
     specialized = [specialize_endomorphism(e, level) for level in levels]
-    tori = [{k: _guarded_tori(e_l, p, level) for k, p in polys.items()}
+    tori = [{k: _guarded_tori(e_l, p, level, forms) for k, p in polys.items()}
             for e_l, level in zip(specialized, levels)]
     return {k: _assemble_report(p, levels, [(level, hat_step(e_l, p, level, t[k]))
                                             for level, e_l, t in zip(levels, specialized, tori)])
@@ -443,15 +475,16 @@ def hat_endo(e: Endomorphism, schedule: ScheduleLike = None) -> HatEndoReport:
 def check_center_preservation(e: Endomorphism, level: int) -> bool:
     """True iff the image of every generator's l-th power decomposes over
     the center at this level: the l-th power of each generator image is
-    read in the quantum torus, as hat_step reads it (torus.central_power:
-    by reduced traces at one pair and a prime level, by the terms of the
-    whole l-th power elsewhere), after hat_step's guards (_guarded_tori).
+    read in the quantum torus, as hat_step reads it (torus.central_power),
+    from the images' forms over Q(t) evaluated at the level
+    (_symbolic_forms), after hat_step's guards (_guarded_tori).
     The relations need no check: e was certified where it was built, and
     specialization keeps them."""
     e_l = specialize_endomorphism(e, level)
-    return all(
-        central_power(t) is not None
-        for p in _coordinates(e.context.n).values() for t in _guarded_tori(e_l, p, level).values())
+    coordinates = _coordinates(e.context.n).values()
+    forms = _symbolic_forms(e, coordinates)
+    return all(central_power(t) is not None
+               for p in coordinates for t in _guarded_tori(e_l, p, level, forms).values())
 
 
 def transport_limit(p: CenterPoly, q: CenterPoly,

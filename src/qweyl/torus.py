@@ -18,6 +18,14 @@ takes its own side, and the twist is the product over the pairs.  So the
 rows of a power chain in the torus are the base's own terms, each rotated
 by a power of q: no pair expansion and no quantum integer.
 
+The rewriting holds over Q(t) as well, with t for q, and t -> zeta is a
+ring homomorphism that commutes with it: the torus form of a symbolic
+element is built once (to_torus), its power of t - 1 lowered while t - 1
+divides every coefficient, and each level evaluates its coefficients
+(specialize_torus), one reduction each and no product.  The result is the
+element times a power of q - 1, a nonzero scalar, as the conversion at the
+root gives it, so the powers read in the center are the same.
+
 A central element has central torus terms only, those with every exponent
 a multiple of l, and y_i^l is s_i = x_i^l or r_i = d_i^l, while
 f_i^l = 1 - (1 - q)^l s_i r_i (center.f_power_closed_form): the center
@@ -28,8 +36,10 @@ At one pair, an image A + B f linear in f, with A zero or c y^e for e
 prime to l, is raised by its reduced norm, a^l = A^l + N(B) f^l, whose
 norm comes from Newton's identities with no chain, at every level where
 the lowest coefficient of B is a rational times a power of q: d1 of
-every lift_phi and x1 of every lift_psi at a prime power level or l = 6,
-where 1 - q is no unit or q - 1 = q^2.  Of other images of
+every lift_phi and x1 of every lift_psi at every level when their form
+is built over Q(t), where that coefficient is 1, and when it is built at
+the root, at a prime power level or l = 6, where 1 - q is no unit or
+q - 1 = q^2 (elsewhere the lowering divides by q - 1).  Of other images of
 three or more terms, at one pair and a prime level, the powers stay
 Kronecker-packed integers, and only the central terms of the l-th power
 are built as scalars, from two powers near l/2, once reduced traces have
@@ -45,20 +55,21 @@ from operator import add
 from typing import Dict, Optional, Tuple
 
 from .center import CenterPoly
-from .scalars import (Cyclo, _at_root, _residue_reducer, _slot_codec, euler_phi,
-                      inverse_one_minus_q)
-from .weylcore import ROOT, AlgebraContext, WeylElement, _Keys, _packed_chain
+from .scalars import (Cyclo, LaurentPoly, _at_root, _residue_reducer, _slot_codec, euler_phi,
+                      inverse_one_minus_q, specialize)
+from .weylcore import ROOT, SYMBOLIC, AlgebraContext, WeylElement, _Keys, _packed_chain
 
-__all__ = ["Torus", "to_torus", "torus_powers", "torus_power_cost", "central_power"]
+__all__ = ["Torus", "to_torus", "specialize_torus", "torus_powers", "torus_power_cost",
+           "central_power"]
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Torus:
-    """An element a of the algebra at a root of unity in the quantum torus:
-    (q - 1)^m a is the sum of c y^a f^b over terms, keyed (a, b), where
-    y_i is x_i when x_side[i] and d_i otherwise."""
+    """An element a of the algebra, at a root of unity or over Q(t), in
+    the quantum torus: (q - 1)^m a is the sum of c y^a f^b over terms,
+    keyed (a, b), where y_i is x_i when x_side[i] and d_i otherwise."""
 
     context: AlgebraContext
     x_side: Tuple[bool, ...]
@@ -67,14 +78,27 @@ class Torus:
 
 
 def to_torus(a: WeylElement) -> Torus:
-    """a in the quantum torus.  The pairs are rewritten one at a time, each
-    localized on the side that gives fewer terms, x on a tie, and the
-    image is scaled by a power of q - 1 that keeps its coefficients as
-    integral as a's (_convert_pair): the least one, as long as q - 1
-    divides every coefficient of the image (on the lift d + 2f of d, the
-    rewritten d - 2(1 - q) x d is d + 2f, with m = 0)."""
+    """a in the quantum torus, for a at a root of unity or over Q(t).  The
+    pairs are rewritten one at a time, each localized on the side that
+    gives fewer terms, x on a tie, and the image is scaled by a power of
+    q - 1 (of t - 1 over Q(t)) that keeps its coefficients polynomial
+    (_convert_pair), and then lowered while q - 1 divides every
+    coefficient: at a root, as long as dividing by it keeps every
+    coefficient as integral as it was (on the lift d + 2f of d, the
+    rewritten d - 2(1 - q) x d is d + 2f, with m = 0); over Q(t), as long
+    as every coefficient p has p(1) = 0, by one synthetic division each
+    (_over_t_minus_1).
+
+    The form over Q(t) serves every level (specialize_torus): t -> q is a
+    ring homomorphism, so evaluating its coefficients gives the element
+    (q - 1)^m a, where the conversion at the root gives (q - 1)^m' a, with
+    the same support wherever both take the same side, since q - 1 is
+    nonzero.  m' is less at a level where q - 1 is a unit (l not a prime
+    power), or where a coefficient vanishes to a higher order at q than at
+    t = 1; and a side can differ where a coefficient vanishes at q and so
+    changes the count of terms."""
     ctx = a.context
-    if ctx.kind != ROOT or ctx.level < 2:
+    if ctx.kind != SYMBOLIC and (ctx.kind != ROOT or ctx.level < 2):
         raise ValueError("need a root-of-unity context of level >= 2")
     # per pair, its PBW exponents until it is rewritten, its torus ones after
     terms = {tuple(zip(al, be)): c for (al, be), c in a.terms.items()}
@@ -86,14 +110,48 @@ def to_torus(a: WeylElement) -> Torus:
         terms = x_terms if x_side else d_terms
         sides.append(x_side)
         m += x_m if x_side else d_m
-    inverse = -inverse_one_minus_q(ctx.level, ctx.qpow)  # 1/(q - 1)
-    while m:
-        lower = {key: c * inverse for key, c in terms.items()}
-        if any(c.den % v.den for c, v in zip(terms.values(), lower.values())):
-            break
-        terms, m = lower, m - 1
+    if ctx.kind == SYMBOLIC:
+        while m:
+            lower = {key: _over_t_minus_1(c) for key, c in terms.items()}
+            if None in lower.values():
+                break
+            terms, m = lower, m - 1
+    else:
+        inverse = -inverse_one_minus_q(ctx.level, ctx.qpow)  # 1/(q - 1)
+        while m:
+            lower = {key: c * inverse for key, c in terms.items()}
+            if any(c.den % v.den for c, v in zip(terms.values(), lower.values())):
+                break
+            terms, m = lower, m - 1
     return Torus(ctx, tuple(sides), {(tuple(u for u, _ in key), tuple(v for _, v in key)): c
                                      for key, c in terms.items()}, m)
+
+
+def _over_t_minus_1(c: LaurentPoly) -> Optional[LaurentPoly]:
+    """c / (t - 1) when t - 1 divides c, that is c(1) = 0, else None.  For
+    c = t^low sum_k n_k t^k, the quotient's coefficients are the running
+    sums -(n_0 + ... + n_k), k below the top (synthetic division at 1)."""
+    if sum(c.num):
+        return None
+    out, acc = [], 0
+    for v in c.num[:-1]:
+        acc -= v
+        out.append(acc)
+    return LaurentPoly._normalized(c.low, out, c.den)
+
+
+def specialize_torus(t: Torus, ctx: AlgebraContext) -> Torus:
+    """The torus form over Q(t) of to_torus evaluated at the root of ctx,
+    a context of the same n at a level >= 2: each coefficient at t = q
+    (scalars.specialize), and the terms that vanish there dropped.  The
+    sides and m stay those of t; the result is (q - 1)^m a (to_torus)."""
+    level, qpow = ctx.level, ctx.qpow
+    terms = {}
+    for key, c in t.terms.items():
+        v = specialize(c, level, qpow)
+        if v:
+            terms[key] = v
+    return Torus(ctx, t.x_side, terms, t.m)
 
 
 def _convert_pair(ctx: AlgebraContext, terms: Dict, i: int, x_side: bool):
@@ -193,8 +251,9 @@ def torus_power_cost(t: Torus, k: int) -> int:
 
 def central_power(t: Torus) -> Optional[CenterPoly]:
     """theta_inverse(a**l) for a nonzero element a of the algebra at a root
-    of unity of level l, given by its torus form t = to_torus(a) and
-    computed in the quantum torus; None when a**l is not central.
+    of unity of level l, given by its torus form t = to_torus(a), or the
+    form of a's symbolic lift evaluated at the level (specialize_torus),
+    and computed in the quantum torus; None when a**l is not central.
 
     A form of one or two terms is raised in closed form, at every level
     and every n (_binomial_power).  At one pair, a form A + B f, with A

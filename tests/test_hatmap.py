@@ -24,7 +24,7 @@ from qweyl import (
     standard_bracket,
     transport_limit,
 )
-from qweyl import hatmap, morphisms, weylcore
+from qweyl import hatmap, morphisms, torus, weylcore
 from qweyl.hatmap import (
     DEFAULT_PRIMES,
     is_stable,
@@ -32,7 +32,7 @@ from qweyl.hatmap import (
 )
 from qweyl.center import theta
 from qweyl.morphisms import apply_endo, specialize_endomorphism
-from qweyl.torus import to_torus, torus_power_cost
+from qweyl.torus import central_power, to_torus, torus_power_cost
 from qweyl.weylcore import POWER_COST_LIMIT, DegreeLimitExceeded, _power_cost, f_i
 
 from conftest import identity_endomorphism
@@ -272,6 +272,51 @@ def test_hat_endo_specializes_each_level_once(monkeypatch):
     report = hat_endo(identity_endomorphism(ctx), MID[:4])
     assert sorted(report.reports) == ["r1", "r2", "s1", "s2"] and report.converged
     assert calls == list(MID[:4])
+
+
+def test_hat_endo_converts_each_image_once(monkeypatch):
+    # the images' torus forms are built over Q(t) once per call, and each
+    # level evaluates them: as many conversions on ten levels as on three
+    calls = []
+    convert = torus._convert_pair
+
+    def counted(*args):
+        calls.append(args[0])
+        return convert(*args)
+
+    monkeypatch.setattr(torus, "_convert_pair", counted)
+    e = lift_phi(AlgebraContext.symbolic(1), {2: 1})
+    counts = []
+    for schedule in (DEFAULT_PRIMES, DEFAULT_PRIMES[:3]):
+        calls.clear()
+        hat_endo(e, schedule)
+        counts.append(len(calls))
+        assert all(ctx.kind == weylcore.SYMBOLIC for ctx in calls)
+    assert counts == [4, 4]
+
+
+def test_composite_levels_take_the_norm_route(monkeypatch):
+    # at 10, 12, 14 and 15, where q - 1 is a unit, the root conversion of
+    # d1 of lift_phi(x1^2) divides by it and runs the chain; the form over
+    # Q(t) keeps B's lowest coefficient 1, so hat_endo runs no chain there
+    e = lift_phi(AlgebraContext.symbolic(1), {2: 1})
+    levels = [10, 12, 14, 15]
+    want = {}
+    for level in levels:
+        e_l = specialize_endomorphism(e, level)
+        want[level] = {"r1": central_power(to_torus(e_l.images_d[0])),
+                       "s1": central_power(to_torus(e_l.images_x[0]))}
+
+    def chain(*args):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(torus, "_packed_chain", chain)
+    with pytest.raises(AssertionError, match="the chain ran"):
+        central_power(to_torus(specialize_endomorphism(e, 10).images_d[0]))
+    report = hat_endo(e, levels)
+    for name in ("r1", "s1"):
+        assert report.reports[name].results == tuple(
+            (level, want[level][name]) for level in levels), name
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from qweyl import hatmap, torus
 from qweyl.center import NotCentralError, theta, theta_inverse
 from qweyl.hatmap import CentralityFailure
 from qweyl.morphisms import Endomorphism, apply_endo, specialize_endomorphism
-from qweyl.scalars import euler_phi, inverse_one_minus_q, specialize
+from qweyl.scalars import LaurentPoly, euler_phi, inverse_one_minus_q, specialize
 from qweyl.torus import (Torus, _binomial_power, _classes, _contract, _half_route, _norm_power,
-                         _packed, _readout, central_power, to_torus, torus_power_cost,
-                         torus_powers)
+                         _over_t_minus_1, _packed, _readout, central_power, specialize_torus,
+                         to_torus, torus_power_cost, torus_powers)
 from qweyl.weylcore import WeylElement, f_i, power
 
 from conftest import identity_endomorphism, random_element
@@ -524,6 +524,134 @@ def test_the_side_with_fewer_terms_is_taken():
     assert side(lift_psi(ctx, {2: 1}), True).x_side == (False,)
     # a tie takes x
     assert side(lift_phi(ctx, {0: 2}), True).x_side == (True,)
+
+
+ORACLE = ("x1^2", "2", "1 + x1 - 3*x1^3", "x1 + x1^2", "t*x1", "(1/2)*x1 + 3*x1^2", "-x1^2",
+          "x1^3")
+
+
+def _oracle_images():
+    """(label, symbolic image): both images of the phi and psi lifts of the
+    ORACLE polynomials (psi's in d1), of x1 o x1^2, and of the n = 2 shear
+    S and the quartic shear."""
+    ctx = AlgebraContext.symbolic(1)
+    images = []
+    for f in ORACLE:
+        for kind, lift, g in (("phi", lift_phi, f), ("psi", lift_psi, f.replace("x1", "d1"))):
+            e = lift(ctx, parse_weyl(g, ctx))
+            images += [(f"{kind}({g}) x1", e.images_x[0]), (f"{kind}({g}) d1", e.images_d[0])]
+    composite = compose(lift_phi(ctx, {1: 1}), lift_phi(ctx, {2: 1}))
+    images += [("x1 o x1^2 x1", composite.images_x[0]), ("x1 o x1^2 d1", composite.images_d[0])]
+    two = AlgebraContext.symbolic(2)
+    x1, x2, d1, d2 = two.x(1), two.x(2), two.d(1), two.d(2)
+    f1, f2 = f_i(two, 1), f_i(two, 2)
+    for name, images_d in (("shear", [d1 + x2 * f1, d2 + x1 * f2]),
+                           ("quartic", [d1 + x1 * x2 * x2 * f1, d2 + x1 * x1 * x2 * f2])):
+        e = make_endomorphism(two, [x1, x2], images_d)
+        images += [(f"{name} d{i + 1}", image) for i, image in enumerate(e.images_d)]
+    return images
+
+
+def _at_root(image, root):
+    """The image specialized at the root of the context root, any qpow."""
+    return WeylElement(root, {key: specialize(c, root.level, root.qpow)
+                              for key, c in image.terms.items()})
+
+
+def test_the_symbolic_form_evaluates_to_the_root_conversion():
+    # to_torus over Q(t), evaluated at a level, against to_torus at the
+    # root: the same support wherever both take the same side, the same
+    # terms wherever m agrees as well, and the same central_power.  The
+    # forms differ by (q - 1)^(m - m') only: m' < m at the levels that are
+    # no prime power, where q - 1 is a unit and the root conversion divides
+    # by it to m' = 0, on every image of three terms; the side differs where
+    # a coefficient vanishes at the level and makes a tie of term counts.
+    # A coefficient vanishes at zeta_l^qpow as at zeta_l, so the sets do not
+    # depend on qpow; central_power is compared on both forms at qpow = 1,
+    # and at qpow != 1 where the side differs.  The full chain, which the
+    # root conversion's forms of three terms run at those levels, takes
+    # about 4 s of this test on a 2-core machine.
+    levels = (*range(2, 24), 29, 31)
+    sides, ms = set(), set()
+    for label, image in _oracle_images():
+        form = to_torus(image)
+        for level in levels:
+            for qpow in sorted({1, max(j for j in range(1, level) if math.gcd(j, level) == 1)}):
+                root = AlgebraContext.root_of_unity(image.context.n, level, qpow)
+                got, want = specialize_torus(form, root), to_torus(_at_root(image, root))
+                if got.x_side != want.x_side:
+                    sides.add((label, level))
+                    assert central_power(got) == central_power(want), (label, level, qpow)
+                    continue
+                assert set(got.terms) == set(want.terms), (label, level, qpow)
+                if got.m == want.m:
+                    assert got.terms == want.terms, (label, level, qpow)
+                    continue
+                ms.add((label, level, got.m, want.m))
+                scale = (root.t_power(1) - 1) ** (got.m - want.m)
+                assert got.terms == {key: c * scale for key, c in want.terms.items()}
+                if qpow == 1:
+                    assert central_power(got) == central_power(want), (label, level)
+    assert sides == {("psi(d1^2) x1", 2), ("psi(-d1^2) x1", 2), ("psi(d1^3) x1", 3)}
+    three = ({f"phi({f}) d1" for f in ORACLE if f != "2"}
+             | {f"psi({f.replace('x1', 'd1')}) x1" for f in ORACLE if f != "2"}
+             | {"x1 o x1^2 d1", "quartic d1", "quartic d2"})
+    assert ms == {(label, level, 1, 0) for label in three
+                  for level in (6, 10, 12, 14, 15, 18, 20, 21, 22)}
+
+
+def test_forged_symbolic_forms_evaluate_to_the_root_conversion():
+    # each against the central_power of the root conversion: a coefficient
+    # that vanishes at the level is dropped; a form whose coefficients
+    # (t - 1)^2 divides lowers m twice; and a coefficient 3, which
+    # (1 - q)^2 divides at l = 3 but no power of t - 1 divides, keeps the
+    # m of Q(t), where the root conversion lowers it
+    ctx = AlgebraContext.symbolic(1)
+    x1, d1, f = ctx.x(1), ctx.d(1), f_i(ctx, 1)
+    t = ctx.t_power(1)
+
+    def check(a, level):
+        root = AlgebraContext.root_of_unity(1, level)
+        got, want = specialize_torus(to_torus(a), root), to_torus(specialize_element(a, level))
+        assert central_power(got) == central_power(want), (a, level)
+        return got, want
+
+    vanishing = d1 + x1 * x1 * f + (1 + t + t * t) * x1 * x1 * x1 * f
+    form = to_torus(vanishing)
+    assert form.x_side == (True,) and ((3,), (1,)) in form.terms
+    got, want = check(vanishing, 3)
+    assert set(got.terms) == set(want.terms) == {((-1,), (0,)), ((-1,), (1,)), ((2,), (1,))}
+    for level in (2, 4, 5, 6):
+        assert ((3,), (1,)) in check(vanishing, level)[0].terms
+
+    plain = d1 * d1 + x1 + x1 * x1 + x1 * x1 * x1
+    squared = (t - 1) ** 2 * plain
+    low, high = to_torus(squared), to_torus(plain)
+    assert (low.m, high.m) == (0, 2) and low.x_side == high.x_side == (True,)
+    assert low.terms == high.terms
+    for level in (2, 3, 4, 5, 6, 7):
+        check(squared, level)
+
+    three = 3 * (d1 + x1 * x1 * f)
+    got, want = check(three, 3)
+    assert (got.m, want.m) == (1, 0)
+    assert (to_torus(three).m, check(three, 5)[1].m) == (1, 1)
+
+
+def test_the_lowering_divides_by_t_minus_1_exactly(rng):
+    # synthetic division at 1: (t - 1) p / (t - 1) is p, and a p with
+    # p(1) != 0 is not divided
+    t_minus_1 = LaurentPoly({1: 1, 0: -1})
+    for _ in range(50):
+        low = rng.randint(-3, 3)
+        p = LaurentPoly({low + k: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for k in range(rng.randint(1, 6))})
+        if not p:
+            continue
+        assert _over_t_minus_1(t_minus_1 * p) == p, p
+        assert _over_t_minus_1(t_minus_1 * t_minus_1 * p) == t_minus_1 * p, p
+        if sum(p.coeffs.values()):
+            assert _over_t_minus_1(p) is None, p
 
 
 def test_torus_powers_of_a_two_term_image_stay_small():
